@@ -31,9 +31,10 @@ injected unless a chaos plan armed a fault in this process.
 
 The entry layout is ``MAGIC (4 bytes) | sha256(payload) (32 bytes) |
 payload (pickle)``.  Files written by older releases (bare pickles) fail
-the magic check and are quarantined like any other corrupt entry; bump
-``repro.harness.GENERATION`` is therefore *not* needed for this format
-change — the checksum header makes old entries self-invalidating.
+the magic check and are quarantined like any other corrupt entry, so
+this format change needs no bump of ``repro.harness.TRACE_GENERATION``
+or ``RESULT_GENERATION`` — the checksum header makes old entries
+self-invalidating.
 """
 
 from __future__ import annotations

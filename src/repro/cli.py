@@ -12,8 +12,9 @@ Subcommands:
   and export a Chrome/Perfetto trace (``repro trace --benchmark GDL
   --out traces.jsonl.gz`` keeps the original frame-trace export).
 * ``repro suite --benchmarks CCS,GDL --config libra [--workers N]`` —
-  supervised sweep (timeouts, retries, graceful degradation, optional
-  process-parallel execution; see ``repro.harness.run_suite``).
+  supervised sweep (timeouts, retries, graceful degradation; with
+  ``--workers N`` each pair runs in a monitored forked worker; see
+  ``repro.harness.run_suite``).
 * ``repro sweep --spec fig18.yaml`` (or inline: ``repro sweep
   --benchmarks tri_overlap --axis raster_units=1,2,4 --axis
   supertile=2,4``) — declarative, resumable parameter-grid sweep with
@@ -57,9 +58,7 @@ follows the ``repro.config.parse_kind`` grammar (``baseline[N]``,
 ``ptr``, ``libra``, ``temperature[N]``, ``supertile[N]``);
 ``--frames/--width/--height`` work both globally and per subcommand,
 and ``--workers/--timeout/--retries`` are shared by ``suite`` and
-``sweep``.  The historical spellings (``--benchmarks`` on single-target
-commands, ``--benchmark`` on sweep commands, ``--kind`` for
-``--config``) still parse as hidden aliases that warn once per process.
+``sweep``.
 
 Diagnostics go through the ``repro`` :mod:`logging` hierarchy; ``-v``
 raises the level to INFO, ``-vv`` to DEBUG.
@@ -81,7 +80,6 @@ import argparse
 import contextlib
 import logging
 import sys
-import warnings
 from typing import List, Optional
 
 from .config import GPUConfig, parse_kind
@@ -95,10 +93,6 @@ from .workloads import (TraceBuilder, benchmark_names,
 DEFAULT_WIDTH = 960
 DEFAULT_HEIGHT = 512
 DEFAULT_TILE = 32
-
-#: Historical tuple of the most common kinds (the full grammar is wider;
-#: see :func:`repro.config.parse_kind`).  Kept for import compatibility.
-CONFIG_NAMES = ("baseline", "ptr", "libra", "temperature")
 
 logger = logging.getLogger("repro.cli")
 
@@ -156,33 +150,6 @@ def configure_logging(verbosity: int = 0) -> None:
         root.setLevel(logging.WARNING)
 
 
-#: Option strings whose deprecation warning already fired this process.
-_WARNED_ALIASES: set = set()
-
-
-class _DeprecatedAlias(argparse.Action):
-    """A hidden alias option that warns once, then behaves normally.
-
-    Stores into the canonical option's ``dest``; the first use per
-    process emits a one-line diagnostic (and a ``DeprecationWarning``
-    for programmatic callers), later uses are silent.
-    """
-
-    def __init__(self, option_strings, dest, canonical="", **kwargs):
-        kwargs.setdefault("help", argparse.SUPPRESS)
-        super().__init__(option_strings, dest, **kwargs)
-        self.canonical = canonical
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if option_string not in _WARNED_ALIASES:
-            _WARNED_ALIASES.add(option_string)
-            message = (f"option {option_string} is deprecated and will "
-                       f"be removed in 2.0; use {self.canonical}")
-            warnings.warn(message, DeprecationWarning, stacklevel=2)
-            logger.warning("%s", message)
-        setattr(namespace, self.dest, values)
-
-
 def _kind_arg(value: str) -> str:
     """argparse type for ``--config``: any kind :func:`parse_kind` accepts."""
     try:
@@ -222,33 +189,22 @@ def _supervision_parent() -> argparse.ArgumentParser:
 
 
 def _add_config_option(parser, default: str = "libra") -> None:
-    """The canonical ``--config KIND`` plus its ``--kind`` alias."""
+    """The ``--config KIND`` option of single-configuration commands."""
     parser.add_argument(
         "--config", default=default, type=_kind_arg, metavar="KIND",
         help="GPU variant kind: baseline[N], ptr, libra, "
              "temperature[N], supertile[N]")
-    parser.add_argument("--kind", dest="config", type=_kind_arg,
-                        action=_DeprecatedAlias, canonical="--config",
-                        metavar="KIND")
 
 
 def _add_benchmark_option(parser, choices, required: bool = True) -> None:
-    """The canonical ``--benchmark`` plus its ``--benchmarks`` alias."""
-    if required:
-        group = parser.add_mutually_exclusive_group(required=True)
-    else:
-        group = parser
-    group.add_argument("--benchmark", choices=choices)
-    group.add_argument("--benchmarks", dest="benchmark", choices=choices,
-                       action=_DeprecatedAlias, canonical="--benchmark")
+    """The ``--benchmark`` option of single-target commands."""
+    parser.add_argument("--benchmark", choices=choices, required=required)
 
 
 def _add_benchmarks_option(parser, default: Optional[str] = "all") -> None:
-    """The canonical plural ``--benchmarks`` plus ``--benchmark`` alias."""
+    """The plural ``--benchmarks`` option of sweep-style commands."""
     parser.add_argument("--benchmarks", default=default,
                         help="comma-separated codes, or 'all'")
-    parser.add_argument("--benchmark", dest="benchmarks",
-                        action=_DeprecatedAlias, canonical="--benchmarks")
 
 
 def _build_traces(benchmark: str, frames: int, width: int, height: int):

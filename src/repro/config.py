@@ -290,9 +290,8 @@ class GPUConfig:
         override is in place, and the scheduler is built from the final
         config, so threshold/supertile settings take effect.
 
-        This subsumes the historical ``harness.make_config`` (now a
-        deprecated shim) and the per-preset constructors, which remain
-        as conveniences for the common cases.
+        This subsumes the per-preset constructors, which remain as
+        conveniences for the common cases.
         """
         family, param = parse_kind(kind)
         if family == "baseline":

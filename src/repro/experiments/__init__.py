@@ -8,7 +8,7 @@ bandwidth sensitivity.  This package makes those first-class:
   axes), loadable from YAML/JSON.
 * :func:`run_sweep` / :class:`SweepResult` — supervised execution of
   the grid through the :func:`repro.harness.run_pairs` backend, with
-  per-point retry/timeout, process-pool parallelism, and crash-safe
+  per-point retry/timeout, forked-worker parallelism, and crash-safe
   per-point checkpoints in an :class:`ArtifactStore` so an interrupted
   sweep *resumes* instead of restarting.
 * :func:`speedup_matrix` / :class:`SpeedupMatrix` — aggregation:

@@ -286,13 +286,7 @@ def speedup_matrix(result: SweepResult,
             order.append(key)
         if outcome.ok:
             cells[key].cycles[point.kind] = outcome.summary.total_cycles
-        if outcome.provenance:
-            cells[key].provenance[point.kind] = outcome.provenance
-        elif outcome.resumed:
-            cells[key].provenance[point.kind] = "resumed"
-        else:
-            cells[key].provenance[point.kind] = \
-                "completed" if outcome.ok else outcome.status
+        cells[key].provenance[point.kind] = outcome.provenance
     for key in order:
         row = cells[key]
         base = row.cycles.get(baseline)

@@ -5,13 +5,12 @@
 whatever a previous (possibly killed) run already completed from the
 :class:`~repro.experiments.store.ArtifactStore`, prebuilds each unique
 frame trace exactly once, and executes the remaining points through
-:func:`repro.harness.run_pairs` — the same supervised backend ``repro
-suite`` uses, so every point inherits the per-run wall-clock timeout,
-bounded retry with backoff, failure isolation and (with ``workers > 1``)
-the process pool.  Each point's summary is checkpointed to the store
-*from inside the runner*, i.e. in the worker process, the moment it
-finishes — killing the driver mid-grid loses at most the points that
-were in flight.
+:func:`repro.harness.run_pairs` — the same backend ``repro suite``
+uses, so every point inherits the per-run wall-clock timeout, bounded
+retry with backoff and failure isolation.  Each point's summary is
+checkpointed to the store *from inside the runner*, i.e. in the worker
+process, the moment it finishes — killing the driver mid-grid loses at
+most the points that were in flight.
 
 Parallel and chaos-mode runs go through the worker-lifecycle supervisor
 (:mod:`repro.supervision`): monitored forked children with heartbeat
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from .. import chaos, harness, supervision
+from .. import chaos, harness
 from ..config import GPUConfig
 from ..gpu import GPUSimulator
 from ..harness import RunSummary
@@ -68,11 +67,10 @@ class PointOutcome:
     #: How the result was obtained: ``completed`` (clean first
     #: attempt), ``resumed`` (artifact served from the store),
     #: ``degraded`` (ok, but only after retries or a preemption),
-    #: ``failed``, ``tripped`` or ``skipped``.  Empty when the point
-    #: ran on a legacy (unsupervised) backend.
+    #: ``failed``, ``tripped`` or ``skipped``.
     provenance: str = ""
     #: Times the supervisor had to SIGTERM/SIGKILL a worker for this
-    #: point (supervised backend only).
+    #: point (always 0 in-process).
     preemptions: int = 0
 
     @property
@@ -115,23 +113,8 @@ class SweepResult:
         return len(self.completed) < len(self.outcomes)
 
     def provenance(self) -> Dict[str, str]:
-        """point_id -> provenance for every point of the grid.
-
-        Legacy-backend outcomes (empty provenance) are mapped from
-        their status so downstream consumers (the speedup matrix) can
-        always rely on a value being present.
-        """
-        fallback = {"ok": "completed", "failed": "failed",
-                    "skipped": "skipped", "tripped": "tripped"}
-        out: Dict[str, str] = {}
-        for o in self.outcomes:
-            if o.provenance:
-                out[o.point.point_id] = o.provenance
-            elif o.resumed:
-                out[o.point.point_id] = "resumed"
-            else:
-                out[o.point.point_id] = fallback.get(o.status, o.status)
-        return out
+        """point_id -> provenance for every point of the grid."""
+        return {o.point.point_id: o.provenance for o in self.outcomes}
 
     @property
     def resumed(self) -> List[PointOutcome]:
@@ -222,7 +205,6 @@ def _point_runner(benchmark: str, point_id: str, frames: int = 0,
                   ) -> RunSummary:
     """The :func:`repro.harness.run_pairs` runner for sweep points.
 
-    Module-level and picklable so the process-pool backend can ship it;
     ``point_id`` rides in the pair's *kind* slot and keys the full
     :class:`SweepPoint` in ``points``.  The summary is checkpointed to
     the artifact store here, inside the worker, so a completed point
@@ -312,7 +294,6 @@ def run_sweep(spec: ExperimentSpec,
               timeout_s: Optional[float] = None,
               retries: Optional[int] = None,
               point_telemetry: bool = True,
-              supervise: Optional[bool] = None,
               policy: Optional[SupervisionPolicy] = None) -> SweepResult:
     """Execute (or resume) the sweep a spec describes.
 
@@ -326,32 +307,28 @@ def run_sweep(spec: ExperimentSpec,
     untouched points ``skipped``.
 
     ``point_telemetry`` (default on) has every point — including ones
-    executed in pool workers, whose processes the driver's hub never
+    executed in forked workers, whose processes the driver's hub never
     sees — record its own metrics state into its checkpointed artifact;
     :meth:`SweepResult.merged_metrics` then aggregates them across the
     whole grid.  Its cost is one sinkless hub session per point; pass
     ``False`` to run points with telemetry fully disabled.
 
-    ``supervise`` selects the worker-lifecycle backend
-    (:mod:`repro.supervision`): each point runs in a monitored forked
-    child with heartbeat/hang detection, adaptive deadlines, escalating
+    The backend follows from the inputs.  With ``workers > 1`` or an
+    active chaos plan (:mod:`repro.chaos`) — injected crashes in an
+    in-process sweep would kill the driver — each point runs in a
+    monitored forked child (:mod:`repro.supervision`) with
+    heartbeat/hang detection, adaptive deadlines, escalating
     SIGTERM→SIGKILL preemption and a circuit breaker keyed by
     ``(benchmark, kind)`` whose state persists in the artifact store
-    across resumes.  The default (None) auto-selects: supervised when
-    ``workers > 1`` or a chaos plan (:mod:`repro.chaos`) is active —
-    injected crashes in an unsupervised in-process sweep would kill the
-    driver — and the legacy in-process path otherwise, which keeps
-    sequential sweeps monkeypatch-friendly.  ``policy`` overrides the
-    supervision tunables.
+    across resumes.  Otherwise points run in-process, which saves the
+    fork per point and keeps sequential sweeps monkeypatch-friendly.
+    ``policy`` overrides the supervision tunables.
     """
     spec.validate()
     workers = spec.workers if workers is None else workers
     timeout_s = spec.timeout_s if timeout_s is None else timeout_s
     retries = spec.retries if retries is None else retries
     chaos_plan = chaos.active()
-    if supervise is None:
-        supervise = (workers > 1 or chaos_plan is not None) \
-            and supervision.available()
     if chaos_plan is not None:
         logger.warning("sweep %s runs under %s", spec.name,
                        chaos_plan.describe())
@@ -386,7 +363,7 @@ def run_sweep(spec: ExperimentSpec,
         points=by_id, store_root=str(root),
         point_telemetry=point_telemetry, driver_pid=os.getpid())
     breaker: Optional[CircuitBreaker] = None
-    if supervise:
+    if workers > 1 or chaos_plan is not None:
         sup_policy = policy or SupervisionPolicy()
         breaker = CircuitBreaker.from_state(
             store.load_breaker_state(),
@@ -420,8 +397,7 @@ def run_sweep(spec: ExperimentSpec,
             point=point, status=o.status, summary=o.summary,
             error=o.error, error_type=o.error_type,
             attempts=o.attempts, elapsed_s=o.elapsed_s,
-            provenance=o.provenance,
-            preemptions=getattr(o, "preemptions", 0)))
+            provenance=o.provenance, preemptions=o.preemptions))
     if HUB.enabled:
         HUB.metrics.counter("sweep.points.failed").inc(len(result.failed))
         if result.tripped:

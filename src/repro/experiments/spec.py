@@ -65,10 +65,9 @@ def resolve_axes(axes: Dict[str, Any]) -> Tuple[Dict[str, Any],
 class SweepPoint:
     """One fully-resolved grid point: a (benchmark, kind, axes) triple.
 
-    Frozen and hashable so points can key dictionaries, and picklable so
-    the process-pool backend can ship them to workers.  ``axes`` is
-    stored as a sorted tuple of ``(name, value)`` pairs for both
-    reasons; use :attr:`axis_values` for the dict view.
+    Frozen and hashable so points can key dictionaries.  ``axes`` is
+    stored as a sorted tuple of ``(name, value)`` pairs for that
+    reason; use :attr:`axis_values` for the dict view.
     """
 
     benchmark: str

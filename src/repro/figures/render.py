@@ -280,10 +280,11 @@ def render_sweep(store_root: str) -> str:
         if summary is None:
             result.outcomes.append(PointOutcome(
                 point=point, status="skipped", error="no artifact",
-                error_type="missing"))
+                error_type="missing", provenance="skipped"))
         else:
             result.outcomes.append(PointOutcome(
-                point=point, status="ok", summary=summary, resumed=True))
+                point=point, status="ok", summary=summary, resumed=True,
+                provenance="resumed"))
     matrix = speedup_matrix(result)
     out = [f"\n## Sweep: {spec.name}\n",
            f"Grid: benchmarks={', '.join(spec.benchmarks)}; "

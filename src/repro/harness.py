@@ -16,20 +16,23 @@ cache key includes a manual generation number plus the experiment
 parameters, not a hash of the source).
 
 Cache integrity: every entry is written through :mod:`repro.cachefile`
-(atomic replace + SHA-256 checksum + advisory lock), so ``GENERATION``
-and the checksum play different roles — the checksum detects *storage*
-faults (truncation, bit flips, interrupted writes, legacy unchecksummed
-entries) and triggers quarantine-and-rebuild automatically, while
-``GENERATION`` must still be bumped manually for *semantic* staleness
-(simulator behaviour changed but old entries are bytewise intact; a
-checksum cannot see that).  Corrupt entries are renamed to
-``*.corrupt`` with a logged warning, never silently deleted or served.
+(atomic replace + SHA-256 checksum + advisory lock), so the generation
+numbers and the checksum play different roles — the checksum detects
+*storage* faults (truncation, bit flips, interrupted writes, legacy
+unchecksummed entries) and triggers quarantine-and-rebuild
+automatically, while ``TRACE_GENERATION``/``RESULT_GENERATION`` must
+still be bumped manually for *semantic* staleness (simulator behaviour
+changed but old entries are bytewise intact; a checksum cannot see
+that).  Corrupt entries are renamed to ``*.corrupt`` with a logged
+warning, never silently deleted or served.
 
 Suite supervision: :func:`run_suite` runs many (benchmark, kind) pairs
 with per-benchmark wall-clock timeouts, bounded retry with backoff for
 transient faults, and graceful degradation — one failing benchmark is
 recorded in the returned :class:`SuiteReport` while every other result
-is still delivered.
+is still delivered.  ``workers == 1`` runs the pairs in-process;
+``workers > 1`` runs each pair in a monitored forked child under
+:class:`~repro.supervision.Supervisor`.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from . import cachefile
 from .config import GPUConfig
-from .core import TileScheduler
 from .errors import (BenchmarkTimeoutError, CacheCorruptionError,
                      ConfigValidationError, ReproError, SimulationError,
                      is_transient)
-from .supervision import SupervisedJob, Supervisor, backoff_delay
+from .supervision import (SupervisedJob, SupervisionPolicy, Supervisor,
+                          backoff_delay)
 from .gpu import FrameTrace, GPUSimulator, RunResult
 from .telemetry import HUB, HarnessSpan
 from .workloads import TraceBuilder, benchmark_names, make_scene_builder
@@ -83,45 +86,10 @@ TRACE_GENERATION = 1
 #: (the mergeable counterpart of the flat snapshot).
 RESULT_GENERATION = 4
 
-#: Backwards-compatible alias (pre-split single generation number).
-GENERATION = TRACE_GENERATION
-
 
 def cache_dir() -> Path:
     """The trace/result cache directory (env REPRO_CACHE_DIR)."""
     return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
-# -- configurations ----------------------------------------------------------
-
-def make_config(kind: str, raster_units: int = 2, cores_per_unit: int = 4,
-                width: int = WIDTH, height: int = HEIGHT
-                ) -> Tuple[GPUConfig, Optional[TileScheduler]]:
-    """Deprecated alias of :meth:`repro.config.GPUConfig.build`.
-
-    Kinds (see :func:`repro.config.parse_kind` for the full grammar):
-
-    * ``baseline`` — 1 Raster Unit x (raster_units*cores_per_unit) cores.
-    * ``baseline4`` / ``baseline8`` — single unit with a fixed core count
-      (the Figure 4 core-scaling experiment).
-    * ``ptr`` — parallel tile rendering, interleaved Z-order.
-    * ``libra`` — PTR + the full adaptive temperature scheduler.
-    * ``temperature<N>`` — PTR + fixed-size hot/cold supertile scheduling.
-    * ``supertile<N>`` — PTR + static supertiles, no temperature ranking.
-
-    .. deprecated:: 1.1
-       Call ``GPUConfig.build(kind, raster_units=..., cores_per_unit=...,
-       screen_width=..., screen_height=...)`` instead; this shim only
-       renames ``width``/``height`` and will be removed.
-    """
-    import warnings
-    warnings.warn(
-        "repro.harness.make_config is deprecated and will be removed "
-        "in 2.0; use repro.GPUConfig.build(kind, ...) instead",
-        DeprecationWarning, stacklevel=2)
-    return GPUConfig.build(kind, raster_units=raster_units,
-                           cores_per_unit=cores_per_unit,
-                           screen_width=width, screen_height=height)
 
 
 # -- traces ----------------------------------------------------------------
@@ -344,7 +312,7 @@ class BenchmarkOutcome:
     #: ``ok`` (summary present), ``failed`` (all attempts exhausted),
     #: ``skipped`` (never attempted: unknown name or aborted suite) or
     #: ``tripped`` (quarantined by the supervisor's circuit breaker
-    #: without being attempted; supervised backend only).
+    #: without being attempted).
     status: str
     summary: Optional[RunSummary] = None
     error: Optional[str] = None
@@ -353,11 +321,10 @@ class BenchmarkOutcome:
     elapsed_s: float = 0.0
     #: How the result was obtained: ``completed`` (clean first attempt),
     #: ``degraded`` (recovered via retry/preemption), ``failed``,
-    #: ``tripped`` or ``skipped``.  Empty on the legacy (unsupervised)
-    #: backends, which predate provenance tracking.
+    #: ``tripped`` or ``skipped``.
     provenance: str = ""
     #: Times the supervisor had to SIGTERM/SIGKILL a worker for this
-    #: pair (supervised backend only).
+    #: pair (always 0 in-process).
     preemptions: int = 0
 
     @property
@@ -459,24 +426,19 @@ def _wall_clock_limit(seconds: Optional[float], label: str) -> Iterator[None]:
                              max(prior_remaining - elapsed, 1e-6))
 
 
-def _is_transient(exc: BaseException) -> bool:
-    """Whether retrying after backoff can plausibly succeed."""
-    return is_transient(exc)
-
-
 def _attempt_pair(benchmark: str, kind: str, frames: int,
                   timeout_s: Optional[float], max_attempts: int,
                   backoff_s: float, runner: Callable[..., RunSummary],
                   run_kwargs: dict) -> BenchmarkOutcome:
-    """Run one (benchmark, kind) pair under the retry/timeout policy.
+    """Run one (benchmark, kind) pair in-process with timeout and retry.
 
-    Module-level (not a closure) so :func:`run_suite` can ship it to
-    worker processes; everything it touches must stay picklable.  A
-    ``KeyboardInterrupt`` during an attempt is recorded on the returned
-    outcome (``error_type == "KeyboardInterrupt"``) for the caller to
-    act on rather than propagating.
+    A ``KeyboardInterrupt`` during an attempt is recorded on the
+    returned outcome (``error_type == "KeyboardInterrupt"``) for the
+    caller to act on rather than propagating.  Provenance follows the
+    supervisor's rules: a success after a retry is ``degraded``.
     """
-    outcome = BenchmarkOutcome(benchmark, kind, "failed")
+    outcome = BenchmarkOutcome(benchmark, kind, "failed",
+                               provenance="failed")
     start = time.monotonic()
     wall_start = time.time()
     for attempt in range(1, max_attempts + 1):
@@ -488,6 +450,8 @@ def _attempt_pair(benchmark: str, kind: str, frames: int,
             outcome.status = "ok"
             outcome.summary = summary
             outcome.error = outcome.error_type = None
+            outcome.provenance = "completed" if attempt == 1 \
+                else "degraded"
             break
         except KeyboardInterrupt:
             outcome.error = "interrupted"
@@ -498,8 +462,7 @@ def _attempt_pair(benchmark: str, kind: str, frames: int,
                 else SimulationError(f"{benchmark}/{kind}: {exc!r}")
             outcome.error = str(wrapped)
             outcome.error_type = type(wrapped).__name__
-            retryable = (_is_transient(exc)
-                         and attempt < max_attempts)
+            retryable = is_transient(exc) and attempt < max_attempts
             logger.warning(
                 "%s/%s attempt %d/%d failed (%s: %s)%s",
                 benchmark, kind, attempt, max_attempts,
@@ -525,7 +488,8 @@ def _attempt_pair(benchmark: str, kind: str, frames: int,
 def _skipped(benchmark: str, kind: str, error: str,
              error_type: str) -> BenchmarkOutcome:
     return BenchmarkOutcome(benchmark, kind, "skipped",
-                            error=error, error_type=error_type)
+                            error=error, error_type=error_type,
+                            provenance="skipped")
 
 
 def _unknown_benchmark(benchmark: str, kind: str,
@@ -557,16 +521,19 @@ def run_suite(benchmarks: Sequence[str],
     Unknown benchmark names are reported as ``skipped`` (with the valid
     names in the message) instead of aborting the sweep.
 
-    ``workers`` > 1 fans the pairs out over a ``ProcessPoolExecutor``
-    with the *same* per-pair timeout/retry policy (each worker runs one
-    pair at a time on its own main thread, so the ``SIGALRM`` timeout
-    still engages) and the same outcome order in the report.  Per-pair
-    failure isolation carries over — one worker's failed or timed-out
-    benchmark never disturbs the others — and the on-disk trace/result
-    caches stay consistent because every entry is written under an
-    advisory file lock.  ``runner`` and ``run_kwargs`` must be picklable
-    in this mode; a pair whose submission or result transfer fails is
-    recorded as ``failed``, not raised.
+    ``workers`` > 1 runs up to that many pairs at once, each in a
+    monitored forked child under :class:`~repro.supervision.Supervisor`
+    (see :func:`run_pairs`): a hung, crashed or OOM-killed worker is
+    detected, retried when transient, and isolated to its pair, and a
+    pair that needed a retry or a preemption is reported ``degraded``.
+    ``timeout_s`` is then a floor that the adaptive deadline may
+    extend, not a cap; without it no pair gets a deadline, and only a
+    worker whose heartbeat stops is preempted.  Outcome order matches
+    the sequential run, and
+    the on-disk trace/result caches stay consistent because every entry
+    is written under an advisory file lock.  Fork hands ``runner`` and
+    ``run_kwargs`` to the children without pickling, so closures work;
+    the summaries they return must pickle.
 
     ``runner`` defaults to :func:`run_simulation` and exists for tests
     and alternative backends; it receives ``(benchmark, kind,
@@ -601,23 +568,27 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
     sweep engine (:mod:`repro.experiments`) routes arbitrary grid points
     through here with the point id in the ``kind`` slot.  Everything
     else carries over from :func:`run_suite`: per-pair wall-clock
-    timeout, bounded retry with backoff, failure isolation, stable
-    outcome order, and the process-pool backend when ``workers > 1``.
+    timeout, bounded retry with backoff, failure isolation and stable
+    outcome order.
 
     ``valid`` is an optional allow-list of benchmark names; pairs whose
     benchmark falls outside it are reported as ``skipped``.  ``None``
     (the default here, unlike :func:`run_suite`) runs every pair as
     given.
 
-    Passing a :class:`~repro.supervision.Supervisor` switches to the
-    worker-lifecycle backend: every pair runs in a monitored forked
-    child with heartbeat/hang detection, adaptive deadlines, escalating
-    preemption, parent-side jittered retries and (when the supervisor
-    carries a breaker) circuit breaking keyed by
-    ``breaker_key_for(benchmark, kind)``.  Outcomes gain ``provenance``
-    and may carry the ``tripped`` status.  The legacy sequential and
-    process-pool backends are completely untouched when ``supervisor``
-    is None — callers that monkeypatch runners in-process keep working.
+    The backend follows from the arguments.  With ``workers > 1`` (a
+    default :class:`~repro.supervision.Supervisor` is built when none is
+    passed; its adaptive deadline only engages when ``timeout_s`` is
+    given) or an explicit ``supervisor``, every pair runs in a
+    monitored forked child with heartbeat/hang detection, adaptive
+    deadlines, escalating preemption, parent-side jittered retries and
+    (when the supervisor carries a breaker) circuit breaking keyed by
+    ``breaker_key_for(benchmark, kind)``; outcomes may then carry the
+    ``tripped`` status.  Otherwise the pairs run one by one in this
+    process with a ``SIGALRM`` timeout and in-process retry, which
+    costs no fork per pair and keeps a runner's in-memory state (a
+    test's call log, say) across pairs.  Both backends set every
+    outcome's ``provenance``.
     """
     if max_attempts < 1:
         raise ConfigValidationError("max_attempts must be >= 1")
@@ -625,16 +596,18 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
         raise ConfigValidationError("workers must be >= 1")
     runner = runner or run_simulation
     suite_wall_start = time.time()
+    if supervisor is None and workers > 1:
+        # No timeout means no cap, as on the in-process path: a cold
+        # pair after a run of result-cache hits must not inherit their
+        # millisecond median as its deadline.  Hang detection stays.
+        supervisor = Supervisor(None if timeout_s is not None else
+                                SupervisionPolicy(
+                                    deadline_min_samples=len(pairs) + 1))
     if supervisor is not None:
         report = _run_suite_supervised(pairs, valid, workers, frames,
                                        timeout_s, max_attempts,
                                        backoff_s, runner, run_kwargs,
                                        supervisor, breaker_key_for)
-        return _finalize_suite(report, suite_wall_start)
-    if workers > 1:
-        report = _run_suite_parallel(pairs, valid, workers, frames,
-                                     timeout_s, max_attempts, backoff_s,
-                                     runner, run_kwargs)
         return _finalize_suite(report, suite_wall_start)
     report = SuiteReport()
     aborted = False
@@ -659,10 +632,10 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
 def _finalize_suite(report: SuiteReport, wall_start: float) -> SuiteReport:
     """Attach the suite-level telemetry span and metrics snapshot.
 
-    In ``workers > 1`` mode each worker process carries its own hub, so
-    the snapshot taken here only reflects the parent process (the
-    per-pair spans emitted inside workers stay in the workers); the
-    sequential path captures everything.
+    Under the supervisor each pair runs in a forked child with its own
+    copy of the hub, so the snapshot taken here reflects the parent
+    only (the supervisor's per-pair spans and counters, not the
+    simulations' metrics); the in-process path captures everything.
     """
     if HUB.enabled:
         HUB.emit(HarnessSpan(
@@ -674,87 +647,6 @@ def _finalize_suite(report: SuiteReport, wall_start: float) -> SuiteReport:
                   "skipped": len(report.skipped)}))
         report.metrics = HUB.metrics.snapshot()
     return report
-
-
-def _run_suite_parallel(pairs: Sequence[Tuple[str, str]],
-                        valid: Optional[Sequence[str]], workers: int,
-                        frames: int,
-                        timeout_s: Optional[float], max_attempts: int,
-                        backoff_s: float,
-                        runner: Callable[..., RunSummary],
-                        run_kwargs: dict) -> SuiteReport:
-    """The ``workers > 1`` backend of :func:`run_suite`.
-
-    Submits every known pair to a process pool and fills a slot table
-    indexed by pair position, so the report's outcome order matches the
-    sequential sweep regardless of completion order.  A
-    ``KeyboardInterrupt`` while waiting cancels the pending pairs and
-    reports the unfinished ones as ``skipped`` — the sequential
-    contract.  A broken pool (worker killed) marks the affected pairs
-    ``failed`` and still returns the report.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    slots: List[Optional[BenchmarkOutcome]] = [None] * len(pairs)
-    jobs: List[int] = []
-    for i, (benchmark, kind) in enumerate(pairs):
-        if valid is not None and benchmark not in valid:
-            slots[i] = _unknown_benchmark(benchmark, kind, valid)
-        else:
-            jobs.append(i)
-    if not jobs:
-        return SuiteReport(outcomes=[s for s in slots if s is not None])
-    try:
-        # Fork keeps monkeypatched modules and closures visible to the
-        # workers (POSIX); where unavailable the default start method
-        # works for the picklable default runner.
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        context = None
-    executor = ProcessPoolExecutor(max_workers=min(workers, len(jobs)),
-                                   mp_context=context)
-    futures = {}
-    try:
-        for i in jobs:
-            benchmark, kind = pairs[i]
-            futures[executor.submit(
-                _attempt_pair, benchmark, kind, frames, timeout_s,
-                max_attempts, backoff_s, runner, run_kwargs)] = i
-        for future in as_completed(futures):
-            i = futures[future]
-            benchmark, kind = pairs[i]
-            try:
-                slots[i] = future.result()
-            except Exception as exc:
-                # Submission/result-transfer failure (unpicklable runner,
-                # killed worker): isolate it to this pair.
-                slots[i] = BenchmarkOutcome(
-                    benchmark, kind, "failed", attempts=1,
-                    error=f"worker failed: {exc!r}",
-                    error_type=type(exc).__name__)
-    except KeyboardInterrupt:
-        for future in futures:
-            future.cancel()
-    finally:
-        executor.shutdown(wait=False, cancel_futures=True)
-    for i, (benchmark, kind) in enumerate(pairs):
-        if slots[i] is None:
-            slots[i] = _skipped(benchmark, kind, "suite interrupted",
-                                "KeyboardInterrupt")
-    return SuiteReport(outcomes=list(slots))
-
-
-def _supervised_pair_target(benchmark: str, kind: str, frames: int,
-                            runner: Callable[..., RunSummary],
-                            run_kwargs: dict) -> RunSummary:
-    """What one supervised worker process executes for a pair.
-
-    No in-worker retry/timeout machinery: deadlines, preemption and
-    retries all live in the supervising parent, which can also handle
-    the failure modes in-process code cannot (hangs, OOM kills).
-    """
-    return runner(benchmark, kind, frames=frames, **run_kwargs)
 
 
 def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
@@ -770,10 +662,12 @@ def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
 
     Translates pairs to :class:`~repro.supervision.SupervisedJob`\\ s and
     worker outcomes back to :class:`BenchmarkOutcome`\\ s, preserving the
-    report's outcome order.  Works with ``workers == 1`` too — unlike
-    the legacy sequential path, each pair still gets its own monitored
-    process, which is what makes chaos-injected crashes and hangs
-    survivable.
+    report's outcome order.  Each child calls the runner once, with no
+    retry or timeout of its own: deadlines, preemption and retries all
+    live in the supervising parent, which can also handle the failures
+    in-process code cannot (hangs, OOM kills).  Works with ``workers ==
+    1`` too, which is what makes chaos-injected crashes and hangs in a
+    sequential sweep survivable.
     """
     slots: List[Optional[BenchmarkOutcome]] = [None] * len(pairs)
     jobs: List[SupervisedJob] = []
@@ -783,8 +677,9 @@ def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
             slots[i] = _unknown_benchmark(benchmark, kind, valid)
             continue
         jobs.append(SupervisedJob(
-            label=f"{benchmark}/{kind}", fn=_supervised_pair_target,
-            args=(benchmark, kind, frames, runner, run_kwargs),
+            label=f"{benchmark}/{kind}", fn=runner,
+            args=(benchmark, kind),
+            kwargs={"frames": frames, **run_kwargs},
             breaker_key=breaker_key_for(benchmark, kind)
             if breaker_key_for else ""))
         job_slots.append(i)

@@ -292,7 +292,7 @@ def _execute_claim(store: JobStore, record: JobRecord,
                     point_id=point.point_id, owner=claim.worker_id,
                     cycles=outcome.summary.total_cycles,
                     attempts=outcome.attempts,
-                    provenance=outcome.provenance or "completed",
+                    provenance=outcome.provenance,
                     elapsed_s=elapsed)
     else:
         sweep_store.record_point_failure(

@@ -1,11 +1,12 @@
 """Worker-lifecycle supervision: heartbeats, preemption, circuit breaking.
 
-The process-pool backend of :func:`repro.harness.run_pairs` isolates
-worker *failures*, but a worker that hangs (deadlocked C extension,
-livelocked retry loop) or is OOM-killed mid-grid can still stall or
+An in-process ``SIGALRM`` timeout catches a *slow* run, but not a
+worker that hangs (deadlocked C extension, livelocked retry loop), is
+OOM-killed, or dumps core mid-grid — any of which would stall or
 silently degrade an entire sweep.  This module is the supervision layer
-that closes that gap; :mod:`repro.experiments.engine` routes every
-parallel (and every chaos-mode) sweep through it.
+that closes that gap: :func:`repro.harness.run_pairs` runs every
+``workers > 1`` call through it, and :mod:`repro.experiments.engine`
+every chaos-mode sweep as well.
 
 The pieces:
 
@@ -483,7 +484,8 @@ class Supervisor:
         breaker trips all land in the returned outcomes.  A
         ``KeyboardInterrupt`` (from the driver, or reported by a child)
         terminates the remaining workers and marks unfinished jobs
-        ``skipped``, mirroring :func:`repro.harness.run_pairs`.
+        ``skipped``, like the in-process path of
+        :func:`repro.harness.run_pairs`.
         """
         if not jobs:
             return []

@@ -7,8 +7,8 @@ existing name returns the existing instrument (a type clash raises) — so
 hot code can cache the returned object once and update it directly.
 
 The registry itself is a plain dict with no locking: the simulator is
-single-threaded per process, and the suite's worker processes each carry
-their own registry (fork).  ``snapshot()`` flattens everything into a
+single-threaded per process, and the supervisor's forked worker
+processes each carry their own registry.  ``snapshot()`` flattens everything into a
 ``{name: number}`` dict suitable for merging into run summaries or JSON.
 
 Cross-process aggregation: ``dump()`` exports the registry as a typed,
@@ -16,7 +16,7 @@ JSON-able state dict and ``merge()`` folds such a state (or another
 registry) back in — counters add, gauges keep the merged-in value,
 histograms add bucket-wise.  Sweep workers attach a dump to every
 checkpointed point so the driver can reconstruct grid-wide totals that
-the process-pool boundary would otherwise drop.
+the process boundary would otherwise drop.
 """
 
 from __future__ import annotations

@@ -3,7 +3,6 @@
 ``repro.api.__all__`` is the supported surface: importing it must be
 warning-free, every name documented, and the verbs must agree with each
 other — a ``compare`` row equals the sweep point with the same settings.
-The deprecated shims, by contrast, must provably warn.
 """
 
 import inspect
@@ -65,11 +64,6 @@ class TestFacadeSurface:
             [sys.executable, "-W", "error::DeprecationWarning", "-c",
              "import repro, repro.api"],
             check=True, env=env, timeout=120)
-
-    def test_legacy_shim_warns(self):
-        from repro import harness
-        with pytest.warns(DeprecationWarning, match="GPUConfig.build"):
-            harness.make_config("libra")
 
 
 class TestVerbs:

@@ -274,14 +274,39 @@ class TestEngine:
         assert not healed.failed
         assert len(healed.resumed) == 3
 
+    def test_retried_point_reported_degraded(self, shared_cache_dir,
+                                             tmp_path, monkeypatch):
+        # An in-process recovery is marked like a supervised one.
+        from repro.errors import CacheCorruptionError
+        spec = tiny_spec(backoff_s=0.01)
+        flaky = spec.expand()[1].point_id
+
+        import repro.experiments.engine as engine
+        original = engine.execute_point
+        failed = []
+
+        def once(point):
+            if point.point_id == flaky and not failed:
+                failed.append(point.point_id)
+                raise CacheCorruptionError("injected")
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", once)
+        result = run_sweep(spec, store_root=tmp_path / "store", retries=1)
+        assert [o.attempts for o in result.outcomes] == [1, 2, 1, 1]
+        assert result.provenance()[flaky] == "degraded"
+        assert set(result.provenance().values()) == {"completed",
+                                                     "degraded"}
+        assert "†" in speedup_matrix(result).to_markdown()
+
 
 class TestSweepTelemetry:
     def test_merged_counts_equal_sum_of_point_artifacts(
             self, shared_cache_dir, tmp_path):
         # The acceptance check for sweep-wide aggregation: a 2x2 grid's
         # merged DRAM-access count equals the sum over the per-point
-        # checkpointed artifacts (workers=2 crosses the process-pool
-        # boundary the driver's hub cannot see past).
+        # checkpointed artifacts (workers=2 runs points in forked
+        # workers, which the driver's hub cannot see into).
         spec = tiny_spec()
         result = run_sweep(spec, store_root=tmp_path / "store", workers=2)
         assert len(result.completed) == 4
@@ -345,11 +370,13 @@ def fake_result(spec, cycles_by_point):
             result.outcomes.append(PointOutcome(point=point,
                                                 status="failed",
                                                 error="boom",
-                                                error_type="Err"))
+                                                error_type="Err",
+                                                provenance="failed"))
         else:
             result.outcomes.append(PointOutcome(
                 point=point, status="ok",
-                summary=SimpleNamespace(total_cycles=cycles)))
+                summary=SimpleNamespace(total_cycles=cycles),
+                provenance="completed"))
     return result
 
 
@@ -404,7 +431,7 @@ class TestAggregation:
             if ru == 1:
                 outcome.provenance = "degraded"
             elif ru == 3:
-                outcome.status = "tripped"
+                outcome.status = outcome.provenance = "tripped"
         markdown = speedup_matrix(result).to_markdown()
         lines = markdown.splitlines()
         assert "| 2.000† |" in lines[2]  # degraded value carries †

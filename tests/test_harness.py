@@ -3,66 +3,57 @@
 import pytest
 
 from repro import harness
+from repro.config import GPUConfig
 from repro.core import (LibraScheduler, StaticSupertileScheduler,
                         TemperatureScheduler, ZOrderScheduler)
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def _build(kind, **overrides):
+    return GPUConfig.build(kind, screen_width=harness.WIDTH,
+                           screen_height=harness.HEIGHT, **overrides)
+
+
 class TestMakeConfig:
-    """The deprecated shim keeps the old contract (via GPUConfig.build)."""
-
-    def test_shim_warns(self):
-        with pytest.warns(DeprecationWarning, match="GPUConfig.build"):
-            harness.make_config("libra")
-
-    def test_matches_build(self):
-        from repro.config import GPUConfig
-        config, scheduler = harness.make_config("libra", raster_units=3)
-        built, built_sched = GPUConfig.build("libra", raster_units=3,
-                                             screen_width=960,
-                                             screen_height=512)
-        assert config == built
-        assert type(scheduler) is type(built_sched)
+    """Per-kind build semantics of the ``GPUConfig.build`` grammar."""
 
     def test_baseline_merges_cores(self):
-        config, scheduler = harness.make_config("baseline",
-                                                raster_units=2,
-                                                cores_per_unit=4)
+        config, scheduler = _build("baseline", raster_units=2,
+                                   cores_per_unit=4)
         assert config.num_raster_units == 1
         assert config.raster_unit.num_cores == 8
         assert scheduler is None
 
     def test_baseline_fixed_cores(self):
-        config, _ = harness.make_config("baseline4")
+        config, _ = _build("baseline4")
         assert config.raster_unit.num_cores == 4
 
     def test_ptr(self):
-        config, scheduler = harness.make_config("ptr")
+        config, scheduler = _build("ptr")
         assert config.num_raster_units == 2
         assert isinstance(scheduler, ZOrderScheduler)
 
     def test_libra(self):
-        config, scheduler = harness.make_config("libra")
+        config, scheduler = _build("libra")
         assert isinstance(scheduler, LibraScheduler)
 
     def test_temperature_with_size(self):
-        _, scheduler = harness.make_config("temperature8")
+        _, scheduler = _build("temperature8")
         assert isinstance(scheduler, TemperatureScheduler)
         assert scheduler.size == 8
 
     def test_supertile_with_size(self):
-        _, scheduler = harness.make_config("supertile4")
+        _, scheduler = _build("supertile4")
         assert isinstance(scheduler, StaticSupertileScheduler)
         assert scheduler.size == 4
 
     def test_more_raster_units(self):
-        config, _ = harness.make_config("libra", raster_units=3)
+        config, _ = _build("libra", raster_units=3)
         assert config.num_raster_units == 3
         assert config.total_cores == 12
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            harness.make_config("quantum")
+            _build("quantum")
 
 
 @pytest.fixture(scope="module")
