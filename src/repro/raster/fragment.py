@@ -9,13 +9,14 @@ fragments touch (vectorized over the fragment batch).
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
 
 from ..geometry.primitive import Primitive
-from .rasterizer import FragmentBatch
-from .texture import BLOCK, Texture, TextureSet, select_mip
+from .rasterizer import FragmentBatch, TileFragments
+from .texture import BLOCK, MipTable, Texture, TextureSet, select_mip
 
 
 def pick_mip_level(texture: Texture, batch: FragmentBatch) -> int:
@@ -50,6 +51,124 @@ def touched_lines(texture: Texture, batch: FragmentBatch,
     ordered = block_index[np.sort(first_pos)]
     base = texture.level_base_line(level)
     return [int(base + b) for b in ordered]
+
+
+#: log2(BLOCK): texel to block coordinate.
+_BLOCK_SHIFT = BLOCK.bit_length() - 1
+#: Fragment fetches one pass of :func:`tile_texture_lines` expands at
+#: most (plus one primitive's fragments): it bounds the working set of
+#: tiles with heavy overdraw and multitexturing.
+FOOTPRINT_CHUNK = 8192
+
+
+def tile_texture_lines(table: MipTable, visible: TileFragments,
+                       rows: np.ndarray, fetches: np.ndarray) -> np.ndarray:
+    """Texture lines of a whole tile's shaded fragments, in trace order.
+
+    ``visible`` holds the shaded fragments of the tile's P primitives;
+    ``rows`` gives each primitive's texture row in ``table`` (-1 when its
+    texture is not in the set) and ``fetches`` its texture fetches.  A
+    primitive with ``f`` fetches samples the ``max(f, 1)`` textures
+    bound consecutively from its own (multitexturing).  The result is
+    the concatenation, per primitive with fragments and a bound texture
+    and per sampled texture, of :func:`touched_lines` at
+    :func:`pick_mip_level`: the same levels and first-touch line order.
+    """
+    offsets = visible.offsets
+    counts = visible.counts()
+    drawn = np.flatnonzero(counts)
+    # One segment per (primitive, sampled texture).
+    slots = np.where(rows[drawn] < 0, 0, np.maximum(fetches[drawn], 1))
+    seg = np.repeat(np.arange(len(drawn)), slots)
+    if seg.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    # pick_mip_level: UV span of each drawn primitive's fragments.
+    first = offsets[drawn]
+    u, v = visible.u, visible.v
+    area = ((np.maximum.reduceat(u, first) - np.minimum.reduceat(u, first))
+            * (np.maximum.reduceat(v, first)
+               - np.minimum.reduceat(v, first)))[seg]
+    prim, first = drawn[seg], first[seg]
+    row = (rows[prim] + np.arange(len(seg))
+           - (np.cumsum(slots) - slots)[seg]) % len(table)
+    length = counts[prim]
+    # select_mip; math.log2 keeps the scalar path's rounding.
+    ratio = np.abs(area) * table.width[row] * table.height[row] / length
+    level = np.zeros(len(seg), dtype=np.int64)
+    mipped = ratio > 1.0
+    level[mipped] = [int(0.5 * math.log2(r))
+                     for r in ratio[mipped].tolist()]
+    level = np.minimum(level, table.levels[row] - 1)
+    width = table.level_width[row, level]
+    height = table.level_height[row, level]
+    base = table.base_line[row, level]
+
+    # touched_lines depends on the fragments and the level's size only:
+    # consecutive segments of one primitive whose levels have the same
+    # size touch the same blocks, so each such run is computed once, over
+    # a chunk of runs at a time.  Level sizes are powers of two (Texture
+    # enforces it), so the wrap and block steps are masks and shifts.
+    runs = np.ones(len(seg), dtype=bool)
+    runs[1:] = (prim[1:] != prim[:-1]) | (width[1:] != width[:-1]) \
+        | (height[1:] != height[:-1])
+    shared = np.flatnonzero(runs)
+    blocks, found = [], []
+    for a, b in _chunks(length[shared], FOOTPRINT_CHUNK):
+        pick = shared[a:b]
+        lens = length[pick]
+        owner = np.repeat(np.arange(b - a), lens)
+        index = np.arange(len(owner)) \
+            + (first[pick] - (np.cumsum(lens) - lens))[owner]
+        w = width[pick][owner]
+        h = height[pick][owner]
+        tx = (np.floor(u[index] * w).astype(np.int64) & (w - 1)) \
+            >> _BLOCK_SHIFT
+        ty = (np.floor(v[index] * h).astype(np.int64) & (h - 1)) \
+            >> _BLOCK_SHIFT
+        block = ty * (w >> _BLOCK_SHIFT) + tx
+        touched = _first_touch((owner << 32) + block)
+        blocks.append(block[touched])
+        found.append(np.bincount(owner[touched], minlength=b - a))
+    blocks = np.concatenate(blocks)
+    found = np.concatenate(found)
+    if len(shared) == len(seg):
+        # No run is shared: the blocks are already in segment order.
+        return np.repeat(base, found) + blocks
+    # Every segment lists its run's blocks above its own level base.
+    run = np.cumsum(runs) - 1
+    count = found[run]
+    index = np.arange(int(count.sum())) + np.repeat(
+        (np.cumsum(found) - found)[run] - (np.cumsum(count) - count), count)
+    return np.repeat(base, count) + blocks[index]
+
+
+def _chunks(lengths: np.ndarray, limit: int) -> List[Tuple[int, int]]:
+    """Consecutive ``(start, stop)`` slices of ``lengths``: a slice ends
+    where the running total crosses a multiple of ``limit``, so it sums
+    to less than ``limit`` plus its last length."""
+    ends = np.cumsum(lengths)
+    if ends[-1] <= limit:
+        return [(0, len(lengths))]
+    cuts = np.flatnonzero(np.diff((ends - lengths) // limit)) + 1
+    bounds = [0, *cuts.tolist(), len(lengths)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _first_touch(keys: np.ndarray) -> np.ndarray:
+    """Position of each distinct key's first occurrence, ascending."""
+    # A key equal to its predecessor is never a first touch; dropping
+    # those runs first shrinks the sort.
+    runs = np.ones(len(keys), dtype=bool)
+    runs[1:] = keys[1:] != keys[:-1]
+    candidates = np.flatnonzero(runs)
+    keys = keys[candidates]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    first = candidates[order[new]]
+    first.sort()
+    return first
 
 
 class FragmentProcessor:

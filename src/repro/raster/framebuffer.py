@@ -85,15 +85,8 @@ class FrameBuffer:
         if self.store_pixels and self._pixels is not None:
             self._pixels[origin_y:y1, origin_x:x1] = \
                 tile.snapshot()[:y1 - origin_y, :x1 - origin_x]
-        lines: List[int] = []
-        base_line = self.base_address // CACHE_LINE_BYTES
-        for y in range(origin_y, y1):
-            start = (y * self.width + origin_x) * PIXEL_BYTES
-            end = (y * self.width + x1) * PIXEL_BYTES
-            first = start // CACHE_LINE_BYTES
-            last = (end - 1) // CACHE_LINE_BYTES
-            lines.extend(range(base_line + first, base_line + last + 1))
-        return sorted(set(lines))
+        return tile_flush_lines(origin_x, origin_y, tile.tile_size,
+                                self.width, self.height, self.base_address)
 
     def image(self) -> np.ndarray:
         """The full frame, (H, W, 4) float in [0, 1]."""

@@ -21,9 +21,10 @@ import numpy as np
 
 from ..geometry.primitive import Primitive
 from .blending import blend
-from .fragment import FragmentProcessor, pick_mip_level, touched_lines
+from .fragment import (FragmentProcessor, pick_mip_level, tile_texture_lines,
+                       touched_lines)
 from .framebuffer import FrameBuffer, TileColorBuffer
-from .rasterizer import rasterize_in_region, rasterize_tile
+from .rasterizer import FragmentBatch, rasterize_in_region, rasterize_tile
 from .texture import TextureSet
 from .zbuffer import TileZBuffer, filter_batch
 
@@ -69,10 +70,10 @@ class RasterPipeline:
         self.textures = textures
         self.shade_colors = shade_colors
         self.collect_lines = collect_lines
-        #: Rasterize all of a tile's primitives in one broadcast kernel
-        #: (:func:`rasterize_tile`); ``False`` keeps the per-primitive
-        #: scalar path, the parity oracle the batched path is checked
-        #: against (the two are bit-identical).
+        #: Render each tile as one array pass over all its primitives;
+        #: ``False`` keeps the per-primitive scalar path, the parity
+        #: oracle the batched pass is checked against (the two are
+        #: bit-identical).
         self.batched = batched
         self.framebuffer = framebuffer or FrameBuffer(
             width, height, store_pixels=shade_colors)
@@ -86,16 +87,80 @@ class RasterPipeline:
         y0 = tile[1] * self.tile_size
         self._zbuffer.reset(x0, y0)
         self._colorbuffer.reset(x0, y0)
-        processor = FragmentProcessor(self.textures)
         result = TileRenderResult(tile=tile, num_primitives=len(primitives))
+        if self.batched:
+            self._render_batched(result, primitives, x0, y0)
+        else:
+            self._render_scalar(result, primitives, x0, y0)
+        result.framebuffer_lines = self.framebuffer.flush_tile(
+            x0, y0, self._colorbuffer)
+        if self.shade_colors:
+            result.pixels = self._colorbuffer.snapshot()
+        return result
 
-        packed = rasterize_tile(primitives, x0, y0, self.tile_size,
-                                self.tile_size) if self.batched else None
-        for index, prim in enumerate(primitives):
-            batch = (packed.batch_for(index) if packed is not None
-                     else rasterize_in_region(prim, x0, y0,
-                                              self.tile_size,
-                                              self.tile_size))
+    def _render_batched(self, result: TileRenderResult,
+                        primitives: List[Primitive], x0: int,
+                        y0: int) -> None:
+        """The whole tile as one array pass, bit-identical to the scalar
+        loop: rasterize every primitive (:func:`rasterize_tile`), resolve
+        Early-Z in program order (:meth:`TileZBuffer.test_tile`), count
+        per primitive with ``bincount`` and a quad bitmap, and compute
+        every texture footprint at once (:func:`tile_texture_lines`).
+        """
+        size = self.tile_size
+        fragments = rasterize_tile(primitives, x0, y0, size, size)
+        result.fragments_rasterized = fragments.count
+        if fragments.count == 0:
+            return
+        table = self.textures.mip_table()
+        late_z, depth_write, instructions, fetches, rows = np.array(
+            [(prim.late_z, prim.depth_write,
+              prim.shader.fragment_instructions,
+              prim.shader.texture_fetches,
+              table.row.get(prim.texture_id, -1))
+             for prim in primitives], dtype=np.int64).T
+        passed = self._zbuffer.test_tile(fragments, depth_write != 0)
+        # A Late-Z primitive shades every fragment; its depth test only
+        # masks the blend.
+        shaded = passed | (late_z != 0)[fragments.prim_id]
+        visible = fragments if shaded.all() else fragments.select(shaded)
+        counts = visible.counts()
+        quads = visible.quad_counts(x0, y0, size, size)
+        instructions = counts * instructions
+        drawn = np.flatnonzero(counts)
+        result.fragments_early_rejected = fragments.count - visible.count
+        result.fragments_shaded = visible.count
+        result.instructions = int(instructions.sum())
+        result.quads = int(quads.sum())
+        # The texture unit works at quad granularity (one coalesced
+        # access per quad per sampled texture).
+        result.texture_fetches = int((quads * fetches).sum())
+        result.prim_fragments = counts[drawn].tolist()
+        result.prim_instructions = instructions[drawn].tolist()
+        if self.collect_lines:
+            result.texture_lines = tile_texture_lines(
+                table, visible, rows, fetches).tolist()
+        if self.shade_colors:
+            processor = FragmentProcessor(self.textures)
+            blend_masks = passed[shaded]
+            for index in drawn.tolist():
+                prim = primitives[index]
+                blend_mask = None
+                if prim.late_z:
+                    blend_mask = blend_masks[visible.offsets[index]:
+                                             visible.offsets[index + 1]]
+                self._shade(processor, prim, visible.batch_for(index),
+                            blend_mask)
+
+    def _render_scalar(self, result: TileRenderResult,
+                       primitives: List[Primitive], x0: int,
+                       y0: int) -> None:
+        """One primitive at a time: the parity oracle of the batched
+        pass."""
+        processor = FragmentProcessor(self.textures)
+        for prim in primitives:
+            batch = rasterize_in_region(prim, x0, y0, self.tile_size,
+                                        self.tile_size)
             result.fragments_rasterized += batch.count
             if batch.count == 0:
                 continue
@@ -130,27 +195,27 @@ class RasterPipeline:
                 result.texture_lines.extend(
                     self._footprint(prim, visible))
             if self.shade_colors:
-                colors = processor.shade(prim, visible)
-                survivors = visible if blend_mask is None \
-                    else filter_batch(visible, blend_mask)
-                if survivors.count:
-                    surviving_colors = (colors if blend_mask is None
-                                        else colors[blend_mask])
-                    dst = self._colorbuffer.read(survivors.xs,
-                                                 survivors.ys)
-                    self._colorbuffer.write(
-                        survivors.xs, survivors.ys,
-                        blend(dst, surviving_colors, prim.blend))
+                self._shade(processor, prim, visible, blend_mask)
             else:
                 processor.charge(prim, visible.count)
-
         result.fragments_shaded = processor.fragments_shaded
         result.instructions = processor.instructions
-        result.framebuffer_lines = self.framebuffer.flush_tile(
-            x0, y0, self._colorbuffer)
-        if self.shade_colors:
-            result.pixels = self._colorbuffer.snapshot()
-        return result
+
+    def _shade(self, processor: FragmentProcessor, prim: Primitive,
+               visible: FragmentBatch,
+               blend_mask: Optional[np.ndarray]) -> None:
+        """Shade a primitive's visible fragments and blend the ones
+        ``blend_mask`` keeps (all when ``None``) into the Color Buffer."""
+        colors = processor.shade(prim, visible)
+        survivors = visible if blend_mask is None \
+            else filter_batch(visible, blend_mask)
+        if survivors.count:
+            surviving_colors = (colors if blend_mask is None
+                                else colors[blend_mask])
+            dst = self._colorbuffer.read(survivors.xs, survivors.ys)
+            self._colorbuffer.write(
+                survivors.xs, survivors.ys,
+                blend(dst, surviving_colors, prim.blend))
 
     def _footprint(self, prim, visible) -> List[int]:
         """Texture lines the primitive's fragments touch, all textures.

@@ -169,6 +169,37 @@ class TileFragments:
                              depth=self.depth[sl], u=self.u[sl],
                              v=self.v[sl])
 
+    def counts(self) -> np.ndarray:
+        """(P,) fragment count per primitive."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def select(self, mask: np.ndarray) -> TileFragments:
+        """The fragments ``mask`` keeps, still packed per primitive."""
+        prim_id = self.prim_id[mask]
+        offsets = np.zeros_like(self.offsets)
+        np.cumsum(np.bincount(prim_id, minlength=len(offsets) - 1),
+                  out=offsets[1:])
+        return TileFragments(xs=self.xs[mask], ys=self.ys[mask],
+                             depth=self.depth[mask], u=self.u[mask],
+                             v=self.v[mask], prim_id=prim_id,
+                             offsets=offsets)
+
+    def quad_counts(self, x0: int, y0: int, width: int,
+                    height: int) -> np.ndarray:
+        """(P,) :meth:`FragmentBatch.quad_count` of every primitive, for
+        fragments inside the region [x0, x0+width) x [y0, y0+height).
+
+        Marks each fragment's 2x2 quad in one (P, quads) bitmap of the
+        region's quads, then counts per row.
+        """
+        qx0, qy0 = x0 >> 1, y0 >> 1
+        span = ((x0 + width - 1) >> 1) - qx0 + 1
+        cells = (((y0 + height - 1) >> 1) - qy0 + 1) * span
+        bitmap = np.zeros((len(self.offsets) - 1) * cells, dtype=bool)
+        bitmap[self.prim_id * cells + ((self.ys >> 1) - qy0) * span
+               + ((self.xs >> 1) - qx0)] = True
+        return np.count_nonzero(bitmap.reshape(-1, cells), axis=1)
+
 
 def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
                    width: int, height: int) -> TileFragments:
@@ -176,110 +207,112 @@ def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
 
     Equivalent to calling :func:`rasterize_in_region` per primitive and
     concatenating the results (each slice is bit-identical, see module
-    docstring), but the edge functions, fill-rule masks and
-    perspective-correct interpolation all run once over a (P, H, W)
-    grid instead of P times over per-primitive grids.
+    docstring), but the setup, edge functions, fill-rule masks and
+    perspective-correct interpolation all run as array operations over
+    the P primitives instead of P times over per-primitive grids.
     """
     num = len(prims)
-    izeros = np.zeros(0, dtype=np.int64)
-    fzeros = np.zeros(0)
     if num == 0:
-        return TileFragments(xs=izeros, ys=izeros, depth=fzeros,
-                             u=fzeros, v=fzeros, prim_id=izeros,
-                             offsets=np.zeros(1, dtype=np.int64))
+        return _no_fragments(0)
 
-    # Per-primitive setup mirrors the scalar path exactly: winding
-    # normalization, then the bounding box clipped to the region.
-    # Degenerate primitives keep an empty box (never selected).
-    verts = np.zeros((num, 3, 2))
-    area2s = np.ones(num)
-    boxes = np.zeros((num, 4), dtype=np.int64)    # min_x max_x min_y max_y
-    d = np.zeros((num, 3))
-    iw = np.zeros((num, 3))
-    uvw = np.zeros((num, 3, 2))
-    for i, prim in enumerate(prims):
-        area2 = prim.signed_area()
-        if area2 == 0.0:
-            continue
-        order = (0, 2, 1) if area2 < 0.0 else (0, 1, 2)
-        xy = prim.xy[list(order)]
-        min_x = max(int(np.floor(xy[:, 0].min())), x0)
-        max_x = min(int(np.ceil(xy[:, 0].max())), x0 + width)
-        min_y = max(int(np.floor(xy[:, 1].min())), y0)
-        max_y = min(int(np.ceil(xy[:, 1].max())), y0 + height)
-        if min_x >= max_x or min_y >= max_y:
-            continue
-        verts[i] = xy
-        area2s[i] = abs(area2)
-        boxes[i] = (min_x, max_x, min_y, max_y)
-        sel = list(order)
-        d[i] = prim.depth[sel]
-        iw[i] = prim.inv_w[sel]
-        uvw[i] = prim.uv_over_w[sel]
-
-    live = boxes[:, 0] < boxes[:, 1]
-    if not live.any():
-        return TileFragments(xs=izeros, ys=izeros, depth=fzeros,
-                             u=fzeros, v=fzeros, prim_id=izeros,
-                             offsets=np.zeros(num + 1, dtype=np.int64))
+    # Per-primitive setup mirrors the scalar path element for element:
+    # the signed area, the bounding box clipped to the region, then
+    # winding normalization.  Boxes stay integral floats; clipping both
+    # ends to the region changes no box that survives the emptiness test.
+    corners = np.array([(prim.xy, prim.uv_over_w) for prim in prims])
+    xy = corners[:, 0]                                        # (P, 3, 2)
+    x, y = xy[:, :, 0], xy[:, :, 1]
+    area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
+        - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
+    lo = np.maximum(np.floor(xy.min(axis=1)), (x0, y0))       # (P, 2)
+    hi = np.minimum(np.ceil(xy.max(axis=1)), (x0 + width, y0 + height))
+    live = (area2 != 0.0) & (lo < hi).all(axis=1)
+    rows = np.arange(num)[:, None]
+    if not live.all():
+        rows = rows[live]
+        if rows.size == 0:
+            return _no_fragments(num)
+        area2, lo, hi = area2[live], lo[live], hi[live]
+    # Clockwise primitives swap vertices 1 and 2.
+    sel = rows, _VERTEX_ORDER[(area2 < 0.0).view(np.int8)]
+    verts = xy[sel]
+    area2s = np.abs(area2)
+    # Attribute rows: depth, 1/w, u/w, v/w of vertex 0, then of vertices
+    # 1 and 2; one column per live primitive.
+    attrs = np.concatenate(
+        (np.array([(prim.depth, prim.inv_w) for prim in prims])
+         .transpose(0, 2, 1), corners[:, 1]), axis=2)[sel]
+    attrs = np.ascontiguousarray(attrs.reshape(len(attrs), 12).T)
 
     ax, ay = verts[:, 0, 0, None, None], verts[:, 0, 1, None, None]
     bx, by = verts[:, 1, 0, None, None], verts[:, 1, 1, None, None]
     cx, cy = verts[:, 2, 0, None, None], verts[:, 2, 1, None, None]
 
-    gx = np.arange(x0, x0 + width, dtype=np.int64)
-    gy = np.arange(y0, y0 + height, dtype=np.int64)
-    px = (gx.astype(np.float64) + 0.5)[None, None, :]
-    py = (gy.astype(np.float64) + 0.5)[None, :, None]
+    # Only the union of the live boxes can hold fragments.
+    gx0, gy0 = lo.min(axis=0).tolist()
+    gx1, gy1 = hi.max(axis=0).tolist()
+    px = np.arange(gx0, gx1) + 0.5
+    py = np.arange(gy0, gy1)[:, None] + 0.5
 
-    # Edge functions of every primitive over the whole tile; each element
-    # is computed with the exact operand values of the scalar path.
-    e0 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
-    e1 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
-    e2 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
-
-    mask = _inside_many(e0, bx, by, cx, cy) \
-        & _inside_many(e1, cx, cy, ax, ay) \
-        & _inside_many(e2, ax, ay, bx, by)
+    # Edge functions of every primitive over the grid, computed with the
+    # exact operand values of the scalar path, and _inside's top-left
+    # rule for fragments exactly on an edge.
+    edges = []
+    mask = None
+    for sx, sy, ex, ey in ((bx, by, cx, cy), (cx, cy, ax, ay),
+                           (ax, ay, bx, by)):
+        dx = ex - sx
+        dy = ey - sy
+        edge = dx * (py - sy) - dy * (px - sx)
+        inside = edge > 0.0
+        np.greater_equal(edge, 0.0, out=inside,
+                         where=((dy == 0.0) & (dx > 0.0)) | (dy < 0.0))
+        edges.append(edge)
+        mask = inside if mask is None else mask & inside
     # The scalar path only ever evaluates pixels inside the clipped
     # bounding box; masking to the same rectangle makes the fragment
     # sets equal by construction (not just up to rounding).
-    mask &= (gx[None, None, :] >= boxes[:, 0, None, None]) \
-        & (gx[None, None, :] < boxes[:, 1, None, None]) \
-        & (gy[None, :, None] >= boxes[:, 2, None, None]) \
-        & (gy[None, :, None] < boxes[:, 3, None, None])
+    in_x = (px >= lo[:, 0, None]) & (px < hi[:, 0, None])
+    in_y = (py[:, 0] >= lo[:, 1, None]) & (py[:, 0] < hi[:, 1, None])
+    mask &= in_y[:, :, None] & in_x[:, None, :]
 
-    pid, ys_grid, xs_grid = np.nonzero(mask)
-    w0 = e0[mask] / area2s[pid]
-    w1 = e1[mask] / area2s[pid]
-    w2 = e2[mask] / area2s[pid]
+    local, ys_grid, xs_grid = np.nonzero(mask)
+    area2s = area2s[local]
+    w0, w1, w2 = (e[mask] / area2s for e in edges)
+    # Release the grids before the per-fragment arrays grow.
+    del edges, edge, inside, mask
 
-    depth = w0 * d[pid, 0] + w1 * d[pid, 1] + w2 * d[pid, 2]
-    inv_w = w0 * iw[pid, 0] + w1 * iw[pid, 1] + w2 * iw[pid, 2]
+    def lerp(attr: int) -> np.ndarray:
+        return (w0 * attrs[attr][local] + w1 * attrs[attr + 4][local]
+                + w2 * attrs[attr + 8][local])
+
+    depth = lerp(0)
+    inv_w = lerp(1)
     inv_w = np.where(inv_w == 0.0, 1e-30, inv_w)
-    u = (w0 * uvw[pid, 0, 0] + w1 * uvw[pid, 1, 0]
-         + w2 * uvw[pid, 2, 0]) / inv_w
-    v = (w0 * uvw[pid, 0, 1] + w1 * uvw[pid, 1, 1]
-         + w2 * uvw[pid, 2, 1]) / inv_w
+    u = lerp(2) / inv_w
+    v = lerp(3) / inv_w
 
+    pid = rows[local, 0]
     counts = np.bincount(pid, minlength=num)
     offsets = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return TileFragments(xs=xs_grid + x0, ys=ys_grid + y0, depth=depth,
-                         u=u, v=v, prim_id=pid, offsets=offsets)
+    return TileFragments(xs=xs_grid + int(gx0), ys=ys_grid + int(gy0),
+                         depth=depth, u=u, v=v, prim_id=pid,
+                         offsets=offsets)
 
 
-def _inside_many(edge_values: np.ndarray, ex0: np.ndarray, ey0: np.ndarray,
-                 ex1: np.ndarray, ey1: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`_inside`: per-primitive top-left fill rule.
+#: Vertex order by winding: counter-clockwise primitives keep theirs,
+#: clockwise ones swap vertices 1 and 2 (as :func:`rasterize_in_region`).
+_VERTEX_ORDER = np.array([[0, 1, 2], [0, 2, 1]])
 
-    ``edge_values`` is (P, H, W); the vertex coordinates are (P, 1, 1),
-    so the inclusive/exclusive choice broadcasts per primitive.
-    """
-    dx = ex1 - ex0
-    dy = ey1 - ey0
-    inclusive = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
-    return np.where(inclusive, edge_values >= 0.0, edge_values > 0.0)
+
+def _no_fragments(num: int) -> TileFragments:
+    """The packed result of a tile whose ``num`` primitives cover nothing."""
+    izeros = np.zeros(0, dtype=np.int64)
+    fzeros = np.zeros(0)
+    return TileFragments(xs=izeros, ys=izeros, depth=fzeros, u=fzeros,
+                         v=fzeros, prim_id=izeros,
+                         offsets=np.zeros(num + 1, dtype=np.int64))
 
 
 def _inside(edge_values: np.ndarray, ex0: float, ey0: float,

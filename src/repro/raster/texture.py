@@ -196,6 +196,38 @@ def select_mip(texture: Texture, uv_area: float, pixel_area: float) -> int:
     return texture.clamp_level(int(0.5 * math.log2(ratio)))
 
 
+class MipTable:
+    """The mip geometry of a :class:`TextureSet`, as arrays.
+
+    Row ``k`` describes the ``k``-th texture in ID order, column ``l``
+    its mip level ``l`` clamped to the texture's range, so array code can
+    address the levels of many textures at once.
+    """
+
+    def __init__(self, textures: List[Texture]):
+        #: Row of each texture ID.
+        self.row = {tex.texture_id: k for k, tex in enumerate(textures)}
+        self.width = np.array([tex.width for tex in textures],
+                              dtype=np.int64)
+        self.height = np.array([tex.height for tex in textures],
+                               dtype=np.int64)
+        self.levels = np.array([tex.levels for tex in textures],
+                               dtype=np.int64)
+        columns = range(int(self.levels.max(initial=1)))
+        self.level_width = np.array(
+            [[tex.level_width(tex.clamp_level(level)) for level in columns]
+             for tex in textures], dtype=np.int64).reshape(-1, len(columns))
+        self.level_height = np.array(
+            [[tex.level_height(tex.clamp_level(level)) for level in columns]
+             for tex in textures], dtype=np.int64).reshape(-1, len(columns))
+        self.base_line = np.array(
+            [[tex.level_base_line(level) for level in columns]
+             for tex in textures], dtype=np.int64).reshape(-1, len(columns))
+
+    def __len__(self) -> int:
+        return len(self.row)
+
+
 class TextureSet:
     """All textures bound for a frame, addressable by ID.
 
@@ -208,6 +240,7 @@ class TextureSet:
         self._base = base_address
         self._next = base_address
         self._textures: Dict[int, Texture] = {}
+        self._mip_table: Optional[MipTable] = None
 
     def add(self, width: int, height: int, seed: int = 0,
             style: str = "noise",
@@ -221,6 +254,7 @@ class TextureSet:
                       seed=seed, style=style)
         self._next += tex.size_bytes()
         self._textures[texture_id] = tex
+        self._mip_table = None
         return tex
 
     def __getitem__(self, texture_id: int) -> Texture:
@@ -235,6 +269,12 @@ class TextureSet:
     def ids(self) -> List[int]:
         """Sorted texture IDs in the set."""
         return sorted(self._textures)
+
+    def mip_table(self) -> MipTable:
+        """The set's mip geometry as arrays (rebuilt after an :meth:`add`)."""
+        if self._mip_table is None:
+            self._mip_table = MipTable([self[i] for i in self.ids()])
+        return self._mip_table
 
     def total_bytes(self) -> int:
         """Main-memory footprint of the whole set."""

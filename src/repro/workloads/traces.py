@@ -182,14 +182,23 @@ class TraceCache:
                      num_frames: int, start: int = 0) -> List[FrameTrace]:
         """Fetch cached traces or build and cache them.
 
+        An entry serves the request only when its first ``num_frames``
+        traces are frames ``start, start + 1, ...``; otherwise it is
+        rebuilt.  (A frame's trace depends on the frame before it through
+        transaction elimination, so frames of a build that started
+        earlier are not interchangeable either.)
+
         Holds the entry's advisory lock across the check-build-store
         sequence, so of two concurrent processes racing on the same key
         one builds and the other waits and reads the fresh entry.
         """
         path = self._path(key)
+        wanted = list(range(start, start + num_frames))
         with cachefile.file_lock(path):
             cached = cachefile.load_or_quarantine(path)
-            if cached is not None and len(cached) >= num_frames:
+            if cached is not None and [
+                    trace.frame_index
+                    for trace in cached[:num_frames]] == wanted:
                 return cached[:num_frames]
             traces = builder.build_many(num_frames, start=start)
             cachefile.write_cache(traces, path)

@@ -1,20 +1,25 @@
-"""``rasterize_tile`` (batched SoA) versus ``rasterize_in_region``.
+"""The batched tile pass versus the scalar oracle.
 
-Every per-primitive slice of the packed :class:`TileFragments` must be
-bit-identical — coordinates, depth, UVs, ordering — to the scalar
-oracle, and the raster pipeline must produce identical traces and
-pixels with ``batched`` on or off.
+Every per-primitive slice of the packed :class:`TileFragments`
+(``rasterize_tile``) must be bit-identical — coordinates, depth, UVs,
+ordering — to ``rasterize_in_region``, and ``process_tile`` must produce
+identical results, traces and pixels with ``batched`` on or off.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.primitive import Primitive, ShaderProfile
+from repro.raster.blending import BLEND_MODES
 from repro.raster.pipeline import RasterPipeline
 from repro.raster.rasterizer import rasterize_in_region, rasterize_tile
+from repro.raster.texture import TextureSet
 
 from faults import tiny_params
+from repro.workloads import get_params
 from repro.workloads.scene import SceneBuilder
 from repro.workloads.traces import TraceBuilder
 
@@ -85,13 +90,125 @@ class TestTileFragmentsParity:
         assert len(np.unique(keys)) == len(keys) == 256
 
 
+#: Every field of a trace-mode :class:`TileRenderResult`.
+TRACE_FIELDS = ("tile", "fragments_rasterized", "fragments_early_rejected",
+                "fragments_shaded", "quads", "instructions",
+                "texture_fetches", "texture_lines", "framebuffer_lines",
+                "num_primitives", "prim_fragments", "prim_instructions")
+
+
+def _random_tile(seed, count, size):
+    """``count`` random primitives around one tile of a 4x4-tile screen.
+
+    Large overlapping triangles with per-vertex random depths make
+    Early-Z reject fragments; the flags, shaders and textures cover
+    Late-Z, ``depth_write=False``, 0/1/3 texture fetches, textures
+    missing from the set, degenerate and off-tile primitives, pixel
+    centres on edges, and UV scales from constant (mip level 0) to
+    heavily minified.
+    """
+    rng = np.random.default_rng(seed)
+    tile = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+    x0, y0 = tile[0] * size, tile[1] * size
+    prims = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.1:      # degenerate: collinear vertices
+            p = rng.uniform(-size, 2 * size, 2)
+            d = rng.uniform(-size, size, 2)
+            xy = [p, p + d, p + 2 * d]
+        elif kind < 0.2:    # outside the tile
+            xy = rng.uniform(3 * size, 5 * size, (3, 2)) \
+                * rng.choice([-1.0, 1.0])
+        else:
+            span = rng.choice([0.25, 1.0, 2.0]) * size
+            xy = rng.uniform(-span, size + span, (3, 2))
+            if rng.random() < 0.3:
+                # Half-pixel vertices put pixel centres exactly on
+                # edges, where the top-left fill rule decides.
+                xy = np.round(xy * 2.0) / 2.0
+        xy = np.asarray(xy) + (x0, y0)
+        inv_w = rng.uniform(0.2, 2.0, 3)
+        uv = rng.uniform(-2.0, 3.0, (3, 2)) \
+            * rng.choice([0.0, 0.01, 1.0, 10.0])
+        prims.append(Primitive(
+            xy=xy, depth=rng.uniform(0.0, 1.0, 3), inv_w=inv_w,
+            uv_over_w=uv * inv_w[:, None],
+            texture_id=int(rng.choice([0, 1, 2, 99])),
+            shader=ShaderProfile(
+                fragment_instructions=int(rng.integers(1, 40)),
+                texture_fetches=int(rng.choice([0, 1, 3]))),
+            blend=str(rng.choice(BLEND_MODES)),
+            depth_write=bool(rng.random() < 0.7),
+            late_z=bool(rng.random() < 0.2)))
+    return tile, prims
+
+
+def _parity_textures():
+    textures = TextureSet()
+    textures.add(64, 64, seed=1, style="noise")
+    textures.add(16, 16, seed=2, style="checker")
+    textures.add(256, 128, seed=3, style="gradient")
+    return textures
+
+
+class TestProcessTileParity:
+    """Batched ``process_tile`` equals the scalar oracle on random tiles.
+
+    The suite's own scenes never make Early-Z reject a fragment and have
+    no Late-Z primitive, so this is the guard on the tile-wide depth
+    resolution and everything downstream of it.
+    """
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 100),
+           size=st.sampled_from([8, 15, 32]))
+    def test_trace_mode_fields(self, seed, count, size):
+        tile, prims = _random_tile(seed, count, size)
+        textures = _parity_textures()
+        results = [RasterPipeline(4 * size, 4 * size, size, textures,
+                                  shade_colors=False, batched=batched)
+                   .process_tile(tile, prims) for batched in (True, False)]
+        for name in TRACE_FIELDS:
+            assert getattr(results[0], name) == getattr(results[1], name), \
+                name
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 40))
+    def test_shade_mode_pixels(self, seed, count):
+        tile, prims = _random_tile(seed, count, 16)
+        textures = _parity_textures()
+        results = [RasterPipeline(64, 64, 16, textures, shade_colors=True,
+                                  batched=batched)
+                   .process_tile(tile, prims) for batched in (True, False)]
+        assert np.array_equal(results[0].pixels, results[1].pixels)
+        for name in TRACE_FIELDS:
+            assert getattr(results[0], name) == getattr(results[1], name), \
+                name
+
+    def test_random_tiles_reject_fragments(self):
+        # The generator must actually exercise Early-Z and Late-Z.
+        rejected = late = 0
+        for seed in range(20):
+            tile, prims = _random_tile(seed, 40, 32)
+            result = RasterPipeline(128, 128, 32, _parity_textures(),
+                                    shade_colors=False).process_tile(
+                                        tile, prims)
+            rejected += result.fragments_early_rejected
+            late += sum(prim.late_z for prim in prims)
+        assert rejected > 0 and late > 0
+
+
 class TestPipelineBatchedParity:
 
-    def _traces(self, batched):
+    def _traces(self, batched, params=None, width=128, height=64,
+                frames=3):
         # The TraceBuilder constructs its own pipeline; steer the flag
         # through the class initializer for the duration of the build.
-        scenes = SceneBuilder(tiny_params(), 128, 64)
-        tb = TraceBuilder(scenes, 128, 64, 32)
+        scenes = SceneBuilder(params or tiny_params(), width, height)
+        tb = TraceBuilder(scenes, width, height, 32)
         original = RasterPipeline.__init__
 
         def patched(self, *args, **kwargs):
@@ -100,7 +217,7 @@ class TestPipelineBatchedParity:
 
         RasterPipeline.__init__ = patched
         try:
-            return tb.build_many(3)
+            return tb.build_many(frames)
         finally:
             RasterPipeline.__init__ = original
 
@@ -120,6 +237,16 @@ class TestPipelineBatchedParity:
     def test_traces_identical(self):
         assert self._key(self._traces(True)) \
             == self._key(self._traces(False))
+
+    @pytest.mark.parametrize("name", ["GrT", "GDL"])
+    def test_suite_benchmark_traces_identical(self, name):
+        # Whole TileWorkloads of a many-primitive (GrT) and a
+        # few-primitive (GDL) benchmark at the quick geometry.
+        traces = [self._traces(batched, get_params(name), width=256,
+                               height=128, frames=2)
+                  for batched in (True, False)]
+        assert [t.workloads for t in traces[0]] \
+            == [t.workloads for t in traces[1]]
 
     def test_rendered_pixels_identical(self):
         from repro.geometry.pipeline import GeometryPipeline

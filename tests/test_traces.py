@@ -120,6 +120,14 @@ class TestTraceCache:
         more = cache.get_or_build("k", builder(), 3)
         assert len(more) == 3
 
+    def test_get_or_build_honours_start(self, tmp_path):
+        cache = TraceCache(tmp_path)
+        cache.get_or_build("k", builder(), 2)
+        later = cache.get_or_build("k", builder(), 2, start=2)
+        assert [t.frame_index for t in later] == [2, 3]
+        again = cache.get_or_build("k", builder(), 1, start=2)
+        assert [t.frame_index for t in again] == [2]
+
     def test_corrupt_file_ignored(self, tmp_path):
         cache = TraceCache(tmp_path)
         cache.get_or_build("k", builder(), 1)
