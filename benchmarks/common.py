@@ -1,15 +1,17 @@
 """Shared plumbing for the figure/table reproduction benchmarks.
 
-Every ``test_fig*.py`` / ``test_table*.py`` file regenerates one table or
-figure of the paper.  They all run the simulator through
-:mod:`repro.harness`, which caches traces and run summaries on disk, so
-the suite is incremental: the first run simulates, later runs re-print.
+``test_registry.py`` benches every figure and table registered in
+:mod:`repro.figures.registry`; each other ``test_*.py`` file regenerates
+one result that has no ``FigureSpec`` yet.  They all run the simulator
+through :mod:`repro.harness`, which caches traces and run summaries on
+disk, so the suite is incremental: the first run simulates, later runs
+re-print.
 
 Conventions:
 
-* each bench prints an ``EXPERIMENT`` banner with the paper's claim,
-  a per-benchmark table, and grep-friendly ``RESULT key: measured=...
-  paper=...`` lines that EXPERIMENTS.md quotes;
+* each bench prints an ``EXPERIMENT`` banner with the paper's claim and
+  grep-friendly ``RESULT key: measured=... paper=...`` lines (shown
+  with ``pytest -s``);
 * ``benchmark.pedantic(..., rounds=1, iterations=1)`` wraps the run so
   pytest-benchmark records wall time without repeating multi-minute
   simulations.
@@ -29,15 +31,12 @@ os.environ.setdefault(
 from repro import harness  # noqa: E402  (after cache env setup)
 from repro.stats import (experiment_header, format_table, geometric_mean,
                          summary_line)  # noqa: E402
-from repro.workloads import (benchmark_names, compute_intensive_names,
+from repro.workloads import (benchmark_names,
                              memory_intensive_names)  # noqa: E402
 
-FRAMES = harness.FRAMES
-
-#: All 32 benchmarks / the paper's two classes.
+#: All 32 benchmarks / the paper's memory-intensive class.
 FULL_SUITE: List[str] = benchmark_names()
 MEMORY_SUITE: List[str] = memory_intensive_names()
-COMPUTE_SUITE: List[str] = compute_intensive_names()
 
 #: Subset used by the expensive sweeps (Figures 18/19): a spread of
 #: memory intensity.

@@ -26,8 +26,7 @@ from .registry import (Expectation, FigureData, FigureSpec,
                        figure_registry)
 from .runner import (ExpectationResult, FigureOutcome, FiguresReport,
                      record_perf_analysis, run_figures, select_figures)
-from .render import (md_table, parse_results, render,
-                     render_experiments_md, render_sweep)
+from .render import md_table, render_experiments_md
 from .html import render_dashboard
 
 __all__ = [
@@ -45,9 +44,6 @@ __all__ = [
     "run_figures",
     "select_figures",
     "md_table",
-    "parse_results",
-    "render",
     "render_experiments_md",
-    "render_sweep",
     "render_dashboard",
 ]

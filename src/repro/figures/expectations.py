@@ -2,13 +2,11 @@
 
 Single source of truth for (a) the values the paper reports and (b) the
 *shape thresholds* this reproduction asserts — orderings, signs and
-ratio bands.  Both consumers import from here, so they cannot drift:
-
-* ``benchmarks/test_fig*.py`` — the pytest benches assert the shape
-  claims while regenerating each figure;
-* :mod:`repro.figures.registry` — the ``repro figures`` pipeline
-  evaluates the same claims from checkpointed sweep artifacts and
-  renders the paper-vs-ours delta tables.
+ratio bands.  :mod:`repro.figures.registry` turns them into
+:class:`~repro.figures.registry.Expectation` records, which both
+``repro figures`` (from checkpointed sweep artifacts) and
+``benchmarks/test_registry.py`` (from the harness cache) evaluate, so
+the two cannot drift.
 
 Naming convention: ``<FIG>_PAPER_*`` is a value the paper reports
 (quoted in the delta tables, never asserted — absolute numbers are not
@@ -45,7 +43,6 @@ FIG7_MIN_BASELINE_COV = 0.2
 # -- Figure 11: LIBRA speedup, memory-intensive half -------------------------
 FIG11_PAPER_PTR_SPEEDUP = 1.132
 FIG11_PAPER_LIBRA_SPEEDUP = 1.209
-FIG11_PAPER_SCHEDULER_GAIN = 1.077
 #: Shape: PTR alone clearly beats the baseline.
 FIG11_MIN_PTR_SPEEDUP = 1.03
 #: Shape: per-benchmark, LIBRA < PTR*this counts as a regression...

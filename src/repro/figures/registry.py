@@ -681,6 +681,14 @@ def figure_registry(quick: bool = False) -> Dict[str, FigureSpec]:
                             ("eq", float(X.TABLE1_TILE_SIZE)),
                             paper=float(X.TABLE1_TILE_SIZE),
                             claim="32x32 px tiles"),
+                Expectation("vertex_cache_bytes",
+                            ("eq", float(X.TABLE1_VERTEX_CACHE_BYTES)),
+                            paper=float(X.TABLE1_VERTEX_CACHE_BYTES),
+                            claim="4KB vertex cache"),
+                Expectation("tile_cache_bytes",
+                            ("eq", float(X.TABLE1_TILE_CACHE_BYTES)),
+                            paper=float(X.TABLE1_TILE_CACHE_BYTES),
+                            claim="32KB tile cache"),
                 Expectation("texture_cache_bytes",
                             ("eq", float(X.TABLE1_TEXTURE_CACHE_BYTES)),
                             paper=float(X.TABLE1_TEXTURE_CACHE_BYTES),
@@ -693,6 +701,10 @@ def figure_registry(quick: bool = False) -> Dict[str, FigureSpec]:
                             ("eq", float(X.TABLE1_DRAM_ROW_HIT_CYCLES)),
                             paper=float(X.TABLE1_DRAM_ROW_HIT_CYCLES),
                             claim="50-cycle DRAM row hit"),
+                Expectation("dram_row_miss_cycles",
+                            ("eq", float(X.TABLE1_DRAM_ROW_MISS_CYCLES)),
+                            paper=float(X.TABLE1_DRAM_ROW_MISS_CYCLES),
+                            claim="100-cycle DRAM row miss"),
                 Expectation("baseline_total_cores",
                             ("eq", float(X.TABLE1_TOTAL_CORES)),
                             paper=float(X.TABLE1_TOTAL_CORES),

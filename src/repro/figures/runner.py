@@ -267,21 +267,21 @@ def record_perf_analysis(quick: bool = False,
     The sweep checkpoints keep merged telemetry *counters* but not the
     event stream the perf analyses need (DRAM interval samples, tile
     retires, FSM decisions), so the dashboard records one short run of
-    the Fig. 7 benchmark at the active profile's geometry.
+    the Fig. 7 benchmark at the active profile's geometry, on the
+    traces the figure sweeps already cached.
     """
+    from .. import harness
     from ..config import GPUConfig
     from ..gpu import GPUSimulator
     from ..perf import build_report
     from ..telemetry import HUB, RecordingSink, telemetry_session
-    from ..workloads import TraceBuilder, make_scene_builder
     from .registry import (FULL_FRAMES, FULL_HEIGHT, FULL_WIDTH,
                            QUICK_FRAMES, QUICK_HEIGHT, QUICK_WIDTH)
     if quick:
         width, height, frames = QUICK_WIDTH, QUICK_HEIGHT, QUICK_FRAMES
     else:
         width, height, frames = FULL_WIDTH, FULL_HEIGHT, FULL_FRAMES
-    builder = make_scene_builder(benchmark, width, height)
-    traces = TraceBuilder(builder, width, height, 32).build_many(frames)
+    traces = harness.get_traces(benchmark, frames, width, height)
     config, scheduler = GPUConfig.build(kind, screen_width=width,
                                         screen_height=height)
     sim = GPUSimulator(config, scheduler=scheduler, name=kind)

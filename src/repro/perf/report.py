@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..stats import arithmetic_mean, coefficient_of_variation
 from ..telemetry.events import (CacheDelta, DRAMSample, FSMState,
                                 FSMTransition, SchedulerDecision,
                                 TelemetryEvent, TileRetire)
@@ -68,26 +69,6 @@ def _sparkline(values: Sequence[float], width: int = 60) -> str:
                    for v in values)
 
 
-def _mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
-
-
-def _cv(values: Sequence[float]) -> float:
-    """Coefficient of variation (stddev over mean).
-
-    0.0 for the degenerate cases — an empty series, an all-equal
-    series (no variation by definition), or a zero mean (the ratio is
-    undefined; callers want "no signal", not a ZeroDivisionError).
-    """
-    if not values:
-        return 0.0
-    mean = _mean(values)
-    if mean == 0 or min(values) == max(values):
-        return 0.0
-    var = _mean([(v - mean) ** 2 for v in values])
-    return var ** 0.5 / mean
-
-
 def _dram_section(samples: List[DRAMSample],
                   anomalies: List[str]) -> List[str]:
     lines = ["## DRAM bandwidth over time", ""]
@@ -95,9 +76,9 @@ def _dram_section(samples: List[DRAMSample],
         lines += ["No DRAM interval samples in this stream.", ""]
         return lines
     series = [float(s.requests) for s in samples]
-    peak, mean = max(series), _mean(series)
+    peak, mean = max(series), arithmetic_mean(series)
     burst = peak / mean if mean else 0.0
-    cv = _cv(series)
+    cv = coefficient_of_variation(series)
     lines += [
         f"```\n{_sparkline(series)}\n```",
         "",
@@ -106,7 +87,7 @@ def _dram_section(samples: List[DRAMSample],
         f"- burst factor (peak/mean): **{burst:.2f}**",
         f"- coefficient of variation: {cv:.3f}",
         f"- mean utilization: "
-        f"{_mean([s.utilization for s in samples]):.3f}",
+        f"{arithmetic_mean([s.utilization for s in samples]):.3f}",
         "",
     ]
     if burst > BURST_THRESHOLD:
@@ -139,7 +120,7 @@ def _ru_section(retires: List[TileRetire],
     loads = [busy.get(ru, 0) for ru in rus]
     if not any(loads):  # no cycle attribution: fall back to tile counts
         loads = [tiles[ru] for ru in rus]
-    mean = _mean(loads)
+    mean = arithmetic_mean(loads)
     imbalance = (100.0 * (max(loads) - min(loads)) / mean) if mean else 0.0
     lines += ["",
               f"- load imbalance ((max-min)/mean): **{imbalance:.1f}%** "
@@ -195,7 +176,7 @@ def _cache_section(deltas: List[CacheDelta],
             continue
         trend = " ".join(f"{r:.3f}" for _, r in ratios)
         lines.append(f"- `{name}`: {trend}  "
-                     f"(mean {_mean([r for _, r in ratios]):.3f})")
+                     f"(mean {arithmetic_mean([r for _, r in ratios]):.3f})")
         for (prev_f, prev_r), (cur_f, cur_r) in zip(ratios, ratios[1:]):
             if prev_r - cur_r > HIT_RATIO_DROP:
                 anomalies.append(

@@ -5,8 +5,7 @@ from .collector import (arithmetic_mean, coefficient_of_variation,
                         rebin_series)
 from .heatmap import (hot_cold_summary, render_ascii, supertile_matrix,
                       tile_matrix)
-from .report import (experiment_header, format_series, format_table,
-                     percent, rows_from_dicts, summary_line)
+from .report import experiment_header, format_table, summary_line
 
 __all__ = [
     "geometric_mean",
@@ -19,9 +18,6 @@ __all__ = [
     "render_ascii",
     "hot_cold_summary",
     "format_table",
-    "format_series",
     "experiment_header",
     "summary_line",
-    "percent",
-    "rows_from_dicts",
 ]

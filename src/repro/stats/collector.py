@@ -53,11 +53,17 @@ def rebin_series(series: Sequence[int], factor: int) -> List[int]:
 
 
 def coefficient_of_variation(values: Sequence[float]) -> float:
-    """Std-dev over mean — the burstiness metric for DRAM demand series."""
+    """Std-dev over mean — the burstiness metric for DRAM demand series.
+
+    0.0 for the degenerate cases: an empty series, an all-equal series
+    (exactly 0.0, with no rounding residue from the mean), or a zero
+    mean (the ratio is undefined; callers want "no signal", not a
+    ZeroDivisionError).
+    """
     if not values:
         return 0.0
     mean = arithmetic_mean(list(values))
-    if mean == 0.0:
+    if mean == 0.0 or min(values) == max(values):
         return 0.0
     variance = sum((v - mean) ** 2 for v in values) / len(values)
     return variance ** 0.5 / mean

@@ -1,14 +1,15 @@
-"""Plain-text tables and series used by the benchmark harness.
+"""Plain-text tables and result lines printed by the benchmark harness.
 
-Every experiment prints its results through these helpers so the output of
-``pytest benchmarks/`` reads like the paper's tables: one row per
-benchmark, one aggregate row, plus a short "paper says / we measure"
-header that EXPERIMENTS.md quotes.
+Every bench in ``benchmarks/`` prints through these helpers, so the
+output of ``pytest benchmarks/ -s`` reads like the paper's tables: an
+``EXPERIMENT`` banner with the paper's claim, one row per benchmark,
+and grep-friendly ``RESULT`` lines.  The CLI and the sweep aggregation
+print their plain-text tables with :func:`format_table` too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence],
@@ -31,21 +32,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence],
     return "\n".join(lines)
 
 
-def format_series(name: str, values: Sequence[float],
-                  max_points: int = 40) -> str:
-    """A compact sparkline-style rendering of a numeric series."""
-    if not values:
-        return f"{name}: (empty)"
-    step = max(len(values) // max_points, 1)
-    sampled = [max(values[i:i + step]) for i in range(0, len(values), step)]
-    peak = max(sampled) or 1.0
-    blocks = " ▁▂▃▄▅▆▇█"
-    chars = "".join(
-        blocks[min(int(v / peak * (len(blocks) - 1)), len(blocks) - 1)]
-        for v in sampled)
-    return f"{name}: [{chars}] peak={peak:g}"
-
-
 def experiment_header(figure: str, paper_claim: str) -> str:
     """The standard banner every benchmark prints before its table."""
     bar = "=" * 72
@@ -56,16 +42,11 @@ def experiment_header(figure: str, paper_claim: str) -> str:
 
 
 def summary_line(key: str, measured, paper=None) -> str:
-    """One 'measured vs paper' line, grep-friendly for EXPERIMENTS.md."""
+    """One grep-friendly 'measured vs paper' ``RESULT`` line."""
     if paper is None:
         return f"RESULT {key}: measured={_fmt(measured)}"
     return (f"RESULT {key}: measured={_fmt(measured)} "
             f"paper={_fmt(paper)}")
-
-
-def percent(value: float) -> str:
-    """Format a fraction as a percentage string."""
-    return f"{value * 100:.1f}%"
 
 
 def _fmt(value) -> str:
@@ -75,7 +56,3 @@ def _fmt(value) -> str:
         return f"{value:.3f}"
     return str(value)
 
-
-def rows_from_dicts(dicts: List[Dict], keys: Sequence[str]) -> List[List]:
-    """Extract table rows from dictionaries by key order."""
-    return [[d.get(k, "") for k in keys] for d in dicts]

@@ -114,8 +114,11 @@ class HeartbeatWriter(threading.Thread):
     time).  The sweep service reuses this thread as its lease renewer —
     the lease file's mtime is the liveness signal exactly like a
     heartbeat, and the payload callable keeps the lease's JSON body
-    (owner, claim time) intact across renewals.  A payload that raises
-    is treated like an unwritable path: degrade, never crash the worker.
+    (owner, claim time) intact across renewals.  Payload beats replace
+    the file atomically: a process killed mid-beat leaves the previous
+    body, never an empty file that would lose the lease's owner.  A
+    payload that raises is treated like an unwritable path: degrade,
+    never crash the worker.
     """
 
     def __init__(self, path: os.PathLike, interval_s: float,
@@ -135,11 +138,14 @@ class HeartbeatWriter(threading.Thread):
             if not self._paused.is_set() and not self.degraded:
                 try:
                     if self.payload is not None:
-                        body = self.payload()
+                        tmp = f"{self.path}.{os.getpid()}.tmp"
+                        with open(tmp, "w") as handle:
+                            handle.write(self.payload())
+                        os.replace(tmp, self.path)
                     else:
-                        body = f"{os.getpid()} {time.time():.6f}\n"
-                    with open(self.path, "w") as handle:
-                        handle.write(body)
+                        with open(self.path, "w") as handle:
+                            handle.write(
+                                f"{os.getpid()} {time.time():.6f}\n")
                 except Exception as exc:
                     self.degraded = True
                     logger.debug("heartbeat %s unwritable (%s); worker "

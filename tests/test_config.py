@@ -69,6 +69,9 @@ class TestGPUConfig:
         assert cfg.tiles_y == 34
         assert cfg.num_tiles == 2040
 
+    def test_l2_latency_matches_table1(self):
+        assert baseline_config().l2_cache.latency_cycles == 18
+
     def test_partial_tiles_rounded_up(self):
         cfg = small_config(screen_width=100, screen_height=70, tile_size=32)
         assert cfg.tiles_x == 4

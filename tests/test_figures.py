@@ -221,9 +221,14 @@ class TestMarkdownRenderer:
 
     def test_uncovered_sections_keep_their_evidence(self, tables_report):
         text = render_experiments_md(tables_report)
-        assert "Asserted by the benchmark suite" in text
-        # A bench-only figure keeps its claim even when not selected.
-        assert "Figure 19 — threshold sensitivity" in text
+        heading = "## Asserted by the benchmark suite"
+        assert heading in text
+        bench_only = text.split(heading, 1)[1].split("\n## ", 1)[0]
+        # A bench-only figure keeps its claim even when not selected...
+        assert "Figure 19 — threshold sensitivity" in bench_only
+        # ...but a registered figure outside --only is not bench-only.
+        for figure in figure_registry(quick=True).values():
+            assert figure.title not in bench_only, figure.fid
 
     def test_seeded_regression_visible(self, tmp_path):
         report = run_figures(only=["table2"], quick=True,

@@ -9,7 +9,8 @@ import pytest
 from repro.cli import main
 from repro.errors import TraceFormatError
 from repro.perf import build_report
-from repro.perf.report import _SPARK, _cv, _sparkline
+from repro.perf.report import _SPARK, _sparkline
+from repro.stats import coefficient_of_variation
 from repro.telemetry import (CacheDelta, DRAMSample, FSMState,
                              FSMTransition, HUB, JsonlSink, PhaseBegin,
                              PhaseEnd, RecordingSink, SchedulerDecision,
@@ -116,18 +117,21 @@ class TestSparkline:
 
 
 class TestCoefficientOfVariation:
+    """The DRAM section's burstiness figure and its degenerate cases."""
+
     def test_empty_series(self):
-        assert _cv([]) == 0.0
+        assert coefficient_of_variation([]) == 0.0
 
     def test_all_equal_has_no_variation(self):
-        assert _cv([5.0, 5.0, 5.0]) == 0.0
+        assert coefficient_of_variation([5.0, 5.0, 5.0]) == 0.0
 
     def test_zero_mean_is_no_signal_not_a_crash(self):
-        assert _cv([-1.0, 1.0]) == 0.0
+        assert coefficient_of_variation([-1.0, 1.0]) == 0.0
 
     def test_known_value(self):
         # mean 2, population variance 2/3
-        assert _cv([1.0, 2.0, 3.0]) == pytest.approx((2 / 3) ** 0.5 / 2)
+        assert coefficient_of_variation([1.0, 2.0, 3.0]) == \
+            pytest.approx((2 / 3) ** 0.5 / 2)
 
 
 class TestAnomalyFlags:

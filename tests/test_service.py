@@ -355,6 +355,22 @@ class TestLeaseQueue:
         body = read_lease(claim.lease_path)
         assert body["owner"] == "w1" and body["pid"] == os.getpid()
 
+    def test_renewal_never_exposes_a_torn_lease(self, tmp_path):
+        """A beat replaces the lease whole.  A reader — or a SIGKILL —
+        landing mid-renewal sees the old body or the new, never an
+        empty file, which would make an adopter lose the owner."""
+        spec = tiny_spec()
+        store = JobStore(tmp_path)
+        record = store.submit(spec)
+        claim = claim_point(store, record.job_id, spec, "w1")
+        renewer = claim.renewer(ttl_s=0.004)  # beats every 1ms
+        try:
+            deadline = time.time() + 0.5
+            while time.time() < deadline:
+                assert read_lease(claim.lease_path).get("owner") == "w1"
+        finally:
+            renewer.stop()
+
 
 # ---------------------------------------------------------------------------
 # store-rebuilt results
