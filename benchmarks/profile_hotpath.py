@@ -3,7 +3,10 @@
 Times the batched hot path against the scalar golden path on one
 benchmark and prints a cProfile breakdown of where the batched run
 spends its time — the tool used to find (and keep finding) the next
-bottleneck.  See ``docs/performance.md`` for the methodology.
+bottleneck.  See ``docs/performance.md`` for the methodology.  Both
+paths run :func:`repro.perf.run_kernel`.  This is a profiler, not the
+benchmark: the repository's wall-clock numbers come from ``python3
+bench/run.py`` (see ``bench/README.md``).
 
 ``--telemetry-overhead`` switches to a different measurement: the same
 run with the telemetry hub enabled vs disabled, plus an estimate of what
@@ -37,8 +40,8 @@ from repro.perf import run_kernel  # noqa: E402
 
 
 def _run(kind: str, traces, batched: bool):
-    # The same kernel `repro perf record` times, so profiler numbers
-    # and recorded baselines measure identical work.
+    # The same kernel the CLI simulates through and the BENCH drift
+    # test recomputes, so the profile covers exactly that work.
     return run_kernel(kind, traces, harness.WIDTH, harness.HEIGHT,
                       batched=batched)
 

@@ -20,12 +20,6 @@ Subcommands:
   supertile=2,4``) — declarative, resumable parameter-grid sweep with
   per-point crash-safe checkpoints, a speedup-matrix report and
   grid-wide merged telemetry counters (see ``repro.experiments``).
-* ``repro perf record [--quick]`` / ``repro perf compare --baseline
-  BENCH_1.json`` — record a fingerprinted performance baseline
-  (median-of-k wall-clock + key simulated metrics over a curated case
-  set) and compare a later run against it with MAD-based noise bands.
-  Compare exits 0 when clean, 1 on a regression or simulated-metric
-  drift, 2 on usage errors (see ``repro.perf``).
 * ``repro report tri_overlap`` (or ``--events run.jsonl``) — run with
   telemetry (or post-process an exported JSONL stream) and emit a
   markdown analysis: DRAM bandwidth burstiness, per-RU load balance,
@@ -51,6 +45,12 @@ Subcommands:
   DIR`` merges a job's correlated per-point telemetry into one
   cross-worker Chrome/Perfetto timeline.
 
+``run``, ``trace``, ``report`` and ``heatmap`` take their frame traces
+from the harness trace cache (:func:`repro.harness.get_traces`, the one
+``compare`` and ``sweep`` use) and simulate through
+:func:`repro.perf.run_kernel`.  Wall-clock benchmarking is not a
+subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
+
 Flag conventions, shared across subcommands: single-target commands
 take ``--benchmark``, sweep-style commands take ``--benchmarks`` (comma
 list or ``all``); GPU variants are always ``--config KIND`` where KIND
@@ -66,8 +66,8 @@ raises the level to INFO, ``-vv`` to DEBUG.
 Exit-code contract, uniform across every subcommand (the full table
 lives in ``docs/api.md``): **0** success (including a clean
 SIGINT/SIGTERM shutdown of ``serve``/``worker``), **1** the work itself
-failed — a :class:`~repro.errors.ReproError`, a perf/figures
-regression, a sweep with failed points, a service job that ended
+failed — a :class:`~repro.errors.ReproError`, a figures regression,
+a sweep with failed points, a service job that ended
 ``failed``/``cancelled`` under ``submit --wait`` or ``status`` —
 reported as a one-line stderr diagnostic, never a traceback, **2**
 usage errors: unknown names or flags, an invalid spec or grid, an
@@ -82,17 +82,16 @@ import logging
 import sys
 from typing import List, Optional
 
-from .config import GPUConfig, parse_kind
+from . import harness
+from .config import parse_kind
 from .errors import ConfigValidationError, ReproError
-from .gpu import GPUSimulator, RunResult
+from .gpu import RunResult
+from .perf import build_report, run_kernel
 from .stats import format_table, render_ascii, tile_matrix
-from .workloads import (TraceBuilder, benchmark_names,
-                        make_scene_builder, micro_benchmark_names,
-                        table2_rows)
+from .workloads import benchmark_names, micro_benchmark_names, table2_rows
 
 DEFAULT_WIDTH = 960
 DEFAULT_HEIGHT = 512
-DEFAULT_TILE = 32
 
 logger = logging.getLogger("repro.cli")
 
@@ -207,17 +206,6 @@ def _add_benchmarks_option(parser, default: Optional[str] = "all") -> None:
                         help="comma-separated codes, or 'all'")
 
 
-def _build_traces(benchmark: str, frames: int, width: int, height: int):
-    builder = make_scene_builder(benchmark, width, height)
-    return TraceBuilder(builder, width, height, DEFAULT_TILE).build_many(frames)
-
-
-def _make_simulator(config_name: str, width: int, height: int) -> GPUSimulator:
-    config, scheduler = GPUConfig.build(config_name, screen_width=width,
-                                        screen_height=height)
-    return GPUSimulator(config, scheduler=scheduler, name=config_name)
-
-
 def _summarize(result: RunResult) -> List:
     return [result.config_name, result.num_frames, result.total_cycles,
             f"{result.fps:.1f}", f"{result.mean_texture_hit_ratio:.3f}",
@@ -261,17 +249,18 @@ def _export_telemetry(path: str, events, metrics) -> int:
     return len(events)
 
 
-def _run_with_telemetry(sim: GPUSimulator, traces, out: Optional[str]):
-    """Run ``sim`` with the telemetry hub on; returns (result, snapshot)."""
+def _run_with_telemetry(kind: str, traces, width: int, height: int):
+    """Run ``kind`` over ``traces`` with the telemetry hub on.
+
+    Returns ``(result, events, snapshot)``: the run, its recorded event
+    stream and the metrics snapshot taken before the session closes.
+    """
     from .telemetry import HUB, RecordingSink, telemetry_session
     sink = RecordingSink()
     with telemetry_session(sink):
-        result = sim.run(traces)
+        result = run_kernel(kind, traces, width, height)
         snapshot = HUB.metrics.snapshot()
-    if out:
-        count = _export_telemetry(out, sink.events, snapshot)
-        print(f"wrote {count} telemetry records to {out}")
-    return result, snapshot
+    return result, sink.events, snapshot
 
 
 def _format_metrics(snapshot: dict) -> str:
@@ -282,15 +271,18 @@ def _format_metrics(snapshot: dict) -> str:
 
 def cmd_run(args) -> int:
     """Handle ``repro run``."""
-    traces = _build_traces(args.benchmark, args.frames, args.width,
-                           args.height)
-    sim = _make_simulator(args.config, args.width, args.height)
+    traces = harness.get_traces(args.benchmark, args.frames, args.width,
+                                args.height)
     snapshot = None
     if args.telemetry or args.telemetry_out:
-        result, snapshot = _run_with_telemetry(sim, traces,
-                                               args.telemetry_out)
+        result, events, snapshot = _run_with_telemetry(
+            args.config, traces, args.width, args.height)
+        if args.telemetry_out:
+            count = _export_telemetry(args.telemetry_out, events, snapshot)
+            print(f"wrote {count} telemetry records to "
+                  f"{args.telemetry_out}")
     else:
-        result = sim.run(traces)
+        result = run_kernel(args.config, traces, args.width, args.height)
     print(format_table(_SUMMARY_HEADERS, [_summarize(result)],
                        title=f"{args.benchmark} on {args.config}"))
     rows = [[f.frame_index, f.geometry_cycles, f.raster_cycles, f.order,
@@ -377,7 +369,8 @@ def cmd_trace(args) -> int:
     fmt = args.format
     if fmt == "auto":
         fmt = "chrome" if args.out.endswith(".json") else "frames"
-    traces = _build_traces(benchmark, args.frames, args.width, args.height)
+    traces = harness.get_traces(benchmark, args.frames, args.width,
+                                args.height)
     if fmt == "frames":
         from .workloads import save_traces
         save_traces(traces, args.out)
@@ -385,14 +378,10 @@ def cmd_trace(args) -> int:
         print(f"wrote {len(traces)} frame traces of {benchmark} to "
               f"{args.out} ({total_lines:,} texture lines total)")
         return 0
-    from .telemetry import HUB, RecordingSink, telemetry_session
     from .telemetry import write_chrome_trace
-    sim = _make_simulator(args.config, args.width, args.height)
-    sink = RecordingSink()
-    with telemetry_session(sink):
-        result = sim.run(traces)
-        snapshot = HUB.metrics.snapshot()
-    count = write_chrome_trace(args.out, sink.events, metrics=snapshot)
+    result, events, snapshot = _run_with_telemetry(
+        args.config, traces, args.width, args.height)
+    count = write_chrome_trace(args.out, events, metrics=snapshot)
     print(f"wrote {count} Chrome trace events for {benchmark} on "
           f"{args.config} ({result.num_frames} frames, "
           f"{result.total_cycles:,} cycles) to {args.out}")
@@ -401,7 +390,6 @@ def cmd_trace(args) -> int:
 
 def cmd_suite(args) -> int:
     """Handle ``repro suite`` (the supervised sweep)."""
-    from . import harness
     names = ([n.strip() for n in args.benchmarks.split(",") if n.strip()]
              if args.benchmarks != "all" else benchmark_names())
     valid = benchmark_names()
@@ -799,59 +787,6 @@ def cmd_status(args) -> int:
     return 1 if record.state in ("failed", "cancelled") else 0
 
 
-def cmd_perf(args) -> int:
-    """Handle ``repro perf record`` / ``repro perf compare``.
-
-    ``record`` runs the curated case set (``--quick`` for the CI-sized
-    subset), taking the median of ``--repeat`` timed runs per case, and
-    writes a fingerprinted baseline to ``--out`` (default: the next
-    free ``BENCH_<n>.json`` in the working directory).  ``compare``
-    loads ``--baseline``, obtains a current record (``--current`` file,
-    or a fresh measurement of the baseline's cases), and applies the
-    MAD noise bands.  Exit status: 0 within bands, 1 on any regression
-    / metric drift / missing case, 2 for usage errors.
-    """
-    from . import perf
-    if args.repeat < 1:
-        logger.error("--repeat must be >= 1")
-        return 2
-    progress = (lambda msg: print(f"  {msg}", file=sys.stderr))
-    if args.perf_command == "record":
-        cases = perf.QUICK_CASES if args.quick else perf.DEFAULT_CASES
-        baseline = perf.record_baseline(cases=cases, repeat=args.repeat,
-                                        progress=progress)
-        path = perf.write_baseline(baseline,
-                                   args.out or perf.next_bench_path())
-        print(f"wrote perf baseline ({len(baseline.cases)} cases, "
-              f"median of {args.repeat}) to {path}")
-        return 0
-    baseline = perf.load_baseline(args.baseline)
-    if args.quick:
-        quick_ids = {c.case_id for c in perf.QUICK_CASES}
-        baseline.cases = {cid: c for cid, c in baseline.cases.items()
-                          if cid in quick_ids}
-        if not baseline.cases:
-            logger.error("baseline %s has no quick cases", args.baseline)
-            return 2
-    if args.current:
-        current = perf.load_baseline(args.current)
-    else:
-        cases = [c for c in perf.DEFAULT_CASES
-                 if c.case_id in baseline.cases]
-        if not cases:
-            logger.error("baseline %s shares no case ids with the "
-                         "current curated set; pass --current",
-                         args.baseline)
-            return 2
-        current = perf.record_baseline(cases=cases, repeat=args.repeat,
-                                       progress=progress)
-    report = perf.compare_baselines(
-        current, baseline, wall_threshold_pct=args.wall_threshold_pct,
-        mad_factor=args.mad_factor, check_metrics=not args.no_metrics)
-    print(report.format())
-    return report.exit_code
-
-
 def cmd_report(args) -> int:
     """Handle ``repro report`` (the telemetry analysis report).
 
@@ -860,7 +795,6 @@ def cmd_report(args) -> int:
     exported via ``--telemetry-out``, so the expensive simulation and
     the analysis can live in different processes.
     """
-    from .perf import build_report
     if args.events:
         from .telemetry import load_jsonl_events
         events = load_jsonl_events(args.events)
@@ -873,15 +807,10 @@ def cmd_report(args) -> int:
                 "report needs a benchmark (positional or --benchmark) "
                 "or --events PATH")
             return 2
-        from .telemetry import HUB, RecordingSink, telemetry_session
-        traces = _build_traces(benchmark, args.frames, args.width,
-                               args.height)
-        sim = _make_simulator(args.config, args.width, args.height)
-        sink = RecordingSink()
-        with telemetry_session(sink):
-            sim.run(traces)
-            metrics = HUB.metrics.snapshot()
-        events = sink.events
+        traces = harness.get_traces(benchmark, args.frames, args.width,
+                                    args.height)
+        _, events, metrics = _run_with_telemetry(
+            args.config, traces, args.width, args.height)
         title = (f"{benchmark} on {args.config} "
                  f"({args.frames} frames, {args.width}x{args.height})")
     markdown = build_report(events, metrics=metrics, title=title)
@@ -968,9 +897,9 @@ def cmd_figures(args) -> int:
 
 def cmd_heatmap(args) -> int:
     """Handle ``repro heatmap``."""
-    traces = _build_traces(args.benchmark, 2, args.width, args.height)
-    sim = _make_simulator("baseline", args.width, args.height)
-    result = sim.run(traces)
+    traces = harness.get_traces(args.benchmark, args.frames, args.width,
+                                args.height)
+    result = run_kernel("baseline", traces, args.width, args.height)
     frame = result.frames[-1]
     matrix = tile_matrix(frame.per_tile_dram, traces[0].tiles_x,
                          traces[0].tiles_y)
@@ -1212,46 +1141,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "than this (default: the server's lease "
                             "TTL convention, 30s)")
 
-    perf = sub.add_parser(
-        "perf", help="performance baselines: record a fingerprinted "
-                     "BENCH_<n>.json, compare with noise bands")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    record = perf_sub.add_parser(
-        "record", help="measure the curated case set and write a "
-                       "baseline file")
-    record.add_argument("--out", default=None, metavar="PATH",
-                        help="baseline file (default: next free "
-                             "BENCH_<n>.json in the working directory)")
-    record.add_argument("--repeat", type=int, default=3,
-                        help="timed runs per case (median is kept)")
-    record.add_argument("--quick", action="store_true",
-                        help="CI-sized case subset (seconds, not "
-                             "minutes)")
-    pcompare = perf_sub.add_parser(
-        "compare", help="compare a current record against a baseline "
-                        "(exit 0 ok / 1 regression / 2 usage)")
-    pcompare.add_argument("--baseline", required=True, metavar="PATH",
-                          help="recorded BENCH_<n>.json to compare "
-                               "against")
-    pcompare.add_argument("--current", default=None, metavar="PATH",
-                          help="current record (default: measure the "
-                               "baseline's cases afresh)")
-    pcompare.add_argument("--repeat", type=int, default=3,
-                          help="timed runs per case when measuring "
-                               "afresh")
-    pcompare.add_argument("--wall-threshold-pct", type=float,
-                          default=10.0, metavar="PCT",
-                          help="relative wall-clock noise band")
-    pcompare.add_argument("--mad-factor", type=float, default=3.0,
-                          help="noise band is max(PCT, this many "
-                               "baseline MADs)")
-    pcompare.add_argument("--no-metrics", action="store_true",
-                          help="skip the simulated-metric drift check")
-    pcompare.add_argument("--quick", action="store_true",
-                          help="compare only the quick case subset of "
-                               "the baseline (so a --quick record can "
-                               "be gated against a full baseline)")
-
     figures = sub.add_parser(
         "figures", help="one-command paper reproduction: run the "
                         "figure registry through resumable sweeps, "
@@ -1323,7 +1212,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "submit": cmd_submit,
         "status": cmd_status,
         "fleet": cmd_fleet,
-        "perf": cmd_perf,
         "report": cmd_report,
         "figures": cmd_figures,
     }

@@ -271,9 +271,7 @@ def record_perf_analysis(quick: bool = False,
     traces the figure sweeps already cached.
     """
     from .. import harness
-    from ..config import GPUConfig
-    from ..gpu import GPUSimulator
-    from ..perf import build_report
+    from ..perf import build_report, run_kernel
     from ..telemetry import HUB, RecordingSink, telemetry_session
     from .registry import (FULL_FRAMES, FULL_HEIGHT, FULL_WIDTH,
                            QUICK_FRAMES, QUICK_HEIGHT, QUICK_WIDTH)
@@ -282,12 +280,9 @@ def record_perf_analysis(quick: bool = False,
     else:
         width, height, frames = FULL_WIDTH, FULL_HEIGHT, FULL_FRAMES
     traces = harness.get_traces(benchmark, frames, width, height)
-    config, scheduler = GPUConfig.build(kind, screen_width=width,
-                                        screen_height=height)
-    sim = GPUSimulator(config, scheduler=scheduler, name=kind)
     sink = RecordingSink()
     with telemetry_session(sink):
-        sim.run(traces)
+        run_kernel(kind, traces, width, height)
         metrics = HUB.metrics.snapshot()
     return build_report(
         sink.events, metrics=metrics,

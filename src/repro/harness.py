@@ -51,9 +51,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
 
 from . import cachefile
 from .config import GPUConfig
-from .errors import (BenchmarkTimeoutError, CacheCorruptionError,
-                     ConfigValidationError, ReproError, SimulationError,
-                     is_transient)
+from .errors import (BenchmarkTimeoutError, ConfigValidationError,
+                     ReproError, SimulationError, is_transient)
 from .supervision import (SupervisedJob, SupervisionPolicy, Supervisor,
                           backoff_delay)
 from .gpu import FrameTrace, GPUSimulator, RunResult
@@ -108,11 +107,12 @@ def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
                height: int = HEIGHT) -> List[FrameTrace]:
     """Frame traces for a benchmark, built once and cached on disk.
 
-    The entry is read with integrity checking: a corrupt cache file
-    (truncated, bit-flipped, interrupted write, legacy format) is
-    quarantined with a logged warning naming the path and reason, then
-    rebuilt from the scene generator.  The advisory per-entry lock makes
-    concurrent bench runs build the traces exactly once.  A small
+    The entry is read through :func:`cachefile.load_or_quarantine`: a
+    corrupt cache file (truncated, bit-flipped, interrupted write,
+    legacy format) is quarantined with a logged warning naming the path
+    and reason, then rebuilt from the scene generator.  The advisory
+    per-entry lock is held across the check, the build and the write,
+    so concurrent bench runs build the traces exactly once.  A small
     in-process memo short-circuits repeat loads within one sweep; the
     returned list is shared, so treat it as read-only.
     """
@@ -123,7 +123,7 @@ def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
     key = f"trace-g{TRACE_GENERATION}-{benchmark}-{width}x{height}-f{frames}"
     path = cache_dir() / f"{key}.v{TRACE_FORMAT_VERSION}.pkl"
     with cachefile.file_lock(path):
-        cached = _load_cache_entry(path, f"trace cache for {benchmark}")
+        cached = cachefile.load_or_quarantine(path)
         if cached is not None:
             _memoize_traces(memo_key, cached)
             return cached
@@ -140,20 +140,6 @@ def _memoize_traces(key: Tuple[str, int, int, int],
     while len(_TRACE_MEMO) >= _TRACE_MEMO_SLOTS:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
     _TRACE_MEMO[key] = list(traces)
-
-
-def _load_cache_entry(path: Path, what: str):
-    """One cache entry, or None after quarantining a corrupt file."""
-    if not path.exists():
-        return None
-    try:
-        return cachefile.read_cache(path)
-    except CacheCorruptionError as exc:
-        quarantined = cachefile.quarantine(path, str(exc))
-        logger.warning(
-            "%s unusable: %s — quarantined as %s and rebuilding",
-            what, exc, quarantined.name if quarantined else "<gone>")
-        return None
 
 
 # -- cached simulation runs ---------------------------------------------------
@@ -221,7 +207,7 @@ def run_simulation(benchmark: str, kind: str, frames: int = FRAMES,
     path = (cache_dir()
             / f"run-g{RESULT_GENERATION}-{benchmark}-{kind}-{digest}.pkl")
     if use_cache:
-        cached = _load_cache_entry(path, f"result cache {benchmark}/{kind}")
+        cached = cachefile.load_or_quarantine(path)
         if cached is not None:
             return cached
     traces = get_traces(benchmark, frames)

@@ -1,33 +1,21 @@
-"""Performance observability: baselines, comparisons, analysis reports.
+"""Performance analysis: the shared timing kernel and the telemetry report.
 
-``repro.perf`` closes the loop from *instrumented* to *measured,
-tracked and explained* (the gem5-style continuous-benchmarking
-discipline):
-
-* :mod:`repro.perf.kernels` — the timing kernels shared by ``repro
-  perf`` and ``benchmarks/profile_hotpath.py``.
-* :mod:`repro.perf.baseline` — ``repro perf record`` / ``repro perf
-  compare``: median-of-k wall-clock plus key simulated metrics per
-  curated case, written to a fingerprinted ``BENCH_<n>.json`` and
-  compared with MAD-based noise bands and a CI exit-code contract
-  (0 ok / 1 regression / 2 usage).
+* :mod:`repro.perf.kernels` — :func:`run_kernel`, one fresh simulator
+  run over prebuilt traces: what the CLI's ``run``/``trace``/``report``/
+  ``heatmap`` commands, the figures dashboard's perf analysis and
+  ``benchmarks/profile_hotpath.py`` all simulate through.
 * :mod:`repro.perf.report` — ``repro report``: post-processes a
   telemetry event stream into a markdown analysis report (DRAM
   bandwidth burstiness, per-RU load balance, FSM decision timeline,
   cache hit-ratio trends) with threshold-based anomaly flags.
+
+Wall-clock timing lives in the repository benchmark (``python3
+bench/run.py``, see ``bench/README.md``); the simulated metrics of the
+committed ``BENCH_<n>.json`` baselines are recomputed by the tier-1
+test ``tests/test_bench_drift.py``.
 """
 
-from .baseline import (PerfBaseline, PerfCase, CaseResult, CompareReport,
-                       DEFAULT_CASES, QUICK_CASES, compare_baselines,
-                       load_baseline, next_bench_path, record_baseline,
-                       write_baseline)
 from .kernels import run_kernel
 from .report import build_report
 
-__all__ = [
-    "PerfBaseline", "PerfCase", "CaseResult", "CompareReport",
-    "DEFAULT_CASES", "QUICK_CASES",
-    "record_baseline", "compare_baselines", "load_baseline",
-    "write_baseline", "next_bench_path",
-    "run_kernel", "build_report",
-]
+__all__ = ["run_kernel", "build_report"]

@@ -1,10 +1,10 @@
-"""The timing kernels shared by ``repro perf`` and the profiler.
+"""The simulation kernel shared by the CLI, the dashboard and the profiler.
 
 A *kernel* is the smallest thing worth timing: one simulator run over
 prebuilt traces, with no cache reads, no summarization and no harness
-supervision in the timed region.  ``benchmarks/profile_hotpath.py``
-and :mod:`repro.perf.baseline` both time exactly this function, so the
-profiler's numbers and the recorded baselines move together.
+supervision inside it.  ``benchmarks/profile_hotpath.py`` times exactly
+this function, and ``tests/test_bench_drift.py`` recomputes the
+committed ``BENCH_<n>.json`` kernel metrics through it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ def run_kernel(kind: str, traces: List[FrameTrace],
                settings: Optional[dict] = None) -> RunResult:
     """One fresh simulator run of ``kind`` over prebuilt ``traces``.
 
-    Builds the configuration and simulator inside the call (their cost
-    is part of what a baseline should see) but expects the traces —
-    which are configuration-independent and disk-cached — to already
-    exist, so repeated timings measure simulation, not scene generation.
+    Builds the configuration and simulator inside the call but expects
+    the traces — which are configuration-independent and disk-cached —
+    to already exist, so repeated timings measure simulation, not scene
+    generation.
     """
     config, scheduler = GPUConfig.build(
         kind, screen_width=width, screen_height=height,

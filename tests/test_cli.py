@@ -30,6 +30,11 @@ class TestParser:
 
 
 class TestCommands:
+    @pytest.fixture(autouse=True)
+    def private_cache(self, tmp_path, monkeypatch):
+        """Commands that simulate read and write the trace cache."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
     def test_list_prints_suite(self, capsys):
         assert main(["--width", "256", "--height", "128", "list"]) == 0
         out = capsys.readouterr().out
@@ -58,6 +63,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "Per-tile DRAM accesses" in out
+
+    def test_heatmap_maps_the_last_requested_frame(self, capsys):
+        code = main(["--width", "128", "--height", "64",
+                     "heatmap", "--benchmark", "GDL", "--frames", "3"])
+        assert code == 0
+        assert "GDL frame 2 (" in capsys.readouterr().out
 
     def test_trace_export(self, capsys, tmp_path):
         out_path = str(tmp_path / "t.jsonl.gz")

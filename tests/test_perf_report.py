@@ -235,7 +235,9 @@ class TestJsonlRoundTrip:
 
 
 class TestCliReport:
-    def test_report_benchmark_acceptance(self, capsys, tmp_path):
+    def test_report_benchmark_acceptance(self, capsys, tmp_path,
+                                         monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "report.md"
         code = main(["--width", "256", "--height", "128",
                      "report", "tri_overlap", "--frames", "2",

@@ -375,8 +375,10 @@ class TestChromeTrace:
 
 
 class TestCliTrace:
-    def test_trace_tri_overlap_acceptance(self, capsys, tmp_path):
+    def test_trace_tri_overlap_acceptance(self, capsys, tmp_path,
+                                          monkeypatch):
         from repro.cli import main
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = str(tmp_path / "trace.json")
         code = main(["--width", "256", "--height", "128",
                      "trace", "tri_overlap", "--frames", "2",
@@ -394,9 +396,11 @@ class TestCliTrace:
                    for e in events)
         assert capsys.readouterr().out.startswith("wrote ")
 
-    def test_trace_frames_format_unchanged(self, capsys, tmp_path):
+    def test_trace_frames_format_unchanged(self, capsys, tmp_path,
+                                           monkeypatch):
         from repro.cli import main
         from repro.workloads import load_traces
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = str(tmp_path / "t.jsonl.gz")
         code = main(["--width", "256", "--height", "128",
                      "trace", "GDL", "--frames", "2", "--out", out])
