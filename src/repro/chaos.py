@@ -264,6 +264,18 @@ def consume_cache_fault() -> Optional[str]:
     return fault
 
 
+def disarm() -> None:
+    """Drop the faults a point armed in this process but never fired.
+
+    A supervised worker runs point after point; this keeps an armed
+    cache fault that no write consumed, or a pending ``crash_late``,
+    from firing in the next point.
+    """
+    global _ARMED_CACHE_FAULT, _CRASH_AFTER_CHECKPOINT
+    _ARMED_CACHE_FAULT = None
+    _CRASH_AFTER_CHECKPOINT = False
+
+
 def corrupt_bytes(payload: bytes) -> bytes:
     """Flip one bit of ``payload`` (empty payloads gain a byte)."""
     if not payload:

@@ -13,9 +13,10 @@ process, the moment it finishes — killing the driver mid-grid loses at
 most the points that were in flight.
 
 Parallel and chaos-mode runs go through the worker-lifecycle supervisor
-(:mod:`repro.supervision`): monitored forked children with heartbeat
-hang detection, adaptive deadlines, SIGTERM→SIGKILL preemption, and a
-circuit breaker (keyed ``benchmark|kind``, persisted in the store as
+(:mod:`repro.supervision`): monitored workers, forked once per slot and
+reused point after point, with heartbeat hang detection, adaptive
+deadlines learned per ``benchmark|kind``, SIGTERM→SIGKILL preemption,
+and a circuit breaker (keyed ``benchmark|kind``, persisted in the store as
 ``breakers.json``) that quarantines systematically failing
 combinations.  Every outcome carries a provenance tag
 (completed/resumed/degraded/failed/tripped/skipped) and a grid with
@@ -213,7 +214,8 @@ def _point_runner(benchmark: str, point_id: str, frames: int = 0,
     re-checked first and the artifact reused (idempotent under races).
 
     With ``point_telemetry`` the runner collects metrics *per point
-    even in worker processes*, where the driver's hub does not reach:
+    even in worker processes*, where the driver's hub does not reach
+    and one worker runs many points:
     a disabled hub is enabled (sinkless) around the simulation and the
     registry reset before and disabled after, so each checkpointed
     artifact carries exactly its own point's counters.  A hub the
@@ -222,11 +224,13 @@ def _point_runner(benchmark: str, point_id: str, frames: int = 0,
     registry is snapshotted into the summary as before.
 
     ``driver_pid`` closes the inverse leak: forked workers inherit the
-    driver's *enabled* hub, so ``point_telemetry=False`` alone used to
-    leave inherited collection running in every child.  When the pid
-    shows this process is a fork of the driver and telemetry was asked
-    off, the inherited hub is disabled here — the child's copy only;
-    the driver's own hub (same pid) is never touched.
+    driver's *enabled* hub (and the supervisor re-enables it, with an
+    empty registry, before each point), so ``point_telemetry=False``
+    alone would leave inherited collection running in every worker.
+    When the pid shows this process is a fork of the driver and
+    telemetry was asked off, the inherited hub is disabled here — the
+    worker's copy only; the driver's own hub (same pid) is never
+    touched.
 
     ``trace_dir``/``correlation`` (the sweep-service worker path): the
     runner's own telemetry session additionally streams every event to
@@ -307,7 +311,7 @@ def run_sweep(spec: ExperimentSpec,
     untouched points ``skipped``.
 
     ``point_telemetry`` (default on) has every point — including ones
-    executed in forked workers, whose processes the driver's hub never
+    executed on forked workers, whose processes the driver's hub never
     sees — record its own metrics state into its checkpointed artifact;
     :meth:`SweepResult.merged_metrics` then aggregates them across the
     whole grid.  Its cost is one sinkless hub session per point; pass
@@ -315,14 +319,19 @@ def run_sweep(spec: ExperimentSpec,
 
     The backend follows from the inputs.  With ``workers > 1`` or an
     active chaos plan (:mod:`repro.chaos`) — injected crashes in an
-    in-process sweep would kill the driver — each point runs in a
-    monitored forked child (:mod:`repro.supervision`) with
-    heartbeat/hang detection, adaptive deadlines, escalating
-    SIGTERM→SIGKILL preemption and a circuit breaker keyed by
+    in-process sweep would kill the driver — points run on up to
+    ``workers`` monitored workers (:mod:`repro.supervision`), each
+    forked once after the traces are loaded and reused for point after
+    point, so what one point derived (tile stream plans, touched pages)
+    serves the next.  Each point still gets heartbeat/hang detection,
+    an adaptive deadline learned from completed points of its
+    ``(benchmark, kind)``, escalating SIGTERM→SIGKILL preemption that
+    costs only its own worker, and a circuit breaker keyed by
     ``(benchmark, kind)`` whose state persists in the artifact store
     across resumes.  Otherwise points run in-process, which saves the
-    fork per point and keeps sequential sweeps monkeypatch-friendly.
-    ``policy`` overrides the supervision tunables.
+    forks and the result pipe and keeps sequential sweeps
+    monkeypatch-friendly.  ``policy`` overrides the supervision
+    tunables.
     """
     spec.validate()
     workers = spec.workers if workers is None else workers

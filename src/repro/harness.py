@@ -31,8 +31,9 @@ with per-benchmark wall-clock timeouts, bounded retry with backoff for
 transient faults, and graceful degradation — one failing benchmark is
 recorded in the returned :class:`SuiteReport` while every other result
 is still delivered.  ``workers == 1`` runs the pairs in-process;
-``workers > 1`` runs each pair in a monitored forked child under
-:class:`~repro.supervision.Supervisor`.
+``workers > 1`` runs them on up to that many monitored forked workers
+under :class:`~repro.supervision.Supervisor`, each forked once and
+reused pair after pair.
 """
 
 from __future__ import annotations
@@ -507,9 +508,9 @@ def run_suite(benchmarks: Sequence[str],
     Unknown benchmark names are reported as ``skipped`` (with the valid
     names in the message) instead of aborting the sweep.
 
-    ``workers`` > 1 runs up to that many pairs at once, each in a
-    monitored forked child under :class:`~repro.supervision.Supervisor`
-    (see :func:`run_pairs`): a hung, crashed or OOM-killed worker is
+    ``workers`` > 1 runs up to that many pairs at once on monitored
+    forked workers under :class:`~repro.supervision.Supervisor` (see
+    :func:`run_pairs`): a hung, crashed or OOM-killed worker is
     detected, retried when transient, and isolated to its pair, and a
     pair that needed a retry or a preemption is reported ``degraded``.
     ``timeout_s`` is then a floor that the adaptive deadline may
@@ -517,9 +518,12 @@ def run_suite(benchmarks: Sequence[str],
     worker whose heartbeat stops is preempted.  Outcome order matches
     the sequential run, and
     the on-disk trace/result caches stay consistent because every entry
-    is written under an advisory file lock.  Fork hands ``runner`` and
-    ``run_kwargs`` to the children without pickling, so closures work;
-    the summaries they return must pickle.
+    is written under an advisory file lock.  The workers inherit
+    ``runner`` and ``run_kwargs`` at fork without pickling, so closures
+    work; the summaries they return must pickle.  A worker runs many
+    pairs, so a runner must not count on a fresh process per pair;
+    with the telemetry hub on, each pair still starts from an empty
+    metrics registry.
 
     ``runner`` defaults to :func:`run_simulation` and exists for tests
     and alternative backends; it receives ``(benchmark, kind,
@@ -565,16 +569,17 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
     The backend follows from the arguments.  With ``workers > 1`` (a
     default :class:`~repro.supervision.Supervisor` is built when none is
     passed; its adaptive deadline only engages when ``timeout_s`` is
-    given) or an explicit ``supervisor``, every pair runs in a
-    monitored forked child with heartbeat/hang detection, adaptive
-    deadlines, escalating preemption, parent-side jittered retries and
-    (when the supervisor carries a breaker) circuit breaking keyed by
-    ``breaker_key_for(benchmark, kind)``; outcomes may then carry the
-    ``tripped`` status.  Otherwise the pairs run one by one in this
-    process with a ``SIGALRM`` timeout and in-process retry, which
-    costs no fork per pair and keeps a runner's in-memory state (a
-    test's call log, say) across pairs.  Both backends set every
-    outcome's ``provenance``.
+    given) or an explicit ``supervisor``, the pairs run on up to
+    ``workers`` monitored forked workers, each forked once and reused,
+    with per-pair heartbeat/hang detection, adaptive deadlines learned
+    per ``breaker_key_for(benchmark, kind)``, escalating preemption,
+    parent-side jittered retries and (when the supervisor carries a
+    breaker) circuit breaking keyed the same way; outcomes may then
+    carry the ``tripped`` status.  Otherwise the pairs run one by one
+    in this process with a ``SIGALRM`` timeout and in-process retry,
+    which costs no fork and keeps a runner's in-memory state (a
+    test's call log, say) visible to the caller.  Both backends set
+    every outcome's ``provenance``.
     """
     if max_attempts < 1:
         raise ConfigValidationError("max_attempts must be >= 1")
@@ -618,10 +623,11 @@ def run_pairs(pairs: Sequence[Tuple[str, str]],
 def _finalize_suite(report: SuiteReport, wall_start: float) -> SuiteReport:
     """Attach the suite-level telemetry span and metrics snapshot.
 
-    Under the supervisor each pair runs in a forked child with its own
-    copy of the hub, so the snapshot taken here reflects the parent
-    only (the supervisor's per-pair spans and counters, not the
-    simulations' metrics); the in-process path captures everything.
+    Under the supervisor each pair runs in a forked worker whose copy
+    of the hub is reset before every pair, so the snapshot taken here
+    reflects the parent only (the supervisor's per-pair spans and
+    counters, not the simulations' metrics, which travel in each
+    pair's summary); the in-process path captures everything.
     """
     if HUB.enabled:
         HUB.emit(HarnessSpan(
@@ -648,11 +654,14 @@ def _run_suite_supervised(pairs: Sequence[Tuple[str, str]],
 
     Translates pairs to :class:`~repro.supervision.SupervisedJob`\\ s and
     worker outcomes back to :class:`BenchmarkOutcome`\\ s, preserving the
-    report's outcome order.  Each child calls the runner once, with no
-    retry or timeout of its own: deadlines, preemption and retries all
-    live in the supervising parent, which can also handle the failures
-    in-process code cannot (hangs, OOM kills).  Works with ``workers ==
-    1`` too, which is what makes chaos-injected crashes and hangs in a
+    report's outcome order.  The workers are forked once per slot and
+    look each job up in the list they inherited; a worker calls the
+    runner once per attempt, with no retry or timeout of its own:
+    deadlines, preemption and retries all live in the supervising
+    parent, which can also handle the failures in-process code cannot
+    (hangs, OOM kills), and a worker lost to one of them is replaced by
+    a fresh fork for the next pair.  Works with ``workers == 1`` too,
+    which is what makes chaos-injected crashes and hangs in a
     sequential sweep survivable.
     """
     slots: List[Optional[BenchmarkOutcome]] = [None] * len(pairs)

@@ -18,7 +18,11 @@ SIGTERM→SIGKILL preemption, jittered retries), the same store-persisted
 circuit breaker, and the same chaos injection sites as a local ``repro
 sweep``.  A chaos plan in the worker's environment therefore fires
 per-point exactly as it does locally, which is what lets the e2e suite
-demand bit-identical matrices between the two paths.
+demand bit-identical matrices between the two paths.  One difference
+is cost: a local sweep forks each supervised worker once and reuses it
+point after point, while this loop builds one
+:class:`~repro.supervision.Supervisor` per claimed point, so every
+claim still forks a fresh worker and starts cold.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import time
 from pathlib import Path
 from typing import Optional, Set, Union
 
-from .. import cachefile, chaos, harness, supervision
+from .. import cachefile, chaos, harness
 from ..errors import ConfigValidationError
 from ..experiments import ExperimentSpec, speedup_matrix
 from ..experiments.engine import _point_runner, sweep_result_from_store
@@ -268,21 +272,17 @@ def _execute_claim(store: JobStore, record: JobRecord,
                 trace_dir=str(store.traces_dir(claim.job_id)),
                 correlation={"job_id": claim.job_id,
                              "worker_id": claim.worker_id})
-        breaker: Optional[CircuitBreaker] = None
-        if supervision.available():
-            sup_policy = policy or SupervisionPolicy()
-            breaker = CircuitBreaker.from_state(
-                sweep_store.load_breaker_state(),
-                threshold=sup_policy.breaker_threshold,
-                cooldown_s=sup_policy.breaker_cooldown_s)
-            run_kwargs.update(
-                supervisor=Supervisor(policy=sup_policy, breaker=breaker),
-                breaker_key_for=lambda bench, _pid:
-                    f"{bench}|{point.kind}")
-        report = harness.run_pairs([(point.benchmark, point.point_id)],
-                                   **run_kwargs)
-        if breaker is not None:
-            sweep_store.record_breaker_state(breaker.to_state())
+        sup_policy = policy or SupervisionPolicy()
+        breaker = CircuitBreaker.from_state(
+            sweep_store.load_breaker_state(),
+            threshold=sup_policy.breaker_threshold,
+            cooldown_s=sup_policy.breaker_cooldown_s)
+        report = harness.run_pairs(
+            [(point.benchmark, point.point_id)],
+            supervisor=Supervisor(policy=sup_policy, breaker=breaker),
+            breaker_key_for=lambda bench, _pid: f"{bench}|{point.kind}",
+            **run_kwargs)
+        sweep_store.record_breaker_state(breaker.to_state())
         outcome = report.outcomes[0]
     finally:
         renewer.stop()

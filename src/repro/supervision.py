@@ -14,17 +14,23 @@ The pieces:
   per-attempt heartbeat file.  Tolerant of unwritable filesystems
   (read-only, ENOSPC): it degrades to silence instead of killing the
   worker, and the supervisor falls back to deadline-only monitoring.
-* :class:`Supervisor` / :func:`Supervisor.run` — runs each job in a
-  monitored forked child.  A stale heartbeat (hung worker) or a blown
-  deadline preempts the child with escalating SIGTERM → SIGKILL; a
-  child that dies without returning (crash, OOM SIGKILL) is detected by
-  its exit code.  Transient failures are retried with exponential
-  backoff plus jitter (:func:`backoff_delay`).
+* :class:`Supervisor` / :func:`Supervisor.run` — forks each of its
+  ``workers`` slots once, when a job first needs it, and sends the
+  worker job indices over a duplex pipe; the worker looks each job up
+  in the job list it inherited at fork and runs it under a fresh
+  heartbeat, so what one point warmed (traces, tile stream plans,
+  touched pages) serves the next.  A stale heartbeat (hung worker) or
+  a blown deadline preempts the worker with escalating SIGTERM →
+  SIGKILL; a worker that dies without returning (crash, OOM SIGKILL)
+  is detected by its exit code.  Either way only that worker is lost:
+  the attempt fails, and the next job gets a fresh fork.  Transient
+  failures are retried with exponential backoff plus jitter
+  (:func:`backoff_delay`).
 * :class:`AdaptiveDeadline` — per-job deadlines derived from the median
-  of completed durations times a factor, floored at the caller's
-  ``timeout_s``, so one pathologically imbalanced grid point (the
-  SLTarch-style workloads) cannot stall a sweep that has no global
-  timeout configured.
+  of completed durations of the job's key times a factor, floored at
+  the caller's ``timeout_s``, so one pathologically imbalanced grid
+  point (the SLTarch-style workloads) cannot stall a sweep that has no
+  global timeout configured.
 * :class:`CircuitBreaker` — quarantines a key (the engine uses
   ``benchmark|kind``) after N systematic failures instead of burning
   retries on every remaining grid point of a doomed combination.
@@ -61,15 +67,11 @@ from multiprocessing import connection
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from . import chaos
 from .errors import ReproError, is_transient
 from .telemetry import HUB, HarnessSpan, SupervisorEvent
 
 logger = logging.getLogger(__name__)
-
-
-def available() -> bool:
-    """Whether the supervised backend can run here (needs ``fork``)."""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 # -- retry backoff -----------------------------------------------------------
@@ -95,7 +97,7 @@ def backoff_delay(backoff_s: float, attempt: int,
 
 # -- heartbeats --------------------------------------------------------------
 
-#: The worker process's active writer (set by :func:`_child_main`), so
+#: The worker process's active writer (set by :func:`_run_job`), so
 #: in-worker code — the chaos harness — can simulate a frozen process.
 _ACTIVE_HEARTBEAT: Optional["HeartbeatWriter"] = None
 
@@ -178,7 +180,7 @@ def pause_heartbeat() -> None:
 # -- adaptive deadlines ------------------------------------------------------
 
 class AdaptiveDeadline:
-    """Per-job deadline from completed-run statistics.
+    """Per-job deadline from completed-run statistics of the job's key.
 
     Grid points of one sweep are usually similar in cost, but pathological
     workloads (extreme tile imbalance, memory-latency cliffs) produce a
@@ -187,6 +189,11 @@ class AdaptiveDeadline:
     ``timeout_s`` — so it only ever *extends* an explicit budget — and
     engages once ``min_samples`` durations are in.  ``floor_s`` keeps a
     grid of sub-millisecond points from preempting normal variance.
+
+    Durations are kept per key (the supervisor passes each job's
+    ``breaker_key``, which the sweep engine sets to ``benchmark|kind``):
+    points of one combination cost alike, while a median taken over
+    every job would let cheap combinations preempt an expensive one.
     """
 
     def __init__(self, factor: float = 4.0, min_samples: int = 3,
@@ -194,19 +201,21 @@ class AdaptiveDeadline:
         self.factor = factor
         self.min_samples = min_samples
         self.floor_s = floor_s
-        self.durations: List[float] = []
+        self.durations: Dict[str, List[float]] = {}
 
-    def add(self, seconds: float) -> None:
-        """Record one completed duration."""
-        self.durations.append(seconds)
+    def add(self, seconds: float, key: str = "") -> None:
+        """Record one completed duration of a job on ``key``."""
+        self.durations.setdefault(key, []).append(seconds)
 
-    def deadline_for(self, timeout_s: Optional[float]) -> Optional[float]:
-        """The budget for the next attempt, or None (no limit yet)."""
+    def deadline_for(self, timeout_s: Optional[float],
+                     key: str = "") -> Optional[float]:
+        """The budget for the next attempt on ``key``, or None (no limit)."""
         candidates: List[float] = []
         if timeout_s is not None and timeout_s > 0:
             candidates.append(timeout_s)
-        if len(self.durations) >= self.min_samples:
-            median = statistics.median(self.durations)
+        samples = self.durations.get(key, ())
+        if len(samples) >= self.min_samples:
+            median = statistics.median(samples)
             candidates.append(max(median * self.factor, self.floor_s))
         return max(candidates) if candidates else None
 
@@ -415,17 +424,129 @@ class WorkerOutcome:
         return self.status == "ok"
 
 
-class _Attempt:
-    """Parent-side bookkeeping of one in-flight worker process."""
+class _Worker:
+    """Parent-side handle of one forked worker: its process and pipe."""
 
-    __slots__ = ("proc", "conn", "hb_path", "started", "deadline",
-                 "hb_mtime", "hb_last_change", "hb_seen", "message",
-                 "got_message", "preempt_reason", "preempt_at")
+    __slots__ = ("proc", "conn")
 
-    def __init__(self, proc, conn, hb_path: Path, started: float,
-                 deadline: Optional[float]):
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
+
+
+class _WorkerPool:
+    """The forked workers of one :meth:`Supervisor.run`.
+
+    A worker is forked when a job first needs one and no forked worker
+    is idle, so the pool never holds more workers than the supervisor
+    runs jobs at once.  Each worker inherits ``jobs`` at fork and is
+    sent only ``(job index, heartbeat path)`` per job, so nothing new
+    has to pickle.  The pool keeps every live worker's parent end of
+    the pipe: a new worker closes its copies of them, so when the
+    driver goes away — even by SIGKILL — each worker reads EOF and
+    exits instead of waiting on a pipe a sibling still holds open.
+    """
+
+    def __init__(self, jobs: List[SupervisedJob],
+                 heartbeat_interval_s: float):
+        self._ctx = multiprocessing.get_context("fork")
+        self._jobs = jobs
+        self._heartbeat_interval_s = heartbeat_interval_s
+        self.live: List[_Worker] = []
+        self.idle: List[_Worker] = []
+
+    def dispatch(self, index: int, hb_path: Path) -> _Worker:
+        """Send job ``index`` to an idle worker, forking one if none is.
+
+        A worker found dead while idle costs a re-fork, not an attempt.
+        A send that fails on a fresh fork is left for the caller's death
+        detection, so a worker that cannot start fails the attempt
+        instead of forking forever.
+        """
+        request = (index, str(hb_path))
+        while self.idle:
+            worker = self.idle.pop()
+            if worker.proc.exitcode is None and self._send(worker, request):
+                return worker
+            self.retire(worker)
+        worker = self._fork()
+        self._send(worker, request)
+        return worker
+
+    @staticmethod
+    def _send(worker: _Worker, request: tuple) -> bool:
+        try:
+            worker.conn.send(request)
+            return True
+        except OSError:
+            return False
+
+    def _fork(self) -> _Worker:
+        parent_end, child_end = self._ctx.Pipe(duplex=True)
+        inherited = [w.conn for w in self.live] + [parent_end]
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_end, inherited, self._jobs,
+                  self._heartbeat_interval_s),
+            daemon=True)
+        proc.start()
+        child_end.close()
+        worker = _Worker(proc, parent_end)
+        self.live.append(worker)
+        return worker
+
+    def retire(self, worker: _Worker, kill: bool = False) -> None:
+        """Close ``worker``'s pipe and reap it; ``kill`` SIGKILLs it first."""
+        if worker in self.live:
+            self.live.remove(worker)
+        if kill:
+            _signal(worker, signal.SIGKILL)
+        with contextlib.suppress(OSError):
+            worker.conn.close()
+        _reap(worker, 5.0)
+
+    def close(self, grace_s: float) -> None:
+        """Stop every worker; returns once all of them have exited.
+
+        Idle workers exit on EOF.  A busy one (an interrupted run) gets
+        SIGTERM; whatever is still alive after ``grace_s`` is SIGKILLed.
+        """
+        for worker in self.live:
+            if worker not in self.idle:
+                _signal(worker, signal.SIGTERM)
+            with contextlib.suppress(OSError):
+                worker.conn.close()
+        deadline = time.monotonic() + grace_s
+        for worker in self.live:
+            _reap(worker, max(deadline - time.monotonic(), 0.05))
+        self.live.clear()
+        self.idle.clear()
+
+
+def _signal(worker: _Worker, signum: int) -> None:
+    if worker.proc.exitcode is None:
+        with contextlib.suppress(OSError):
+            os.kill(worker.proc.pid, signum)
+
+
+def _reap(worker: _Worker, timeout_s: float) -> None:
+    """Join ``worker``, SIGKILLing it if it outlives ``timeout_s``."""
+    worker.proc.join(timeout=timeout_s)
+    if worker.proc.exitcode is None:
+        _signal(worker, signal.SIGKILL)
+        worker.proc.join(timeout=5.0)
+
+
+class _Attempt:
+    """Parent-side bookkeeping of one job attempt in flight on a worker."""
+
+    __slots__ = ("worker", "hb_path", "started", "deadline", "hb_mtime",
+                 "hb_last_change", "hb_seen", "message", "got_message",
+                 "preempt_reason", "preempt_at")
+
+    def __init__(self, worker: _Worker, hb_path: Path, started: float,
+                 deadline: Optional[float]):
+        self.worker = worker
         self.hb_path = hb_path
         self.started = started
         self.deadline = deadline
@@ -459,11 +580,19 @@ class _JobState:
 
 
 class Supervisor:
-    """Runs :class:`SupervisedJob`\\ s in monitored child processes.
+    """Runs :class:`SupervisedJob`\\ s in monitored forked workers.
 
     One instance supervises one campaign (a sweep, a suite): it owns the
     adaptive-deadline statistics and the circuit breaker for the whole
-    job list, and :meth:`run` may be called once.  See the module
+    job list, and :meth:`run` may be called once.  :meth:`run` forks at
+    most ``workers`` processes and reuses each for job after job; every
+    job still gets its own attempts, deadline, heartbeat, retries,
+    breaker decision and provenance.  Before each job a worker drops
+    what the previous job left in the process: a paused heartbeat,
+    armed chaos faults (:func:`repro.chaos.disarm`), and the metrics
+    registry and sinks of a telemetry hub inherited enabled from the
+    driver.  A worker that dies, hangs or blows its deadline is killed
+    with its attempt; the next job forks a fresh one.  See the module
     docstring for the monitoring model.
     """
 
@@ -488,17 +617,14 @@ class Supervisor:
 
         Never raises for job failures — crashes, hangs, OOM kills and
         breaker trips all land in the returned outcomes.  A
-        ``KeyboardInterrupt`` (from the driver, or reported by a child)
+        ``KeyboardInterrupt`` (from the driver, or reported by a worker)
         terminates the remaining workers and marks unfinished jobs
         ``skipped``, like the in-process path of
-        :func:`repro.harness.run_pairs`.
+        :func:`repro.harness.run_pairs`.  Returns only after every
+        worker it forked has exited.
         """
         if not jobs:
             return []
-        if not available():  # pragma: no cover - non-POSIX platforms
-            raise ReproError("supervised execution needs the 'fork' "
-                             "start method (POSIX)")
-        ctx = multiprocessing.get_context("fork")
         policy = self.policy
         own_hb_root = policy.heartbeat_root is None
         hb_root = Path(tempfile.mkdtemp(prefix="repro-hb-")) \
@@ -509,37 +635,34 @@ class Supervisor:
         states = [_JobState(i, job) for i, job in enumerate(jobs)]
         queue: deque = deque(range(len(jobs)))
         running: Dict[int, _Attempt] = {}
+        pool = _WorkerPool(jobs, policy.heartbeat_interval_s)
         try:
             while (queue or running) and not self._aborted:
                 now = time.monotonic()
-                self._schedule(queue, states, running, workers, ctx,
+                self._schedule(queue, states, running, workers, pool,
                                hb_root, timeout_s, now)
                 self._await_messages(running, policy.poll_interval_s)
                 now = time.monotonic()
                 for index in list(running):
                     attempt = running[index]
                     state = states[index]
-                    if attempt.got_message:
-                        self._join(attempt)
-                        del running[index]
+                    if not attempt.got_message:
+                        if attempt.worker.proc.exitcode is None:
+                            self._monitor(state, attempt, now)
+                            continue
+                        self._drain(attempt)
+                    del running[index]
+                    self._release(pool, attempt)
+                    if attempt.message:
                         self._finish_message(state, attempt, queue,
                                              max_attempts, backoff_s)
-                    elif attempt.proc.exitcode is not None:
-                        self._drain(attempt)
-                        self._join(attempt)
-                        del running[index]
-                        if attempt.got_message:
-                            self._finish_message(state, attempt, queue,
-                                                 max_attempts, backoff_s)
-                        else:
-                            self._finish_death(state, attempt, queue,
-                                               max_attempts, backoff_s)
                     else:
-                        self._monitor(state, attempt, now)
+                        self._finish_death(state, attempt, queue,
+                                           max_attempts, backoff_s)
         except KeyboardInterrupt:
             self._aborted = True
         finally:
-            self._reap(running)
+            pool.close(policy.term_grace_s)
             for state in states:
                 if state.outcome is None:
                     state.outcome = WorkerOutcome(
@@ -553,7 +676,7 @@ class Supervisor:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, queue, states, running, workers, ctx, hb_root,
+    def _schedule(self, queue, states, running, workers, pool, hb_root,
                   timeout_s, now) -> None:
         deferred = []
         while queue and len(running) < workers:
@@ -564,7 +687,7 @@ class Supervisor:
                 continue
             if not self._breaker_allows(state):
                 continue
-            self._launch(state, running, ctx, hb_root, timeout_s, now)
+            self._launch(state, running, pool, hb_root, timeout_s, now)
         queue.extendleft(reversed(deferred))
 
     def _breaker_allows(self, state: _JobState) -> bool:
@@ -585,24 +708,17 @@ class Supervisor:
             HUB.metrics.counter("supervision.breaker.short_circuits").inc()
         return False
 
-    def _launch(self, state, running, ctx, hb_root, timeout_s,
+    def _launch(self, state, running, pool, hb_root, timeout_s,
                 now) -> None:
         state.attempts += 1
         if state.first_start is None:
             state.first_start = now
-        recv_end, send_end = ctx.Pipe(duplex=False)
         hb_path = hb_root / f"job{state.index}.a{state.attempts}.hb"
-        proc = ctx.Process(
-            target=_child_main,
-            args=(send_end, str(hb_path),
-                  self.policy.heartbeat_interval_s, state.job.label,
-                  state.job.fn, state.job.args, state.job.kwargs),
-            daemon=True)
-        proc.start()
-        send_end.close()
-        deadline = self.adaptive.deadline_for(timeout_s)
+        worker = pool.dispatch(state.index, hb_path)
+        deadline = self.adaptive.deadline_for(timeout_s,
+                                              state.job.breaker_key)
         running[state.index] = _Attempt(
-            proc, recv_end, hb_path, now,
+            worker, hb_path, now,
             None if deadline is None else now + deadline)
 
     # -- monitoring ----------------------------------------------------------
@@ -610,7 +726,8 @@ class Supervisor:
     @staticmethod
     def _await_messages(running: Dict[int, _Attempt],
                         poll_s: float) -> None:
-        conns = {a.conn: a for a in running.values() if not a.got_message}
+        conns = {a.worker.conn: a for a in running.values()
+                 if not a.got_message}
         if not conns:
             time.sleep(poll_s)
             return
@@ -626,13 +743,13 @@ class Supervisor:
     def _drain(attempt: _Attempt) -> None:
         """Last-chance read on a dead worker's pipe.
 
-        A child can send its payload and exit between two waits; the
+        A worker can send its payload and die between two waits; the
         data outlives the sender, and reading it here keeps a clean
         completion from being misclassified as a death.
         """
         with contextlib.suppress(EOFError, OSError):
-            if attempt.conn.poll(0):
-                attempt.message = attempt.conn.recv()
+            if attempt.worker.conn.poll(0):
+                attempt.message = attempt.worker.conn.recv()
                 attempt.got_message = attempt.message is not None
 
     def _monitor(self, state: _JobState, attempt: _Attempt,
@@ -646,10 +763,8 @@ class Supervisor:
             attempt.hb_last_change = now
             attempt.hb_seen = True
         if attempt.preempt_reason is not None:
-            if (now - attempt.preempt_at >= self.policy.term_grace_s
-                    and attempt.proc.exitcode is None):
-                with contextlib.suppress(OSError):
-                    os.kill(attempt.proc.pid, signal.SIGKILL)
+            if now - attempt.preempt_at >= self.policy.term_grace_s:
+                _signal(attempt.worker, signal.SIGKILL)
             return
         if attempt.deadline is not None and now > attempt.deadline:
             self._preempt(state, attempt, "deadline", now)
@@ -672,7 +787,7 @@ class Supervisor:
                   else f"exceeded {budget:.2f}s deadline")
         logger.warning("%s: worker pid %s %s (%s); SIGTERM "
                        "(SIGKILL after %.1fs)", state.job.label,
-                       attempt.proc.pid, reason, detail,
+                       attempt.worker.proc.pid, reason, detail,
                        self.policy.term_grace_s)
         if HUB.enabled:
             HUB.metrics.counter("supervision.preemptions").inc()
@@ -680,31 +795,32 @@ class Supervisor:
                                      target=state.job.label,
                                      detail=f"{reason}: {detail}",
                                      wall_s=time.time()))
-        with contextlib.suppress(OSError):
-            os.kill(attempt.proc.pid, signal.SIGTERM)
+        _signal(attempt.worker, signal.SIGTERM)
 
     @staticmethod
-    def _join(attempt: _Attempt) -> None:
-        attempt.proc.join(timeout=5.0)
+    def _release(pool: _WorkerPool, attempt: _Attempt) -> None:
+        """Return a finished attempt's worker to the pool, or retire it.
+
+        Only a worker that delivered its payload and was never preempted
+        takes another job; a dead one is reaped, and a preempted one
+        that answered anyway is killed, since its SIGTERM may still land.
+        """
         with contextlib.suppress(OSError):
-            attempt.conn.close()
-        with contextlib.suppress(OSError, FileNotFoundError):
             os.unlink(attempt.hb_path)
+        if attempt.message and attempt.preempt_reason is None:
+            pool.idle.append(attempt.worker)
+        else:
+            pool.retire(attempt.worker,
+                        kill=attempt.preempt_reason is not None)
 
     # -- finalization --------------------------------------------------------
 
     def _finish_message(self, state, attempt, queue, max_attempts,
                         backoff_s) -> None:
         message = attempt.message
-        if not message:
-            # EOF without a payload: the child died (crash, preemption
-            # taking effect) and closed the pipe — classify by exit
-            # code like any other death.
-            self._finish_death(state, attempt, queue, max_attempts,
-                               backoff_s)
-            return
         if message[0] == "ok":
-            self.adaptive.add(time.monotonic() - attempt.started)
+            self.adaptive.add(time.monotonic() - attempt.started,
+                              state.job.breaker_key)
             self._record_success(state, message[1])
             return
         _, error_type, error, transient = message
@@ -721,7 +837,7 @@ class Supervisor:
 
     def _finish_death(self, state, attempt, queue, max_attempts,
                       backoff_s) -> None:
-        exitcode = attempt.proc.exitcode
+        exitcode = attempt.worker.proc.exitcode
         if HUB.enabled:
             HUB.metrics.counter("supervision.worker_deaths").inc()
         if attempt.preempt_reason == "deadline":
@@ -812,49 +928,79 @@ class Supervisor:
             return 0.0
         return time.monotonic() - state.first_start
 
-    def _reap(self, running: Dict[int, _Attempt]) -> None:
-        for attempt in running.values():
-            if attempt.proc.exitcode is None:
-                with contextlib.suppress(OSError):
-                    os.kill(attempt.proc.pid, signal.SIGTERM)
-        deadline = time.monotonic() + self.policy.term_grace_s
-        for attempt in running.values():
-            attempt.proc.join(timeout=max(deadline - time.monotonic(),
-                                          0.05))
-            if attempt.proc.exitcode is None:
-                with contextlib.suppress(OSError):
-                    os.kill(attempt.proc.pid, signal.SIGKILL)
-                attempt.proc.join(timeout=5.0)
-            with contextlib.suppress(OSError):
-                attempt.conn.close()
+
+def _worker_main(conn, inherited: List[Any], jobs: List[SupervisedJob],
+                 heartbeat_interval_s: float) -> None:
+    """Worker entry: run each job index the parent sends until EOF.
+
+    ``inherited`` are the parent's ends of every worker's pipe, this
+    one's included; closing them here is what lets EOF arrive when the
+    driver goes away.  Every job gets the process state a fresh fork
+    would have given it (:func:`_reset_for_job`) and ships one payload
+    back: ``("ok", result)`` or ``("error", type name, text,
+    transient)``.
+    """
+    for other in inherited:
+        with contextlib.suppress(OSError):
+            other.close()
+    hub_enabled = HUB.enabled
+    try:
+        while True:
+            try:
+                index, hb_path = conn.recv()
+            except (EOFError, OSError):
+                return
+            _reset_for_job(hub_enabled)
+            job = jobs[index]
+            payload = _run_job(job, hb_path, heartbeat_interval_s)
+            try:
+                conn.send(payload)
+            except Exception as exc:
+                with contextlib.suppress(Exception):
+                    conn.send(("error", "WorkerCrashError",
+                               f"{job.label}: result failed to "
+                               f"serialize ({exc!r})", False))
+    except KeyboardInterrupt:
+        return  # interrupted between jobs: the driver is stopping too
+    finally:
+        with contextlib.suppress(Exception):
+            conn.close()
 
 
-def _child_main(conn, hb_path: str, hb_interval: float, label: str,
-                fn: Callable, args: Tuple, kwargs: Dict) -> None:
-    """Worker entry: heartbeat + run + ship the result over the pipe."""
+def _reset_for_job(hub_enabled: bool) -> None:
+    """Drop what the previous job left in this worker process.
+
+    Chaos faults armed but not fired are disarmed.  A hub the driver had
+    enabled at fork gets an empty registry and no sinks, so each job's
+    summary carries only its own metrics and the driver's sinks, whose
+    copies here reach no one, do not pile up events.  (The heartbeat
+    pause needs nothing: each job gets a fresh :class:`HeartbeatWriter`.)
+    """
+    chaos.disarm()
+    HUB.disable()
+    if hub_enabled:
+        HUB.metrics.reset()
+        HUB.enable()
+
+
+def _run_job(job: SupervisedJob, hb_path: str,
+             heartbeat_interval_s: float) -> tuple:
+    """Run one job under its own heartbeat; the payload to ship back."""
     global _ACTIVE_HEARTBEAT
-    writer = HeartbeatWriter(hb_path, hb_interval)
+    writer = HeartbeatWriter(hb_path, heartbeat_interval_s)
     writer.start()
     _ACTIVE_HEARTBEAT = writer
     try:
-        try:
-            payload = ("ok", fn(*args, **kwargs))
-        except BaseException as exc:  # ship, never raise across the pipe
-            if isinstance(exc, KeyboardInterrupt):
-                name, text = "KeyboardInterrupt", "interrupted"
-            elif isinstance(exc, ReproError):
-                name, text = type(exc).__name__, str(exc)
-            else:
-                name, text = "SimulationError", f"{label}: {exc!r}"
-            payload = ("error", name, text, is_transient(exc))
-        try:
-            conn.send(payload)
-        except Exception as exc:
-            with contextlib.suppress(Exception):
-                conn.send(("error", "WorkerCrashError",
-                           f"{label}: result failed to serialize "
-                           f"({exc!r})", False))
+        return ("ok", job.fn(*job.args, **job.kwargs))
+    except BaseException as exc:  # ship, never raise across the pipe
+        if isinstance(exc, KeyboardInterrupt):
+            name, text = "KeyboardInterrupt", "interrupted"
+        elif isinstance(exc, ReproError):
+            name, text = type(exc).__name__, str(exc)
+        else:
+            name, text = "SimulationError", f"{job.label}: {exc!r}"
+        return ("error", name, text, is_transient(exc))
     finally:
+        _ACTIVE_HEARTBEAT = None
         writer.stop()
-        with contextlib.suppress(Exception):
-            conn.close()
+        writer.join()

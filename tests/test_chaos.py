@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cachefile, chaos, supervision
+from repro import cachefile, chaos
 from repro.cachefile import (load_or_quarantine, quarantine, read_cache,
                              write_cache)
 from repro.errors import CacheCorruptionError
@@ -185,10 +185,6 @@ SPEC = ExperimentSpec(
 # the preemption path runs in test time, not production time.
 POLICY = SupervisionPolicy(hang_grace_s=1.0, deadline_floor_s=10.0)
 
-needs_fork = pytest.mark.skipif(
-    not supervision.available(),
-    reason="chaos sweeps need supervised (forked) execution")
-
 
 @pytest.fixture(scope="module", autouse=True)
 def chaos_env(tmp_path_factory):
@@ -217,7 +213,6 @@ def reference_cycles(tmp_path_factory):
     return {pid: s.total_cycles for pid, s in clean.summaries().items()}
 
 
-@needs_fork
 @pytest.mark.parametrize("seed", [0, 1, 4])
 def test_chaos_sweep_terminates_and_converges(seed, reference_cycles,
                                               tmp_path):
@@ -238,7 +233,6 @@ def test_chaos_sweep_terminates_and_converges(seed, reference_cycles,
         == reference_cycles
 
 
-@needs_fork
 def test_crash_after_checkpoint_resumes_not_reruns(reference_cycles,
                                                    tmp_path):
     # Find a seed/point where the fault fires *after* the checkpoint is
@@ -266,7 +260,6 @@ def test_crash_after_checkpoint_resumes_not_reruns(reference_cycles,
         assert ArtifactStore(store).point_path(point_id).exists()
 
 
-@needs_fork
 def test_cursed_combination_trips_breaker(reference_cycles, tmp_path):
     store = tmp_path / "store"
     with chaos.session(99, curse="-libra-"):
@@ -292,7 +285,6 @@ def test_cursed_combination_trips_breaker(reference_cycles, tmp_path):
     assert state["cells"]["tri_overlap|libra"]["state"] == "open"
 
 
-@needs_fork
 def test_provenance_lands_in_outcomes(tmp_path):
     # Seed 4 on this grid produces at least one degraded point (crash,
     # corrupt, enospc all force a retry).  Provenance must say so.

@@ -2,10 +2,12 @@
 
 Covers the :mod:`repro.supervision` building blocks in isolation plus
 the :class:`Supervisor` event loop end to end against real forked
-processes — crashes, hangs, blown deadlines, circuit breaking — and the
-nesting fix of :func:`repro.harness._wall_clock_limit`.
+processes — crashes, hangs, blown deadlines, circuit breaking, worker
+reuse and what a reused worker must not carry from one job to the
+next — and the nesting fix of :func:`repro.harness._wall_clock_limit`.
 """
 
+import multiprocessing
 import os
 import random
 import signal
@@ -14,17 +16,18 @@ from pathlib import Path
 
 import pytest
 
+from repro import chaos, harness
+from repro.cachefile import read_cache, write_cache
+from repro.config import GPUConfig
 from repro.errors import BenchmarkTimeoutError
+from repro.gpu import GPUSimulator
 from repro.harness import _wall_clock_limit
 from repro.supervision import (AdaptiveDeadline, CircuitBreaker,
                                HeartbeatWriter, SupervisedJob,
                                SupervisionPolicy, Supervisor,
                                backoff_delay, pause_heartbeat)
 from repro import supervision
-
-pytestmark = pytest.mark.skipif(
-    not supervision.available(),
-    reason="supervised execution needs the fork start method")
+from repro.telemetry import HUB, RecordingSink
 
 
 # -- job targets (module-level: executed inside forked workers) --------------
@@ -64,6 +67,43 @@ def _raise_job():
 
 def _unpicklable_job():
     return lambda: None
+
+
+def _interrupt_job():
+    raise KeyboardInterrupt
+
+
+def _pause_heartbeat_job():
+    pause_heartbeat()
+    return {"pid": os.getpid()}
+
+
+def _sleep_beating_job(seconds):
+    time.sleep(seconds)
+    beat = supervision._ACTIVE_HEARTBEAT
+    return {"pid": os.getpid(),
+            "beating": beat is not None and os.path.exists(beat.path)}
+
+
+def _arm_corrupt_job():
+    chaos.arm_cache_fault("corrupt")  # and write nothing
+    return {"pid": os.getpid()}
+
+
+def _cache_round_trip_job(path):
+    write_cache({"cycles": 123}, path)
+    return {"pid": os.getpid(), "read": read_cache(path)}
+
+
+def _tiny_sim_runner(benchmark, kind, frames=1, **kw):
+    """``run_simulation`` at 128x64 without its result cache."""
+    traces = harness.get_traces(benchmark, frames, 128, 64)
+    config, scheduler = GPUConfig.build(kind, screen_width=128,
+                                        screen_height=64)
+    result = GPUSimulator(config, scheduler=scheduler, name=kind).run(traces)
+    summary = harness.summarize(benchmark, kind, result)
+    summary.telemetry = HUB.metrics.snapshot()
+    return summary
 
 
 # -- heartbeats --------------------------------------------------------------
@@ -182,6 +222,14 @@ class TestAdaptiveDeadline:
                                     floor_s=0.5)
         adaptive.add(0.001)
         assert adaptive.deadline_for(None) == 0.5
+
+    def test_samples_are_kept_per_key(self):
+        adaptive = AdaptiveDeadline(factor=4.0, min_samples=2,
+                                    floor_s=0.0)
+        for duration in (1.0, 1.0):
+            adaptive.add(duration, "cheap|ptr")
+        assert adaptive.deadline_for(None, "cheap|ptr") == 4.0
+        assert adaptive.deadline_for(None, "heavy|ptr") is None
 
 
 # -- circuit breaker ---------------------------------------------------------
@@ -398,3 +446,104 @@ class TestSupervisor:
 
     def test_empty_job_list(self):
         assert Supervisor(_policy()).run([]) == []
+
+    def test_deadline_learns_per_breaker_key(self):
+        # Cheap points of one combination must not set the deadline of
+        # an expensive one: no timeout, default policy, so a median over
+        # every job would preempt the heavy job at the 0.5 s floor.
+        jobs = [SupervisedJob(f"cheap{i}", _sleep_job, args=(0.05,),
+                              breaker_key="cheap|ptr") for i in range(3)]
+        jobs.append(SupervisedJob("heavy", _sleep_job, args=(1.5,),
+                                  breaker_key="heavy|ptr"))
+        outcomes = Supervisor().run(jobs, workers=1)
+        assert [(o.status, o.error_type, o.preemptions)
+                for o in outcomes] == [("ok", None, 0)] * 4
+
+
+# -- worker reuse and per-job isolation --------------------------------------
+
+class TestWorkerLifecycle:
+    def test_workers_are_forked_once_and_reused(self):
+        outcomes = Supervisor(_policy()).run(
+            [SupervisedJob(f"j{i}", _ok_job, args=(i,)) for i in range(6)],
+            workers=2)
+        assert [o.status for o in outcomes] == ["ok"] * 6
+        assert len({o.result["pid"] for o in outcomes}) <= 2
+
+    def test_crashed_worker_is_replaced(self):
+        jobs = [SupervisedJob("a", _ok_job, args=(1,)),
+                SupervisedJob("boom", _crash_job),
+                SupervisedJob("b", _ok_job, args=(2,)),
+                SupervisedJob("c", _ok_job, args=(3,))]
+        outcomes = Supervisor(_policy()).run(jobs, workers=1,
+                                             max_attempts=1)
+        assert [o.status for o in outcomes] == ["ok", "failed", "ok", "ok"]
+        assert outcomes[1].error_type == "WorkerCrashError"
+        assert outcomes[0].result["pid"] != outcomes[2].result["pid"]
+
+    def test_paused_heartbeat_does_not_carry_over(self):
+        policy = _policy()
+        outcomes = Supervisor(policy).run(
+            [SupervisedJob("pause", _pause_heartbeat_job),
+             SupervisedJob("sleep", _sleep_beating_job,
+                           args=(2 * policy.hang_grace_s,))], workers=1)
+        first, second = outcomes
+        assert first.result["pid"] == second.result["pid"]  # same worker
+        assert (second.status, second.preemptions) == ("ok", 0)
+        assert second.result["beating"]
+
+    def test_armed_cache_fault_does_not_carry_over(self, tmp_path):
+        outcomes = Supervisor(_policy()).run(
+            [SupervisedJob("arm", _arm_corrupt_job),
+             SupervisedJob("write", _cache_round_trip_job,
+                           args=(str(tmp_path / "entry.pkl"),))],
+            workers=1, max_attempts=1)
+        first, second = outcomes
+        assert second.status == "ok", second.error
+        assert first.result["pid"] == second.result["pid"]  # same worker
+        assert second.result["read"] == {"cycles": 123}
+
+    def test_inherited_telemetry_stays_per_pair(self, tmp_path,
+                                                monkeypatch):
+        # The `repro suite --telemetry --workers N` shape: the driver's
+        # hub is on, and four pairs share two workers.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        names = ["tri_overlap", "GDL"]
+        for name in names:
+            harness.get_traces(name, 2, 128, 64)
+        HUB.metrics.reset()
+        HUB.enable(RecordingSink())
+        try:
+            report = harness.run_suite(
+                names, kinds=("baseline", "libra"), frames=2,
+                runner=_tiny_sim_runner, known_benchmarks=names, workers=2)
+        finally:
+            HUB.disable()
+            HUB.metrics.reset()
+        assert len(report.succeeded) == 4
+        assert [o.summary.telemetry["frames"] for o in report.outcomes] \
+            == [2, 2, 2, 2]
+
+    def test_no_worker_outlives_run(self):
+        clean = Supervisor(_policy()).run(
+            [SupervisedJob(f"ok{i}", _ok_job, args=(i,)) for i in range(4)],
+            workers=2)
+        assert all(o.ok for o in clean)
+        assert multiprocessing.active_children() == []
+
+        failed = Supervisor(_policy()).run(
+            [SupervisedJob("raise", _raise_job),
+             SupervisedJob("boom", _crash_job),
+             SupervisedJob("raise2", _raise_job)],
+            workers=2, max_attempts=1)
+        assert [o.status for o in failed] == ["failed"] * 3
+        assert multiprocessing.active_children() == []
+
+        aborted = Supervisor(_policy()).run(
+            [SupervisedJob("ok", _ok_job, args=(1,)),
+             SupervisedJob("interrupt", _interrupt_job),
+             SupervisedJob("late", _sleep_job, args=(30.0,)),
+             SupervisedJob("never", _ok_job, args=(2,))], workers=2)
+        assert aborted[1].error_type == "KeyboardInterrupt"
+        assert aborted[3].status == "skipped"
+        assert multiprocessing.active_children() == []
