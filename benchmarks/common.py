@@ -2,10 +2,11 @@
 
 ``test_registry.py`` benches every figure and table registered in
 :mod:`repro.figures.registry`; each other ``test_*.py`` file regenerates
-one result that has no ``FigureSpec`` yet.  They all run the simulator
-through :mod:`repro.harness`, which caches traces and run summaries on
-disk, so the suite is incremental: the first run simulates, later runs
-re-print.
+one result that has no ``FigureSpec`` yet.  They all get their run
+summaries from :func:`run`, which simulates a point through
+:func:`repro.experiments.execute_point` (on the harness trace cache)
+and keeps it in an artifact store under the cache directory, so the
+suite is incremental: the first run simulates, later runs re-print.
 
 Conventions:
 
@@ -29,6 +30,7 @@ os.environ.setdefault(
     os.path.join(os.path.dirname(__file__), os.pardir, ".repro_cache"))
 
 from repro import harness  # noqa: E402  (after cache env setup)
+from repro.experiments import ArtifactStore, SweepPoint, engine  # noqa: E402
 from repro.stats import (experiment_header, format_table, geometric_mean,
                          summary_line)  # noqa: E402
 from repro.workloads import (benchmark_names,
@@ -44,8 +46,24 @@ SWEEP_SUITE: List[str] = ["CCS", "GrT", "SuS", "HoW", "BlB", "GDL", "Jet",
                           "PzQ"]
 
 
-def run(benchmark: str, kind: str, **kwargs) -> harness.RunSummary:
-    return harness.run_simulation(benchmark, kind, **kwargs)
+def run(benchmark: str, kind: str, **axes) -> harness.RunSummary:
+    """One point at the harness geometry, simulated once and then stored.
+
+    ``axes`` are sweep axes (``raster_units=3``,
+    ``resize_threshold=0.05``, ...).  The summary is served from the
+    bench store when present, else simulated and saved there.
+    """
+    point = SweepPoint(benchmark=benchmark, kind=kind,
+                       axes=tuple(sorted(axes.items())),
+                       frames=harness.FRAMES, width=harness.WIDTH,
+                       height=harness.HEIGHT)
+    store = ArtifactStore(harness.cache_dir()
+                          / f"bench-g{harness.RESULT_GENERATION}")
+    summary = store.load(point.point_id)
+    if summary is None:
+        summary = engine.execute_point(point)
+        store.save(point.point_id, summary)
+    return summary
 
 
 def speedups(suite: Sequence[str], kind: str, baseline_kind: str = "baseline",

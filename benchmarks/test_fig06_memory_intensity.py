@@ -12,15 +12,32 @@ of time on memory are classified memory-intensive (16 of the 32).
 
 from common import FULL_SUITE, banner, pedantic, result, run
 
-from repro import harness
+from repro import GPUConfig, GPUSimulator, harness
 from repro.stats import format_table
 from repro.workloads import get_params
+
+
+def memory_time_fraction(benchmark: str, kind: str = "ptr") -> float:
+    """Fraction of execution time spent on memory (Figure 6a method).
+
+    Simulates with the real memory system and again with an ideal one
+    (every access hits the L1); the difference is memory time.
+    """
+    real = run(benchmark, kind)
+    config, scheduler = GPUConfig.build(
+        kind, screen_width=harness.WIDTH, screen_height=harness.HEIGHT)
+    ideal = GPUSimulator(config, scheduler=scheduler, ideal_memory=True,
+                         name=kind).run(harness.get_traces(benchmark,
+                                                           harness.FRAMES))
+    if real.total_cycles == 0:
+        return 0.0
+    return max(1.0 - ideal.total_cycles / real.total_cycles, 0.0)
 
 
 def collect():
     rows = []
     for name in FULL_SUITE:
-        fraction = harness.memory_time_fraction(name)
+        fraction = memory_time_fraction(name)
         base = run(name, "baseline")
         ptr = run(name, "ptr")
         rows.append((name, fraction, ptr.speedup_over(base)))

@@ -2,7 +2,7 @@
 
 One test per registered figure id: the full-profile
 :class:`~repro.figures.registry.FigureSpec` computes its metrics from a
-summary map that simulates, through the harness cache, only the
+summary map that simulates, through :func:`common.run`, only the
 (benchmark, kind) pairs the compute function reads — and only pairs of
 the figure's own spec, as under ``repro figures`` — then every
 :class:`~repro.figures.registry.Expectation` is checked with
@@ -46,9 +46,9 @@ def summaries_for(figure) -> Summaries:
     spec = figure.spec
     if spec is None:
         return Summaries(frozenset())
-    # run_simulation simulates at the harness geometry and takes no
-    # sweep axes, so only such a spec resolves the same points here as
-    # under ``repro figures``.
+    # The map is keyed by (benchmark, kind) and common.run simulates at
+    # the harness geometry, so only such a spec without axes resolves
+    # the same points here as under ``repro figures``.
     assert (spec.width, spec.height, spec.frames) == \
         (harness.WIDTH, harness.HEIGHT, harness.FRAMES), spec.name
     assert not spec.axes, spec.name

@@ -47,11 +47,11 @@ from .workloads import (SceneBuilder, TraceBuilder, TraceCache,
 # The curated façade (must come last: it composes the layers above).
 from . import api
 from .api import (ComparisonReport, ExperimentSpec, JobRecord, RunSummary,
-                  SpeedupMatrix, SuiteReport, SweepClient, SweepPoint,
-                  SweepResult, build_traces, compare, load_spec, run_suite,
-                  run_worker, serve, simulate, speedup_matrix, sweep)
+                  SpeedupMatrix, SweepClient, SweepPoint, SweepResult,
+                  build_traces, compare, load_spec, run_suite, run_worker,
+                  serve, simulate, speedup_matrix, sweep)
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "__version__",
@@ -82,7 +82,7 @@ __all__ = [
     "ServiceError",
     # the supported façade (see repro.api and docs/api.md)
     "api", "build_traces", "simulate", "compare", "sweep", "load_spec",
-    "run_suite", "RunSummary", "SuiteReport", "ComparisonReport",
+    "run_suite", "RunSummary", "ComparisonReport",
     "ExperimentSpec", "SweepPoint", "SweepResult", "SpeedupMatrix",
     "speedup_matrix",
     # the sweep service (see repro.service and docs/service.md)

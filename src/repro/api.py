@@ -42,7 +42,7 @@ from .experiments import (ExperimentSpec, SpeedupMatrix, SweepPoint,
                           SweepResult, execute_point, run_sweep,
                           speedup_matrix)
 from .gpu import FrameTrace
-from .harness import RunSummary, SuiteReport, run_suite
+from .harness import RunSummary, run_suite
 from .service import JobRecord, SweepClient, run_worker, serve
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
     "parse_kind",
     # report / result types
     "RunSummary",
-    "SuiteReport",
     "ComparisonReport",
     "ExperimentSpec",
     "SweepPoint",
@@ -104,8 +103,8 @@ def simulate(benchmark: str, kind: str = "libra",
     ``temperature<N>``, ``supertile<N>``); ``settings`` takes dotted
     config overrides (``{"dram.requests_per_cycle": 0.16}``) exactly
     like a sweep axis.  Uses the shared trace cache; the simulation
-    itself always executes (for the disk-cached variant with the
-    standard geometry see :func:`repro.harness.run_simulation`).
+    itself always executes (:func:`run_suite` and :func:`sweep` keep
+    each result in an artifact store and resume from it).
     """
     axes = dict(settings or {})
     axes["raster_units"] = raster_units

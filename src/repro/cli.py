@@ -12,9 +12,11 @@ Subcommands:
   and export a Chrome/Perfetto trace (``repro trace --benchmark GDL
   --out traces.jsonl.gz`` keeps the original frame-trace export).
 * ``repro suite --benchmarks CCS,GDL --config libra [--workers N]`` —
-  supervised sweep (timeouts, retries, graceful degradation; with
-  ``--workers N`` each pair runs in a monitored forked worker; see
-  ``repro.harness.run_suite``).
+  a sweep with no axes: every benchmark under one config at
+  ``--frames/--width/--height`` (timeouts, retries, graceful
+  degradation; with ``--workers N`` the pairs run on monitored forked
+  workers), resumed from its store under ``$REPRO_CACHE_DIR`` on a
+  rerun; see ``repro.harness.run_suite``.
 * ``repro sweep --spec fig18.yaml`` (or inline: ``repro sweep
   --benchmarks tri_overlap --axis raster_units=1,2,4 --axis
   supertile=2,4``) — declarative, resumable parameter-grid sweep with
@@ -67,8 +69,8 @@ Exit-code contract, uniform across every subcommand (the full table
 lives in ``docs/api.md``): **0** success (including a clean
 SIGINT/SIGTERM shutdown of ``serve``/``worker``), **1** the work itself
 failed — a :class:`~repro.errors.ReproError`, a figures regression,
-a sweep with failed points, a service job that ended
-``failed``/``cancelled`` under ``submit --wait`` or ``status`` —
+a suite or sweep with any point lacking a result, a service job that
+ended ``failed``/``cancelled`` under ``submit --wait`` or ``status`` —
 reported as a one-line stderr diagnostic, never a traceback, **2**
 usage errors: unknown names or flags, an invalid spec or grid, an
 unbindable ``serve`` address.
@@ -389,42 +391,41 @@ def cmd_trace(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    """Handle ``repro suite`` (the supervised sweep)."""
+    """Handle ``repro suite``: the benchmarks under ``--config``, no axes.
+
+    Runs :func:`repro.harness.run_suite` at ``--frames/--width/
+    --height``; a rerun resumes from its store.  Exit status: 2 for an
+    unknown name or ``--workers`` below 1, 1 when any pair has no
+    result (failed, or skipped by an interrupt), else 0.
+    """
+    from .telemetry import HUB, RecordingSink
     names = ([n.strip() for n in args.benchmarks.split(",") if n.strip()]
              if args.benchmarks != "all" else benchmark_names())
-    valid = benchmark_names()
-    if not names:
-        logger.error("no benchmarks given; valid: %s", ", ".join(valid))
-        return 2
-    unknown = [n for n in names if n not in valid]
-    if unknown:
-        logger.error("unknown benchmark(s) %s; valid: %s",
-                     ", ".join(unknown), ", ".join(valid))
-        return 2
     if args.workers < 1:
         logger.error("--workers must be >= 1")
         return 2
     sink = None
     if args.telemetry or args.telemetry_out:
-        from .telemetry import HUB, RecordingSink
         HUB.metrics.reset()
         sink = RecordingSink()
         HUB.enable(sink)
     try:
-        report = harness.run_suite(
+        result = harness.run_suite(
             names, kinds=(args.config,), frames=args.frames,
-            timeout_s=args.timeout, max_attempts=args.retries + 1,
-            workers=args.workers)
+            width=args.width, height=args.height, timeout_s=args.timeout,
+            max_attempts=args.retries + 1, workers=args.workers)
+        metrics = HUB.metrics.snapshot() if sink is not None else None
+    except ConfigValidationError as exc:
+        logger.error("%s", exc)
+        return 2
     finally:
         if sink is not None:
-            from .telemetry import HUB
             HUB.disable()
-    print(report.format())
+    print(result.format())
     if sink is not None and args.telemetry_out:
-        count = _export_telemetry(args.telemetry_out, sink.events,
-                                  report.metrics)
+        count = _export_telemetry(args.telemetry_out, sink.events, metrics)
         print(f"wrote {count} telemetry records to {args.telemetry_out}")
-    return 0 if not report.failed else 1
+    return 1 if result.partial else 0
 
 
 def _resolve_spec(args, command: str):
@@ -465,7 +466,8 @@ def cmd_sweep(args) -> int:
     rerun with the same grid resumes, skipping them.  Prints the
     per-point report, the speedup-vs-baseline matrix and the per-axis
     marginals.  Exit status: 2 for an unusable spec, 1 when any point
-    failed or was quarantined by the circuit breaker, else 0.
+    has no result — failed, quarantined by the circuit breaker, or
+    skipped by an interrupt — else 0.
 
     ``--chaos SEED`` runs the sweep under the deterministic fault
     harness (:mod:`repro.chaos`): seeded worker crashes, hangs, slow
@@ -513,7 +515,7 @@ def cmd_sweep(args) -> int:
     if telemetry_table:
         print()
         print(telemetry_table)
-    return 1 if (result.failed or result.tripped) else 0
+    return 1 if result.partial else 0
 
 
 def _graceful_stop_signals(on_stop):

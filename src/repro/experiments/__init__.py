@@ -6,11 +6,13 @@ bandwidth sensitivity.  This package makes those first-class:
 
 * :class:`ExperimentSpec` — a declarative grid (benchmarks x kinds x
   axes), loadable from YAML/JSON.
-* :func:`run_sweep` / :class:`SweepResult` — supervised execution of
-  the grid through the :func:`repro.harness.run_pairs` backend, with
-  per-point retry/timeout, forked-worker parallelism, and crash-safe
-  per-point checkpoints in an :class:`ArtifactStore` so an interrupted
-  sweep *resumes* instead of restarting.
+* :func:`run_sweep` / :class:`SweepResult` — the one way simulations
+  run: each point through :func:`execute_point`, with per-point
+  retry/timeout, forked-worker parallelism, and crash-safe per-point
+  checkpoints in an :class:`ArtifactStore` so an interrupted sweep
+  *resumes* instead of restarting.  ``repro suite``
+  (:func:`repro.harness.run_suite`) is a sweep with no axes, and the
+  sweep service's workers run their points through the same executor.
 * :func:`speedup_matrix` / :class:`SpeedupMatrix` — aggregation:
   speedup-vs-baseline matrices, geomeans, per-axis marginals, with
   per-cell provenance (completed/degraded/tripped) and a PARTIAL

@@ -5,12 +5,14 @@
 whatever a previous (possibly killed) run already completed from the
 :class:`~repro.experiments.store.ArtifactStore`, prebuilds each unique
 frame trace exactly once, and executes the remaining points through
-:func:`repro.harness.run_pairs` — the same backend ``repro suite``
-uses, so every point inherits the per-run wall-clock timeout, bounded
-retry with backoff and failure isolation.  Each point's summary is
-checkpointed to the store *from inside the runner*, i.e. in the worker
-process, the moment it finishes — killing the driver mid-grid loses at
-most the points that were in flight.
+:func:`execute_points` — the executor the sweep service's workers use
+too, and ``repro suite`` is a sweep with no axes — so every point gets
+the per-run wall-clock timeout, bounded retry with backoff and failure
+isolation.  :func:`execute_point` is the one function that turns a
+point into a :class:`~repro.harness.RunSummary`.  Each point's summary
+is checkpointed to the store *from inside the runner*, i.e. in the
+worker process, the moment it finishes — killing the driver mid-grid
+loses at most the points that were in flight.
 
 Parallel and chaos-mode runs go through the worker-lifecycle supervisor
 (:mod:`repro.supervision`): monitored workers, forked once per slot and
@@ -36,13 +38,15 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .. import chaos, harness
 from ..config import GPUConfig
+from ..errors import ConfigValidationError
 from ..gpu import GPUSimulator
 from ..harness import RunSummary
-from ..supervision import CircuitBreaker, SupervisionPolicy, Supervisor
+from ..supervision import (CircuitBreaker, SupervisedJob, SupervisionPolicy,
+                           Supervisor, run_in_process)
 from ..telemetry import HUB, HarnessSpan
 from .spec import ExperimentSpec, SweepPoint
 from .store import ArtifactStore
@@ -52,7 +56,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class PointOutcome:
-    """What happened to one grid point (mirrors BenchmarkOutcome)."""
+    """What happened to one grid point."""
 
     point: SweepPoint
     #: ``ok`` (summary present), ``failed``, ``skipped`` or ``tripped``
@@ -133,13 +137,13 @@ class SweepResult:
         accesses equal the sum over the per-point artifacts); gauges
         keep the last point's value.  Returns None when no completed
         point carries a telemetry state — point telemetry disabled, or
-        every artifact predates the ``telemetry_state`` field
-        (``getattr`` guard: old pickles simply lack the attribute).
+        every artifact predates the ``telemetry_state`` field (such a
+        pickle reads the field's class default, None).
         """
         from ..telemetry import MetricsRegistry
         merged: Optional[MetricsRegistry] = None
         for outcome in self.completed:
-            state = getattr(outcome.summary, "telemetry_state", None)
+            state = outcome.summary.telemetry_state
             if not state:
                 continue
             if merged is None:
@@ -196,22 +200,19 @@ def execute_point(point: SweepPoint) -> RunSummary:
     return harness.summarize(point.benchmark, point.kind, result)
 
 
-def _point_runner(benchmark: str, point_id: str, frames: int = 0,
-                  points: Optional[Dict[str, SweepPoint]] = None,
-                  store_root: str = "",
+def _point_runner(point: SweepPoint, store_root: str,
                   point_telemetry: bool = True,
                   driver_pid: Optional[int] = None,
                   trace_dir: str = "",
                   correlation: Optional[Dict[str, str]] = None
                   ) -> RunSummary:
-    """The :func:`repro.harness.run_pairs` runner for sweep points.
+    """The job :func:`execute_points` runs for one sweep point.
 
-    ``point_id`` rides in the pair's *kind* slot and keys the full
-    :class:`SweepPoint` in ``points``.  The summary is checkpointed to
-    the artifact store here, inside the worker, so a completed point
-    survives any later crash of the driver.  A concurrent or crashed
-    predecessor may have finished the point already — the store is
-    re-checked first and the artifact reused (idempotent under races).
+    The summary is checkpointed to the artifact store here, inside the
+    worker, so a completed point survives any later crash of the
+    driver.  A concurrent or crashed predecessor may have finished the
+    point already — the store is re-checked first and the artifact
+    reused (idempotent under races).
 
     With ``point_telemetry`` the runner collects metrics *per point
     even in worker processes*, where the driver's hub does not reach
@@ -243,7 +244,7 @@ def _point_runner(benchmark: str, point_id: str, frames: int = 0,
     — tracing never fails a point — and a local in-process sweep
     (no ``trace_dir``) is byte-for-byte unaffected.
     """
-    point = points[point_id]
+    point_id = point.point_id
     if (not point_telemetry and driver_pid is not None
             and os.getpid() != driver_pid and HUB.enabled):
         HUB.disable()
@@ -292,6 +293,69 @@ def _point_runner(benchmark: str, point_id: str, frames: int = 0,
     return summary
 
 
+def execute_points(points: Sequence[SweepPoint],
+                   store_root: Union[str, Path],
+                   timeout_s: Optional[float] = None,
+                   max_attempts: int = 2,
+                   backoff_s: float = 0.25,
+                   supervisor: Optional[Supervisor] = None,
+                   workers: int = 1,
+                   point_telemetry: bool = True,
+                   trace_dir: str = "",
+                   correlation: Optional[Dict[str, str]] = None
+                   ) -> List[PointOutcome]:
+    """Run ``points``, checkpointing each into the store at ``store_root``.
+
+    With a ``supervisor`` the points run on up to ``workers`` of its
+    forked workers (:meth:`Supervisor.run`); without one they run one by
+    one in this process (:func:`~repro.supervision.run_in_process`).
+    Either executor retries transient failures up to ``max_attempts``
+    times after ``backoff_s`` and enforces ``timeout_s``; the
+    supervisor's adaptive deadline and circuit breaker key on
+    ``benchmark|kind``, so one doomed combination trips once, not once
+    per grid point.  Outcomes align with ``points``.  The remaining
+    options reach :func:`_point_runner`.
+    """
+    options = dict(store_root=str(store_root),
+                   point_telemetry=point_telemetry, driver_pid=os.getpid(),
+                   trace_dir=trace_dir, correlation=correlation)
+    jobs = [SupervisedJob(label=p.describe(), fn=_point_runner, args=(p,),
+                          kwargs=options,
+                          breaker_key=f"{p.benchmark}|{p.kind}")
+            for p in points]
+    if supervisor is not None:
+        outcomes = supervisor.run(jobs, timeout_s=timeout_s,
+                                  max_attempts=max_attempts,
+                                  backoff_s=backoff_s, workers=workers)
+    else:
+        outcomes = run_in_process(jobs, timeout_s=timeout_s,
+                                  max_attempts=max_attempts,
+                                  backoff_s=backoff_s)
+    return [PointOutcome(point=p, status=o.status,
+                         summary=o.result if o.ok else None,
+                         error=o.error, error_type=o.error_type,
+                         attempts=o.attempts, elapsed_s=o.elapsed_s,
+                         provenance=o.provenance,
+                         preemptions=o.preemptions)
+            for p, o in zip(points, outcomes)]
+
+
+def store_supervisor(store: ArtifactStore,
+                     policy: Optional[SupervisionPolicy] = None
+                     ) -> Supervisor:
+    """A :class:`Supervisor` whose circuit breaker resumes from ``store``.
+
+    Trips recorded by an earlier run (``breakers.json``) stay open until
+    their cooldown; the caller writes the breaker back with
+    :meth:`ArtifactStore.record_breaker_state` once its points ran.
+    """
+    policy = policy or SupervisionPolicy()
+    breaker = CircuitBreaker.from_state(
+        store.load_breaker_state(), threshold=policy.breaker_threshold,
+        cooldown_s=policy.breaker_cooldown_s)
+    return Supervisor(policy=policy, breaker=breaker)
+
+
 def run_sweep(spec: ExperimentSpec,
               store_root: Union[str, Path, None] = None,
               workers: Optional[int] = None,
@@ -337,6 +401,8 @@ def run_sweep(spec: ExperimentSpec,
     workers = spec.workers if workers is None else workers
     timeout_s = spec.timeout_s if timeout_s is None else timeout_s
     retries = spec.retries if retries is None else retries
+    if workers < 1 or retries < 0:
+        raise ConfigValidationError("workers must be >= 1, retries >= 0")
     chaos_plan = chaos.active()
     if chaos_plan is not None:
         logger.warning("sweep %s runs under %s", spec.name,
@@ -364,35 +430,19 @@ def run_sweep(spec: ExperimentSpec,
                        for p in pending}):
         harness.get_traces(*key)
 
-    by_id = {p.point_id: p for p in pending}
-    run_pairs_kwargs = dict(
-        frames=spec.frames, timeout_s=timeout_s,
-        max_attempts=retries + 1, backoff_s=spec.backoff_s,
-        runner=_point_runner, workers=workers,
-        points=by_id, store_root=str(root),
-        point_telemetry=point_telemetry, driver_pid=os.getpid())
-    breaker: Optional[CircuitBreaker] = None
+    supervisor: Optional[Supervisor] = None
     if workers > 1 or chaos_plan is not None:
-        sup_policy = policy or SupervisionPolicy()
-        breaker = CircuitBreaker.from_state(
-            store.load_breaker_state(),
-            threshold=sup_policy.breaker_threshold,
-            cooldown_s=sup_policy.breaker_cooldown_s)
-        kind_of = {p.point_id: p.kind for p in points}
-        run_pairs_kwargs.update(
-            supervisor=Supervisor(policy=sup_policy, breaker=breaker),
-            # The pair's kind slot carries the point id; the breaker
-            # quarantines per (benchmark, config kind) so one doomed
-            # combination trips once instead of per grid point.
-            breaker_key_for=lambda bench, pid:
-                f"{bench}|{kind_of.get(pid, pid)}")
-    report = harness.run_pairs(
-        [(p.benchmark, p.point_id) for p in pending],
-        **run_pairs_kwargs)
-    if breaker is not None:
-        store.record_breaker_state(breaker.to_state())
+        supervisor = store_supervisor(store, policy)
+    executed = execute_points(
+        pending, root, timeout_s=timeout_s, max_attempts=retries + 1,
+        backoff_s=spec.backoff_s, supervisor=supervisor, workers=workers,
+        point_telemetry=point_telemetry)
+    if supervisor is not None:
+        store.record_breaker_state(supervisor.breaker.to_state())
 
-    executed = {o.kind: o for o in report.outcomes}  # kind slot = point_id
+    # ``pending`` keeps the grid order, so its outcomes interleave back
+    # with the resumed points in sequence.
+    fresh = iter(executed)
     result = SweepResult(spec=spec, store_root=root)
     for point in points:
         pid = point.point_id
@@ -400,13 +450,8 @@ def run_sweep(spec: ExperimentSpec,
             result.outcomes.append(PointOutcome(
                 point=point, status="ok", summary=done[pid],
                 resumed=True, provenance="resumed"))
-            continue
-        o = executed[pid]
-        result.outcomes.append(PointOutcome(
-            point=point, status=o.status, summary=o.summary,
-            error=o.error, error_type=o.error_type,
-            attempts=o.attempts, elapsed_s=o.elapsed_s,
-            provenance=o.provenance, preemptions=o.preemptions))
+        else:
+            result.outcomes.append(next(fresh))
     if HUB.enabled:
         HUB.metrics.counter("sweep.points.failed").inc(len(result.failed))
         if result.tripped:
@@ -448,7 +493,6 @@ def sweep_result_from_store(
     manifest = store.read_manifest()
     if manifest is not None \
             and manifest.get("fingerprint") != spec.fingerprint():
-        from ..errors import ConfigValidationError
         raise ConfigValidationError(
             f"artifact store {store.root} belongs to a different grid "
             f"(stored fingerprint {manifest.get('fingerprint')!r}, "

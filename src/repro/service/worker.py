@@ -11,8 +11,8 @@ aggregates the matrix and finalizes the job.  The server
 nothing but the API.
 
 "Exact local stack" is the correctness argument of the whole service:
-a claimed point runs through :func:`repro.harness.run_pairs` with the
-same ``_point_runner``, the same supervised fork backend
+a claimed point runs through :func:`repro.experiments.engine.execute_points`
+with the same point runner, the same supervised fork backend
 (:class:`repro.supervision.Supervisor` — heartbeat hang detection,
 SIGTERM→SIGKILL preemption, jittered retries), the same store-persisted
 circuit breaker, and the same chaos injection sites as a local ``repro
@@ -35,12 +35,13 @@ import time
 from pathlib import Path
 from typing import Optional, Set, Union
 
-from .. import cachefile, chaos, harness
+from .. import cachefile, chaos
 from ..errors import ConfigValidationError
 from ..experiments import ExperimentSpec, speedup_matrix
-from ..experiments.engine import _point_runner, sweep_result_from_store
+from ..experiments.engine import (execute_points, store_supervisor,
+                                  sweep_result_from_store)
 from ..harness import RESULT_GENERATION
-from ..supervision import CircuitBreaker, SupervisionPolicy, Supervisor
+from ..supervision import SupervisionPolicy
 from .fleet import DEFAULT_FLEET_INTERVAL_S, FleetReporter
 from .jobs import JobStore
 from .queue import DEFAULT_LEASE_TTL_S, PointClaim, claim_point
@@ -245,7 +246,8 @@ def _execute_claim(store: JobStore, record: JobRecord,
     The lease renewer beats for the whole execution (simulation plus
     supervised retries), so a live worker grinding a slow point is
     never mistaken for a dead one; it stops before the lease is
-    released either way.  Returns the harness outcome of the point.
+    released either way.  Returns the point's
+    :class:`~repro.experiments.PointOutcome`.
 
     With per-point telemetry on, the runner also writes a correlated
     trace stream to ``<job>/traces/<point_id>.<pid>.jsonl`` — every
@@ -259,31 +261,18 @@ def _execute_claim(store: JobStore, record: JobRecord,
     renewer = claim.renewer(lease_ttl_s)
     wall_start = time.time()
     try:
-        run_kwargs = dict(
-            frames=spec.frames, timeout_s=spec.timeout_s,
-            max_attempts=spec.retries + 1, backoff_s=spec.backoff_s,
-            runner=_point_runner, workers=1,
-            points={point.point_id: point},
-            store_root=str(sweep_store.root),
-            point_telemetry=record.point_telemetry,
-            driver_pid=os.getpid())
+        tracing = {}
         if record.point_telemetry:
-            run_kwargs.update(
-                trace_dir=str(store.traces_dir(claim.job_id)),
-                correlation={"job_id": claim.job_id,
-                             "worker_id": claim.worker_id})
-        sup_policy = policy or SupervisionPolicy()
-        breaker = CircuitBreaker.from_state(
-            sweep_store.load_breaker_state(),
-            threshold=sup_policy.breaker_threshold,
-            cooldown_s=sup_policy.breaker_cooldown_s)
-        report = harness.run_pairs(
-            [(point.benchmark, point.point_id)],
-            supervisor=Supervisor(policy=sup_policy, breaker=breaker),
-            breaker_key_for=lambda bench, _pid: f"{bench}|{point.kind}",
-            **run_kwargs)
-        sweep_store.record_breaker_state(breaker.to_state())
-        outcome = report.outcomes[0]
+            tracing = dict(trace_dir=str(store.traces_dir(claim.job_id)),
+                           correlation={"job_id": claim.job_id,
+                                        "worker_id": claim.worker_id})
+        supervisor = store_supervisor(sweep_store, policy)
+        [outcome] = execute_points(
+            [point], sweep_store.root, timeout_s=spec.timeout_s,
+            max_attempts=spec.retries + 1, backoff_s=spec.backoff_s,
+            supervisor=supervisor, point_telemetry=record.point_telemetry,
+            **tracing)
+        sweep_store.record_breaker_state(supervisor.breaker.to_state())
     finally:
         renewer.stop()
     elapsed = round(time.time() - wall_start, 6)

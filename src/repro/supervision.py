@@ -3,13 +3,17 @@
 An in-process ``SIGALRM`` timeout catches a *slow* run, but not a
 worker that hangs (deadlocked C extension, livelocked retry loop), is
 OOM-killed, or dumps core mid-grid — any of which would stall or
-silently degrade an entire sweep.  This module is the supervision layer
-that closes that gap: :func:`repro.harness.run_pairs` runs every
-``workers > 1`` call through it, and :mod:`repro.experiments.engine`
-every chaos-mode sweep as well.
+silently degrade an entire sweep.  This module holds both executors of
+:mod:`repro.experiments.engine`, with one set of retry, backoff and
+provenance rules: :func:`run_in_process` for a sequential sweep, and the
+:class:`Supervisor` for every ``workers > 1`` and chaos-mode sweep.
 
 The pieces:
 
+* :func:`run_in_process` — runs jobs one by one in the calling process
+  under a per-attempt ``SIGALRM`` limit (:func:`_wall_clock_limit`): no
+  fork, so it cannot survive a crash or a hang, but a job's in-memory
+  effects stay visible to the caller.
 * :class:`HeartbeatWriter` — a daemon thread in each worker touching a
   per-attempt heartbeat file.  Tolerant of unwritable filesystems
   (read-only, ENOSPC): it degrades to silence instead of killing the
@@ -65,10 +69,11 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import chaos
-from .errors import ReproError, is_transient
+from .errors import (BenchmarkTimeoutError, ReproError, SimulationError,
+                     is_transient)
 from .telemetry import HUB, HarnessSpan, SupervisorEvent
 
 logger = logging.getLogger(__name__)
@@ -357,7 +362,7 @@ class CircuitBreaker:
         return breaker
 
 
-# -- supervised execution ----------------------------------------------------
+# -- jobs, policy and outcomes -----------------------------------------------
 
 @dataclass
 class SupervisionPolicy:
@@ -423,6 +428,138 @@ class WorkerOutcome:
     def ok(self) -> bool:
         return self.status == "ok"
 
+
+def _describe_failure(exc: BaseException, label: str) -> Tuple[str, str]:
+    """``(error type name, message)`` recorded for a job that raised.
+
+    A :class:`ReproError` keeps its own type and text; anything else is
+    a bug in the simulation and is reported as a ``SimulationError``.
+    """
+    if isinstance(exc, KeyboardInterrupt):
+        return "KeyboardInterrupt", "interrupted"
+    if isinstance(exc, ReproError):
+        return type(exc).__name__, str(exc)
+    return "SimulationError", f"{label}: {exc!r}"
+
+
+# -- in-process execution ----------------------------------------------------
+
+@contextlib.contextmanager
+def _wall_clock_limit(seconds: Optional[float], label: str) -> Iterator[None]:
+    """Raise :class:`BenchmarkTimeoutError` if the block exceeds ``seconds``.
+
+    Uses ``SIGALRM``/``setitimer``, so it only engages on the main
+    thread of a POSIX process; elsewhere (worker threads, Windows) it
+    degrades to no enforcement rather than failing the run.
+
+    Timers nest: an enclosing ``_wall_clock_limit`` (or any other
+    ``ITIMER_REAL`` user) gets both its handler *and its remaining
+    time* back on exit — with the seconds this block consumed
+    subtracted, so an outer budget keeps counting across inner blocks.
+    An outer timer that expired entirely inside the block fires
+    immediately on restore instead of being silently cancelled.
+    """
+    usable = (seconds is not None and seconds > 0
+              and hasattr(signal, "setitimer")
+              and threading.current_thread() is threading.main_thread())
+    if not usable:
+        yield
+        return
+
+    def _on_alarm(signum, frame):
+        raise BenchmarkTimeoutError(
+            f"{label}: exceeded {seconds:.1f}s wall-clock budget")
+
+    previous = signal.signal(signal.SIGALRM, _on_alarm)
+    prior_remaining, _ = signal.setitimer(signal.ITIMER_REAL, seconds)
+    entered = time.monotonic()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+        if prior_remaining > 0.0:
+            elapsed = time.monotonic() - entered
+            # An outer budget that ran out while we were inside must
+            # still fire — re-arm with an epsilon, never with <= 0
+            # (which setitimer would read as "cancel").
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(prior_remaining - elapsed, 1e-6))
+
+
+def run_in_process(jobs: List[SupervisedJob],
+                   timeout_s: Optional[float] = None,
+                   max_attempts: int = 2,
+                   backoff_s: float = 0.25) -> List[WorkerOutcome]:
+    """Run every job in this process, one after another.
+
+    The fork-free counterpart of :meth:`Supervisor.run`, with the same
+    outcomes in the same order and the same rules: a transient failure
+    is retried up to ``max_attempts`` times after :func:`backoff_delay`,
+    a success after a retry is ``degraded``, and a ``KeyboardInterrupt``
+    fails the job it hit and leaves every later job ``skipped``.
+    ``timeout_s`` is a hard per-attempt ``SIGALRM`` limit.  There is no
+    circuit breaker, and a crash or a signal-blocking hang takes the
+    caller down with it; in exchange nothing forks, and whatever a job
+    changes in memory (a test's call log, say) stays visible.
+    """
+    outcomes: List[WorkerOutcome] = []
+    interrupted = False
+    for job in jobs:
+        if interrupted:
+            outcomes.append(WorkerOutcome(
+                label=job.label, status="skipped", error="run interrupted",
+                error_type="KeyboardInterrupt", provenance="skipped"))
+            continue
+        outcome = _attempt_in_process(job, timeout_s, max_attempts,
+                                      backoff_s)
+        interrupted = outcome.error_type == "KeyboardInterrupt"
+        outcomes.append(outcome)
+    return outcomes
+
+
+def _attempt_in_process(job: SupervisedJob, timeout_s: Optional[float],
+                        max_attempts: int,
+                        backoff_s: float) -> WorkerOutcome:
+    """One job's attempts in this process, under its own timer."""
+    outcome = WorkerOutcome(label=job.label, provenance="failed")
+    start = time.monotonic()
+    wall_start = time.time()
+    for attempt in range(1, max_attempts + 1):
+        outcome.attempts = attempt
+        try:
+            with _wall_clock_limit(timeout_s, job.label):
+                outcome.result = job.fn(*job.args, **job.kwargs)
+            outcome.status = "ok"
+            outcome.error = outcome.error_type = None
+            outcome.provenance = "completed" if attempt == 1 \
+                else "degraded"
+            break
+        except (KeyboardInterrupt, Exception) as exc:
+            outcome.error_type, outcome.error = _describe_failure(
+                exc, job.label)
+            if isinstance(exc, KeyboardInterrupt):
+                break
+            retryable = is_transient(exc) and attempt < max_attempts
+            logger.warning("%s attempt %d/%d failed (%s: %s)%s",
+                           job.label, attempt, max_attempts,
+                           type(exc).__name__, exc,
+                           "; retrying" if retryable else "")
+            if not retryable:
+                break
+            time.sleep(backoff_delay(backoff_s, attempt))
+    outcome.elapsed_s = time.monotonic() - start
+    if HUB.enabled:
+        HUB.emit(HarnessSpan(
+            name=job.label, wall_start_s=wall_start,
+            wall_dur_s=outcome.elapsed_s, status=outcome.status,
+            attempts=outcome.attempts,
+            args={"error": outcome.error_type}
+            if outcome.error_type else None))
+    return outcome
+
+
+# -- supervised execution: the forked worker pool ----------------------------
 
 class _Worker:
     """Parent-side handle of one forked worker: its process and pipe."""
@@ -619,9 +756,8 @@ class Supervisor:
         breaker trips all land in the returned outcomes.  A
         ``KeyboardInterrupt`` (from the driver, or reported by a worker)
         terminates the remaining workers and marks unfinished jobs
-        ``skipped``, like the in-process path of
-        :func:`repro.harness.run_pairs`.  Returns only after every
-        worker it forked has exited.
+        ``skipped``, as :func:`run_in_process` does.  Returns only after
+        every worker it forked has exited.
         """
         if not jobs:
             return []
@@ -667,7 +803,7 @@ class Supervisor:
                 if state.outcome is None:
                     state.outcome = WorkerOutcome(
                         label=state.job.label, status="skipped",
-                        error="suite interrupted",
+                        error="run interrupted",
                         error_type="KeyboardInterrupt",
                         attempts=state.attempts, provenance="skipped")
             if own_hb_root:
@@ -993,13 +1129,8 @@ def _run_job(job: SupervisedJob, hb_path: str,
     try:
         return ("ok", job.fn(*job.args, **job.kwargs))
     except BaseException as exc:  # ship, never raise across the pipe
-        if isinstance(exc, KeyboardInterrupt):
-            name, text = "KeyboardInterrupt", "interrupted"
-        elif isinstance(exc, ReproError):
-            name, text = type(exc).__name__, str(exc)
-        else:
-            name, text = "SimulationError", f"{job.label}: {exc!r}"
-        return ("error", name, text, is_transient(exc))
+        return ("error", *_describe_failure(exc, job.label),
+                is_transient(exc))
     finally:
         _ACTIVE_HEARTBEAT = None
         writer.stop()

@@ -4,7 +4,9 @@ Small, deliberately-nasty utilities that damage cache files, interrupt
 writes mid-stream, skew trace formats, and fail benchmark runs on a
 schedule — so :mod:`tests.test_fault_injection` can prove every layer of
 the execution stack degrades the way ``docs/robustness.md`` specifies
-instead of crashing or serving corrupt data.
+instead of crashing or serving corrupt data.  The run-level faults stand
+in for :func:`repro.experiments.engine.execute_point`: a test patches
+them onto that module, and forked sweep workers inherit the patch.
 """
 
 from __future__ import annotations
@@ -101,25 +103,27 @@ def valid_trace(frame_index: int = 0) -> FrameTrace:
 # -- run-level faults --------------------------------------------------------
 
 class ScriptedRunner:
-    """A ``run_suite`` runner that fails on a per-benchmark script.
+    """An ``execute_point`` that fails on a per-benchmark script.
 
     ``script`` maps a benchmark code to a list of exception *types* to
     raise on successive attempts; once the list is exhausted (or for
     benchmarks not in the script) the runner returns a stub summary.
+    ``calls`` logs ``(benchmark, kind)`` per call, in this process.
     """
 
     def __init__(self, script: dict):
         self.script = {name: list(excs) for name, excs in script.items()}
         self.calls: List[tuple] = []
 
-    def __call__(self, benchmark: str, kind: str, frames: int = 1, **kw):
+    def __call__(self, point):
+        benchmark, kind = point.benchmark, point.kind
         self.calls.append((benchmark, kind))
         pending: List[Type[BaseException]] = self.script.get(benchmark, [])
         if pending:
             raise pending.pop(0)(f"injected failure for {benchmark}")
         from repro.harness import RunSummary
         return RunSummary(
-            benchmark=benchmark, kind=kind, frames=frames,
+            benchmark=benchmark, kind=kind, frames=point.frames,
             total_cycles=1000, geometry_cycles=100, raster_cycles=900,
             fps=60.0, energy_j=0.1, energy_breakdown={},
             raster_dram_accesses=10, texture_hit_ratio=0.9,
@@ -130,8 +134,8 @@ class ScriptedRunner:
 
 
 def sleepy_runner(seconds: float):
-    """A runner that hangs, for exercising the wall-clock timeout."""
-    def run(benchmark, kind, frames=1, **kw):
+    """An ``execute_point`` that hangs, for exercising the timeout."""
+    def run(point):
         import time
         time.sleep(seconds)
         raise AssertionError("timeout should have fired")

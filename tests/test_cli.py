@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -141,18 +143,69 @@ class TestSuiteCommand:
                      "--frames", "1"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "1 ok, 0 failed, 0 skipped" in out
+        assert "1 ok (0 resumed), 0 failed, 0 skipped" in out
         assert "GDL/ptr" in out
 
-    def test_suite_failure_sets_exit_code(self, capsys, monkeypatch):
-        from repro import harness
+    def test_suite_failure_sets_exit_code(self, capsys, tmp_path,
+                                          monkeypatch):
         from repro.errors import SimulationError
+        from repro.experiments import engine
 
-        def explode(benchmark, kind, frames=1, **kw):
+        def explode(point):
             raise SimulationError("injected")
 
-        monkeypatch.setattr(harness, "run_simulation", explode)
-        code = main(["suite", "--benchmarks", "GDL", "--frames", "1"])
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(engine, "execute_point", explode)
+        code = main(["--width", "128", "--height", "64", "suite",
+                     "--benchmarks", "GDL", "--frames", "1"])
         assert code == 1
         out = capsys.readouterr().out
         assert "failed" in out and "injected" in out
+
+    def test_suite_honours_the_geometry(self, capsys, tmp_path,
+                                        monkeypatch):
+        from repro.experiments import SweepPoint, execute_point
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code = main(["--width", "128", "--height", "64", "suite",
+                     "--benchmarks", "GDL", "--config", "ptr",
+                     "--frames", "1"])
+        assert code == 0
+        expected = execute_point(SweepPoint("GDL", "ptr", (), frames=1,
+                                            width=128, height=64))
+        assert f"{expected.total_cycles:,} cycles" \
+            in capsys.readouterr().out
+
+    def test_suite_rerun_resumes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["--width", "128", "--height", "64", "suite",
+                "--benchmarks", "GDL,tri_overlap", "--config", "ptr",
+                "--frames", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert "2 ok (2 resumed)" in capsys.readouterr().out
+
+
+class TestSweepExitCode:
+    def test_skipped_point_exits_1(self, capsys, monkeypatch):
+        """An interrupted sweep has holes: it must not report success."""
+        import repro.experiments as experiments
+        from repro.experiments import PointOutcome, SweepResult
+
+        def interrupted(spec, **kwargs):
+            first, second = spec.expand()
+            return SweepResult(spec=spec, store_root="unused", outcomes=[
+                PointOutcome(point=first, status="ok",
+                             summary=SimpleNamespace(total_cycles=100,
+                                                     telemetry_state=None),
+                             provenance="completed"),
+                PointOutcome(point=second, status="skipped",
+                             error="run interrupted",
+                             error_type="KeyboardInterrupt",
+                             provenance="skipped")])
+
+        monkeypatch.setattr(experiments, "run_sweep", interrupted)
+        code = main(["sweep", "--benchmarks", "tri_overlap",
+                     "--kinds", "baseline,libra", "--frames", "1"])
+        assert code == 1
+        assert "[PARTIAL]" in capsys.readouterr().out

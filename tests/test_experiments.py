@@ -349,8 +349,8 @@ class TestSweepTelemetry:
         assert ".le_" not in table  # histogram buckets elided
 
     def test_merged_metrics_tolerates_pre_g4_artifacts(self):
-        # Old pickled summaries predate telemetry_state entirely; the
-        # getattr guard must treat them as carrying nothing.
+        # Summaries without a telemetry state (pre-g4 pickles read the
+        # field's default, None) contribute nothing to the merge.
         spec = tiny_spec()
         result = fake_result(spec, {("baseline", 1): 100,
                                     ("libra", 1): 50,
@@ -358,6 +358,24 @@ class TestSweepTelemetry:
                                     ("libra", 2): 50})
         assert result.merged_metrics() is None
         assert speedup_matrix(result).telemetry is None
+
+    def test_artifact_without_telemetry_state_resumes(self,
+                                                      shared_cache_dir,
+                                                      tmp_path):
+        # An artifact pickled before RunSummary had ``telemetry_state``:
+        # the field is missing from the instance, so unpickling falls
+        # back to the dataclass default and the merge skips the point.
+        spec = tiny_spec()
+        store = ArtifactStore(tmp_path / "store")
+        first = run_sweep(spec, store_root=store.root)
+        old_id = first.outcomes[0].point.point_id
+        old = store.load(old_id)
+        del old.__dict__["telemetry_state"]
+        store.save(old_id, old)
+        again = run_sweep(spec, store_root=store.root)
+        assert len(again.resumed) == 4
+        assert again.outcomes[0].summary.telemetry_state is None
+        assert again.merged_metrics().snapshot()["frames"] == 3
 
 
 def fake_result(spec, cycles_by_point):
@@ -375,7 +393,8 @@ def fake_result(spec, cycles_by_point):
         else:
             result.outcomes.append(PointOutcome(
                 point=point, status="ok",
-                summary=SimpleNamespace(total_cycles=cycles),
+                summary=SimpleNamespace(total_cycles=cycles,
+                                        telemetry_state=None),
                 provenance="completed"))
     return result
 

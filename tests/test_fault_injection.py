@@ -20,6 +20,7 @@ import pickle
 import pytest
 
 from repro import cachefile, harness
+from repro.experiments import engine
 from repro.errors import (BenchmarkTimeoutError, CacheCorruptionError,
                           ConfigValidationError, ReproError,
                           SimulationError, TraceFormatError)
@@ -217,66 +218,78 @@ class TestTrustBoundaries:
 
 
 class TestRunSupervisor:
-    def test_one_failure_does_not_sink_the_suite(self):
+    """``run_suite`` with a scripted ``execute_point`` (see faults.py)."""
+
+    @pytest.fixture(autouse=True)
+    def private_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    @staticmethod
+    def suite(runner, names, monkeypatch, **kwargs):
+        monkeypatch.setattr(engine, "execute_point", runner)
+        return harness.run_suite(names, frames=1, width=128, height=64,
+                                 **kwargs)
+
+    def test_one_failure_does_not_sink_the_suite(self, monkeypatch):
         runner = ScriptedRunner({"GDL": [SimulationError] * 5})
-        report = harness.run_suite(["CCS", "GDL", "SuS"], frames=1,
-                                   runner=runner, backoff_s=0.0)
-        assert [o.benchmark for o in report.succeeded] == ["CCS", "SuS"]
-        assert [o.benchmark for o in report.failed] == ["GDL"]
-        assert report.failed[0].error_type == "SimulationError"
-        assert set(report.summaries()) == {("CCS", "libra"),
-                                           ("SuS", "libra")}
+        result = self.suite(runner, ["CCS", "GDL", "SuS"], monkeypatch,
+                            backoff_s=0.0)
+        assert [o.point.benchmark for o in result.completed] \
+            == ["CCS", "SuS"]
+        assert [o.point.benchmark for o in result.failed] == ["GDL"]
+        assert result.failed[0].error_type == "SimulationError"
+        assert [s.benchmark for s in result.summaries().values()] \
+            == ["CCS", "SuS"]
 
-    def test_transient_fault_retried_with_success(self):
+    def test_transient_fault_retried_with_success(self, monkeypatch):
         runner = ScriptedRunner({"CCS": [CacheCorruptionError]})
-        report = harness.run_suite(["CCS"], frames=1, runner=runner,
-                                   max_attempts=3, backoff_s=0.0)
-        assert report.succeeded and report.succeeded[0].attempts == 2
+        result = self.suite(runner, ["CCS"], monkeypatch, max_attempts=3,
+                            backoff_s=0.0)
+        assert result.completed and result.completed[0].attempts == 2
 
-    def test_non_transient_fault_not_retried(self):
+    def test_non_transient_fault_not_retried(self, monkeypatch):
         runner = ScriptedRunner({"CCS": [ConfigValidationError] * 5})
-        report = harness.run_suite(["CCS"], frames=1, runner=runner,
-                                   max_attempts=3, backoff_s=0.0)
-        assert report.failed and report.failed[0].attempts == 1
+        result = self.suite(runner, ["CCS"], monkeypatch, max_attempts=3,
+                            backoff_s=0.0)
+        assert result.failed and result.failed[0].attempts == 1
 
-    def test_retries_are_bounded(self):
+    def test_retries_are_bounded(self, monkeypatch):
         runner = ScriptedRunner({"CCS": [CacheCorruptionError] * 10})
-        report = harness.run_suite(["CCS"], frames=1, runner=runner,
-                                   max_attempts=3, backoff_s=0.0)
-        assert report.failed[0].attempts == 3
+        result = self.suite(runner, ["CCS"], monkeypatch, max_attempts=3,
+                            backoff_s=0.0)
+        assert result.failed[0].attempts == 3
         assert len(runner.calls) == 3
 
-    def test_timeout_recorded_as_failure(self):
-        report = harness.run_suite(["CCS"], frames=1, timeout_s=0.2,
-                                   runner=sleepy_runner(10.0),
-                                   backoff_s=0.0)
-        assert report.failed
-        assert report.failed[0].error_type == "BenchmarkTimeoutError"
-        assert report.failed[0].elapsed_s < 5.0
+    def test_timeout_recorded_as_failure(self, monkeypatch):
+        result = self.suite(sleepy_runner(10.0), ["CCS"], monkeypatch,
+                            timeout_s=0.2, backoff_s=0.0)
+        assert result.failed
+        assert result.failed[0].error_type == "BenchmarkTimeoutError"
+        assert result.failed[0].elapsed_s < 5.0
 
-    def test_unknown_benchmark_skipped_with_valid_names(self):
+    def test_unknown_benchmark_skipped_with_valid_names(self,
+                                                        monkeypatch):
         runner = ScriptedRunner({})
-        report = harness.run_suite(["CCS", "NOPE"], frames=1,
-                                   runner=runner)
-        assert [o.benchmark for o in report.skipped] == ["NOPE"]
-        assert "valid:" in report.skipped[0].error
-        assert "CCS" in report.skipped[0].error
-        # the unknown name was never attempted
-        assert ("NOPE", "libra") not in runner.calls
+        with pytest.raises(ConfigValidationError) as err:
+            self.suite(runner, ["CCS", "NOPE"], monkeypatch)
+        assert "NOPE" in str(err.value)
+        assert "valid:" in str(err.value) and "CCS" in str(err.value)
+        # nothing was attempted, the known name included
+        assert runner.calls == []
 
-    def test_unexpected_exception_wrapped(self):
+    def test_unexpected_exception_wrapped(self, monkeypatch):
         runner = ScriptedRunner({"CCS": [ZeroDivisionError] * 5})
-        report = harness.run_suite(["CCS"], frames=1, runner=runner,
-                                   backoff_s=0.0)
-        assert report.failed[0].error_type == "SimulationError"
+        result = self.suite(runner, ["CCS"], monkeypatch, backoff_s=0.0)
+        assert result.failed[0].error_type == "SimulationError"
 
-    def test_report_format_mentions_every_outcome(self):
+    def test_report_format_mentions_every_outcome(self, monkeypatch):
         runner = ScriptedRunner({"GDL": [SimulationError] * 5})
-        report = harness.run_suite(["CCS", "GDL", "NOPE"], frames=1,
-                                   runner=runner, backoff_s=0.0)
-        text = report.format()
-        assert "1 ok" in text and "1 failed" in text and "1 skipped" in text
-        for name in ("CCS", "GDL", "NOPE"):
+        result = self.suite(runner, ["CCS", "GDL"], monkeypatch,
+                            backoff_s=0.0)
+        text = result.format()
+        assert "1 ok" in text and "1 failed" in text and "0 skipped" in text
+        assert "[PARTIAL]" in text
+        for name in ("CCS", "GDL"):
             assert name in text
 
 
@@ -286,10 +299,12 @@ class TestEndToEndDegradation:
     def test_campaign_survives_cache_corruption(self, tmp_path,
                                                 monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        first = harness.run_simulation("GDL", "ptr", frames=1)
-        # Damage every cache entry the run produced.
-        for path in tmp_path.glob("*.pkl"):
+        first = harness.run_suite(["GDL"], kinds=("ptr",), frames=1)
+        # Damage every cache entry and stored result the run produced.
+        for path in tmp_path.rglob("*.pkl"):
             truncate_file(path)
-        again = harness.run_simulation("GDL", "ptr", frames=1)
-        assert again.total_cycles == first.total_cycles
-        assert list(tmp_path.glob("*.corrupt*"))  # evidence retained
+        again = harness.run_suite(["GDL"], kinds=("ptr",), frames=1)
+        assert not again.resumed  # the torn result was not served
+        assert again.completed[0].summary.total_cycles \
+            == first.completed[0].summary.total_cycles
+        assert list(tmp_path.rglob("*.corrupt*"))  # evidence retained

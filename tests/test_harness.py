@@ -71,21 +71,30 @@ def shared_cache_dir(tmp_path_factory):
 
 
 class TestCachedRuns:
+    """``run_suite`` keeps its results in a store under the cache dir."""
+
     @pytest.fixture(autouse=True)
     def _use_shared_cache(self, shared_cache_dir):
         self.cache_path = shared_cache_dir
 
+    @staticmethod
+    def summary(kind):
+        [outcome] = harness.run_suite(["GDL"], kinds=(kind,),
+                                      frames=2).outcomes
+        return outcome.summary
+
     def test_run_and_summary(self):
-        summary = harness.run_simulation("GDL", "ptr", frames=2)
+        summary = self.summary("ptr")
         assert summary.benchmark == "GDL"
         assert summary.total_cycles > 0
         assert len(summary.frame_cycles) == 2
         assert summary.per_tile_dram_last
 
     def test_cache_hit_identical(self):
-        first = harness.run_simulation("GDL", "ptr", frames=2)
-        second = harness.run_simulation("GDL", "ptr", frames=2)
-        assert first.total_cycles == second.total_cycles
+        first = harness.run_suite(["GDL"], kinds=("ptr",), frames=2)
+        second = harness.run_suite(["GDL"], kinds=("ptr",), frames=2)
+        assert second.resumed == second.outcomes
+        assert second.summaries() == first.summaries()
 
     def test_traces_cached_on_disk(self):
         harness.get_traces("GDL", frames=1)
@@ -93,10 +102,6 @@ class TestCachedRuns:
                    for p in self.cache_path.iterdir())
 
     def test_speedup_between_summaries(self):
-        base = harness.run_simulation("GDL", "baseline", frames=2)
-        ptr = harness.run_simulation("GDL", "ptr", frames=2)
+        base = self.summary("baseline")
+        ptr = self.summary("ptr")
         assert ptr.speedup_over(base) > 0.5
-
-    def test_memory_time_fraction_bounds(self):
-        fraction = harness.memory_time_fraction("GDL", frames=2)
-        assert 0.0 <= fraction < 1.0

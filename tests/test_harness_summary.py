@@ -1,4 +1,4 @@
-"""Tests for RunSummary metrics and suite classification helpers."""
+"""Tests for RunSummary metrics."""
 
 import pickle
 
@@ -60,10 +60,3 @@ class TestRunSummary:
         assert clone.total_cycles == summary.total_cycles
         assert clone.per_tile_dram_last == summary.per_tile_dram_last
 
-
-class TestClassifySuite:
-    def test_classify_runs_on_tiny_suite(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        fractions = harness.classify_suite(["GDL"], frames=1)
-        assert set(fractions) == {"GDL"}
-        assert 0.0 <= fractions["GDL"] < 1.0

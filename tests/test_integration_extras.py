@@ -76,9 +76,16 @@ class TestHarnessThresholdVariants:
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         from repro import harness
-        default = harness.run_simulation("GDL", "libra", frames=2)
-        tweaked = harness.run_simulation("GDL", "libra", frames=2,
-                                         hit_threshold=0.0)
+        from repro.experiments import SweepPoint, execute_point
+
+        def point(**axes):
+            return SweepPoint("GDL", "libra", tuple(sorted(axes.items())),
+                              frames=2, width=harness.WIDTH,
+                              height=harness.HEIGHT)
+
+        assert point().point_id != point(hit_threshold=0.0).point_id
+        default = execute_point(point())
+        tweaked = execute_point(point(hit_threshold=0.0))
         # hit_threshold=0 forces Z-order forever; results may differ but
         # both must be complete runs of the same work.
         assert default.frames == tweaked.frames == 2

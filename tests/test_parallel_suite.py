@@ -3,9 +3,10 @@
 ``workers > 1`` runs every pair in a monitored forked child under
 :class:`repro.supervision.Supervisor`.  It must keep the sequential
 sweep's outcome order, per-pair retry policy, failure isolation and
-``skipped`` reporting for unknown names, and add what the in-process
-path cannot: deadline preemption of a stuck worker and recovery from a
-worker that is killed outright.
+rejection of unknown names, and add what the in-process path cannot:
+deadline preemption of a stuck worker and recovery from a worker that
+is killed outright.  Faults are scripted by patching
+``engine.execute_point``; forked workers inherit the patch.
 """
 
 from __future__ import annotations
@@ -21,13 +22,30 @@ from repro import harness
 from repro.cli import main
 from repro.errors import (BenchmarkTimeoutError, CacheCorruptionError,
                           ConfigValidationError, SimulationError)
+from repro.experiments import ExperimentSpec, SweepResult, engine
 
 from faults import ScriptedRunner, sleepy_runner
 
 KNOWN = ["CCS", "GDL", "SuS", "AAt"]
 
+#: The suite loads every benchmark's traces before running its points,
+#: scripted or not, so the tests run at a geometry that builds fast.
+SMALL = dict(frames=1, width=128, height=64)
+
+
+@pytest.fixture(autouse=True)
+def suite_cache(tmp_path, monkeypatch):
+    """A private cache directory, so no test resumes another's store."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def _script(monkeypatch, runner):
+    monkeypatch.setattr(engine, "execute_point", runner)
+    return runner
+
+
 def _outcome_key(outcome):
-    return (outcome.benchmark, outcome.kind, outcome.status,
+    return (outcome.point.benchmark, outcome.point.kind, outcome.status,
             outcome.error_type, outcome.attempts, outcome.provenance,
             None if outcome.summary is None
             else outcome.summary.total_cycles)
@@ -40,7 +58,7 @@ def _sigkill_self(benchmark):
 class FailOnceRunner:
     """Applies a fault to each scripted benchmark's first attempt only.
 
-    Every supervised retry is a fresh fork of the parent, so whether a
+    A worker killed by the fault takes its memory with it, so whether a
     pair already failed is kept in flag files under ``flag_dir``, not
     in the runner's memory.  ``script`` maps a benchmark to a callable
     that raises or kills the worker.
@@ -50,148 +68,151 @@ class FailOnceRunner:
         self.flag_dir = flag_dir
         self.script = script
 
-    def __call__(self, benchmark, kind, frames=1, **kw):
-        fault = self.script.get(benchmark)
-        flag = self.flag_dir / f"{benchmark}-{kind}.failed"
+    def __call__(self, point):
+        fault = self.script.get(point.benchmark)
+        flag = self.flag_dir / f"{point.benchmark}-{point.kind}.failed"
         if fault is not None and not flag.exists():
             flag.write_text("failed once")
-            fault(benchmark)
-        return ScriptedRunner({})(benchmark, kind, frames)
+            fault(point.benchmark)
+        return ScriptedRunner({})(point)
 
 
 class TestParallelMatchesSequential:
-    def test_same_outcomes_with_injected_fault(self):
+    def test_same_outcomes_with_injected_fault(self, tmp_path,
+                                               monkeypatch):
         """The acceptance scenario: one benchmark fails terminally; the
-        parallel report is outcome-for-outcome equal to sequential."""
+        parallel result is outcome-for-outcome equal to sequential."""
         script = {"GDL": [SimulationError] * 5}
-        sequential = harness.run_suite(
-            KNOWN, frames=1, runner=ScriptedRunner(script),
-            known_benchmarks=KNOWN)
-        parallel = harness.run_suite(
-            KNOWN, frames=1, runner=ScriptedRunner(script),
-            known_benchmarks=KNOWN, workers=2)
+        _script(monkeypatch, ScriptedRunner(script))
+        sequential = harness.run_suite(KNOWN, **SMALL)
+        # A second store, or the parallel run would resume the first.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "parallel"))
+        _script(monkeypatch, ScriptedRunner(script))
+        parallel = harness.run_suite(KNOWN, workers=2, **SMALL)
         assert [_outcome_key(o) for o in parallel.outcomes] \
             == [_outcome_key(o) for o in sequential.outcomes]
-        assert [o.benchmark for o in parallel.failed] == ["GDL"]
-        assert len(parallel.succeeded) == 3
+        assert [o.point.benchmark for o in parallel.failed] == ["GDL"]
+        assert len(parallel.completed) == 3
 
-    def test_transient_fault_retried_inside_worker(self, tmp_path):
+    def test_transient_fault_retried_inside_worker(self, tmp_path,
+                                                   monkeypatch):
         def corrupt(benchmark):
             raise CacheCorruptionError(f"injected for {benchmark}")
 
-        report = harness.run_suite(
-            ["CCS"], frames=1, runner=FailOnceRunner(tmp_path,
-                                                     {"CCS": corrupt}),
-            known_benchmarks=KNOWN, workers=2, backoff_s=0.01)
-        [outcome] = report.outcomes
+        _script(monkeypatch, FailOnceRunner(tmp_path, {"CCS": corrupt}))
+        result = harness.run_suite(["CCS"], workers=2, backoff_s=0.01,
+                                   **SMALL)
+        [outcome] = result.outcomes
         assert outcome.ok
         assert outcome.attempts == 2
         assert outcome.provenance == "degraded"
 
-    def test_unknown_benchmark_skipped_in_order(self):
-        report = harness.run_suite(
-            ["CCS", "NOPE", "GDL"], frames=1, runner=ScriptedRunner({}),
-            known_benchmarks=KNOWN, workers=3)
-        assert [(o.benchmark, o.status) for o in report.outcomes] \
-            == [("CCS", "ok"), ("NOPE", "skipped"), ("GDL", "ok")]
-        assert "valid:" in report.outcomes[1].error
+    def test_unknown_benchmark_skipped_in_order(self, tmp_path,
+                                                monkeypatch):
+        """An unknown name is rejected with the valid ones before any
+        pair runs, so no known pair is reported without its siblings."""
+        runner = _script(monkeypatch, ScriptedRunner({}))
+        with pytest.raises(ConfigValidationError, match="valid:"):
+            harness.run_suite(["CCS", "NOPE", "GDL"], workers=3, **SMALL)
+        assert runner.calls == []
+        assert not list((tmp_path / "cache").glob("suite-*"))
 
-    def test_multiple_kinds_preserve_pair_order(self):
-        report = harness.run_suite(
-            ["CCS", "GDL"], kinds=("libra", "ptr"), frames=1,
-            runner=ScriptedRunner({}), known_benchmarks=KNOWN, workers=4)
-        assert [(o.benchmark, o.kind) for o in report.outcomes] == [
+    def test_multiple_kinds_preserve_pair_order(self, monkeypatch):
+        _script(monkeypatch, ScriptedRunner({}))
+        result = harness.run_suite(["CCS", "GDL"], kinds=("libra", "ptr"),
+                                   workers=4, **SMALL)
+        assert [(o.point.benchmark, o.point.kind)
+                for o in result.outcomes] == [
             ("CCS", "libra"), ("CCS", "ptr"),
             ("GDL", "libra"), ("GDL", "ptr")]
 
 
 class TestWorkerIsolation:
-    def test_timeout_fires_inside_worker(self):
+    def test_timeout_fires_inside_worker(self, monkeypatch):
         """The supervisor preempts each stuck worker at its deadline
         without stalling its sibling."""
-        report = harness.run_suite(
-            ["CCS", "GDL"], frames=1, timeout_s=0.2, max_attempts=1,
-            runner=sleepy_runner(30.0), known_benchmarks=KNOWN,
-            workers=2)
-        assert len(report.failed) == 2
-        for outcome in report.outcomes:
+        _script(monkeypatch, sleepy_runner(30.0))
+        result = harness.run_suite(["CCS", "GDL"], timeout_s=0.2,
+                                   max_attempts=1, workers=2, **SMALL)
+        assert len(result.failed) == 2
+        for outcome in result.outcomes:
             assert outcome.error_type \
                 == BenchmarkTimeoutError.__name__
             assert outcome.preemptions == 1
             assert outcome.elapsed_s < 10.0
 
-    def test_no_timeout_means_no_deadline(self):
+    def test_no_timeout_means_no_deadline(self, monkeypatch):
         """Without ``timeout_s`` a slow pair launched after several
-        instant ones (result-cache hits next to a cold trace build) is
+        instant ones (stored results next to a cold trace build) is
         not preempted at a deadline derived from their durations."""
         names = KNOWN + ["AmU"]
 
-        def runner(benchmark, kind, frames=1, **kw):
-            if benchmark == "AmU":
+        def runner(point):
+            if point.benchmark == "AmU":
                 time.sleep(1.0)
-            return ScriptedRunner({})(benchmark, kind, frames)
+            return ScriptedRunner({})(point)
 
-        report = harness.run_suite(names, frames=1, runner=runner,
-                                   known_benchmarks=names, workers=2)
-        assert [(o.benchmark, o.status, o.preemptions)
-                for o in report.outcomes] == [(b, "ok", 0) for b in names]
+        _script(monkeypatch, runner)
+        result = harness.run_suite(names, workers=2, **SMALL)
+        assert [(o.point.benchmark, o.status, o.preemptions)
+                for o in result.outcomes] == [(b, "ok", 0) for b in names]
 
-    def test_closure_runner_works(self):
-        """Fork hands the runner to the worker without pickling it."""
+    def test_closure_runner_works(self, monkeypatch):
+        """Fork hands the patched runner to the worker without pickling."""
         seen = []
 
-        def local_runner(benchmark, kind, frames=1, **kw):
-            seen.append(benchmark)  # lands in the child's copy only
-            return ScriptedRunner({})(benchmark, kind, frames)
+        def local_runner(point):
+            seen.append(point.benchmark)  # lands in the child's copy only
+            return ScriptedRunner({})(point)
 
-        report = harness.run_suite(
-            ["CCS"], frames=1, runner=local_runner,
-            known_benchmarks=KNOWN, workers=2)
-        [outcome] = report.outcomes
+        _script(monkeypatch, local_runner)
+        result = harness.run_suite(["CCS"], workers=2, **SMALL)
+        [outcome] = result.outcomes
         assert outcome.ok and outcome.provenance == "completed"
         assert seen == []
 
-    def test_killed_worker_retried_as_degraded(self, tmp_path):
+    def test_killed_worker_retried_as_degraded(self, tmp_path,
+                                               monkeypatch):
         """A worker SIGKILLed mid-pair (an OOM kill, say) costs one
         retry of that pair; its siblings complete untouched."""
-        report = harness.run_suite(
-            ["CCS", "GDL", "SuS"], frames=1,
-            runner=FailOnceRunner(tmp_path, {"GDL": _sigkill_self}),
-            known_benchmarks=KNOWN, workers=2, backoff_s=0.01)
-        assert [(o.benchmark, o.status, o.provenance, o.attempts)
-                for o in report.outcomes] == [
+        _script(monkeypatch,
+                FailOnceRunner(tmp_path, {"GDL": _sigkill_self}))
+        result = harness.run_suite(["CCS", "GDL", "SuS"], workers=2,
+                                   backoff_s=0.01, **SMALL)
+        assert [(o.point.benchmark, o.status, o.provenance, o.attempts)
+                for o in result.outcomes] == [
             ("CCS", "ok", "completed", 1),
             ("GDL", "ok", "degraded", 2),
             ("SuS", "ok", "completed", 1)]
 
 
 class TestValidation:
-    def test_zero_workers_rejected(self):
+    def test_zero_workers_rejected(self, monkeypatch):
+        _script(monkeypatch, ScriptedRunner({}))
         with pytest.raises(ConfigValidationError):
-            harness.run_suite(["CCS"], workers=0,
-                              runner=ScriptedRunner({}),
-                              known_benchmarks=KNOWN)
+            harness.run_suite(["CCS"], workers=0, **SMALL)
 
-    def test_workers_one_stays_sequential(self):
-        runner = ScriptedRunner({})
-        report = harness.run_suite(["CCS", "GDL"], frames=1,
-                                   runner=runner,
-                                   known_benchmarks=KNOWN, workers=1)
-        # Sequential mode shares the parent's runner instance, so its
+    def test_workers_one_stays_sequential(self, monkeypatch):
+        runner = _script(monkeypatch, ScriptedRunner({}))
+        result = harness.run_suite(["CCS", "GDL"], workers=1, **SMALL)
+        # Sequential mode calls the parent's runner instance, so its
         # call log is visible — forked workers cannot offer this.
         assert runner.calls == [("CCS", "libra"), ("GDL", "libra")]
-        assert len(report.succeeded) == 2
+        assert len(result.completed) == 2
 
 
 class TestCLI:
     def test_workers_flag_passed_through(self, monkeypatch, capsys):
         seen = {}
 
-        def fake_run_suite(names, kinds, frames, timeout_s,
+        def fake_run_suite(names, kinds, frames, width, height, timeout_s,
                            max_attempts, workers):
             seen.update(names=list(names), kinds=tuple(kinds),
                         frames=frames, workers=workers)
-            return harness.SuiteReport()
+            spec = ExperimentSpec(name="suite", benchmarks=list(names),
+                                  kinds=list(kinds),
+                                  baseline_kind=kinds[0])
+            return SweepResult(spec=spec, store_root=Path("unused"))
 
         monkeypatch.setattr(harness, "run_suite", fake_run_suite)
         code = main(["suite", "--benchmarks", "CCS,GDL",

@@ -655,10 +655,7 @@ class TestWorkerTelemetryFlag:
             if child == 0:  # pragma: no cover - asserts in the child
                 status = 1
                 try:
-                    _point_runner(point.benchmark, point.point_id,
-                                  frames=spec.frames,
-                                  points={point.point_id: point},
-                                  store_root=str(store.root),
+                    _point_runner(point, store_root=str(store.root),
                                   point_telemetry=False,
                                   driver_pid=os.getppid())
                     status = 0 if not HUB.enabled else 2

@@ -4,7 +4,7 @@ Covers the :mod:`repro.supervision` building blocks in isolation plus
 the :class:`Supervisor` event loop end to end against real forked
 processes — crashes, hangs, blown deadlines, circuit breaking, worker
 reuse and what a reused worker must not carry from one job to the
-next — and the nesting fix of :func:`repro.harness._wall_clock_limit`.
+next — and the nesting fix of :func:`repro.supervision._wall_clock_limit`.
 """
 
 import multiprocessing
@@ -18,14 +18,12 @@ import pytest
 
 from repro import chaos, harness
 from repro.cachefile import read_cache, write_cache
-from repro.config import GPUConfig
 from repro.errors import BenchmarkTimeoutError
-from repro.gpu import GPUSimulator
-from repro.harness import _wall_clock_limit
 from repro.supervision import (AdaptiveDeadline, CircuitBreaker,
                                HeartbeatWriter, SupervisedJob,
                                SupervisionPolicy, Supervisor,
-                               backoff_delay, pause_heartbeat)
+                               _wall_clock_limit, backoff_delay,
+                               pause_heartbeat)
 from repro import supervision
 from repro.telemetry import HUB, RecordingSink
 
@@ -93,17 +91,6 @@ def _arm_corrupt_job():
 def _cache_round_trip_job(path):
     write_cache({"cycles": 123}, path)
     return {"pid": os.getpid(), "read": read_cache(path)}
-
-
-def _tiny_sim_runner(benchmark, kind, frames=1, **kw):
-    """``run_simulation`` at 128x64 without its result cache."""
-    traces = harness.get_traces(benchmark, frames, 128, 64)
-    config, scheduler = GPUConfig.build(kind, screen_width=128,
-                                        screen_height=64)
-    result = GPUSimulator(config, scheduler=scheduler, name=kind).run(traces)
-    summary = harness.summarize(benchmark, kind, result)
-    summary.telemetry = HUB.metrics.snapshot()
-    return summary
 
 
 # -- heartbeats --------------------------------------------------------------
@@ -514,14 +501,14 @@ class TestWorkerLifecycle:
         HUB.metrics.reset()
         HUB.enable(RecordingSink())
         try:
-            report = harness.run_suite(
-                names, kinds=("baseline", "libra"), frames=2,
-                runner=_tiny_sim_runner, known_benchmarks=names, workers=2)
+            result = harness.run_suite(
+                names, kinds=("baseline", "libra"), frames=2, width=128,
+                height=64, workers=2)
         finally:
             HUB.disable()
             HUB.metrics.reset()
-        assert len(report.succeeded) == 4
-        assert [o.summary.telemetry["frames"] for o in report.outcomes] \
+        assert len(result.completed) == 4
+        assert [o.summary.telemetry["frames"] for o in result.outcomes] \
             == [2, 2, 2, 2]
 
     def test_no_worker_outlives_run(self):
