@@ -320,8 +320,7 @@ def execute_points(points: Sequence[SweepPoint],
                    point_telemetry=point_telemetry, driver_pid=os.getpid(),
                    trace_dir=trace_dir, correlation=correlation)
     jobs = [SupervisedJob(label=p.describe(), fn=_point_runner, args=(p,),
-                          kwargs=options,
-                          breaker_key=f"{p.benchmark}|{p.kind}")
+                          kwargs=options, breaker_key=breaker_key(p))
             for p in points]
     if supervisor is not None:
         outcomes = supervisor.run(jobs, timeout_s=timeout_s,
@@ -340,20 +339,24 @@ def execute_points(points: Sequence[SweepPoint],
             for p, o in zip(points, outcomes)]
 
 
-def store_supervisor(store: ArtifactStore,
-                     policy: Optional[SupervisionPolicy] = None
-                     ) -> Supervisor:
-    """A :class:`Supervisor` whose circuit breaker resumes from ``store``.
+def breaker_key(point: SweepPoint) -> str:
+    """The circuit-breaker and adaptive-deadline key of ``point``."""
+    return f"{point.benchmark}|{point.kind}"
+
+
+def store_breaker(store: ArtifactStore,
+                  policy: Optional[SupervisionPolicy] = None
+                  ) -> CircuitBreaker:
+    """The circuit breaker as ``store`` last recorded it.
 
     Trips recorded by an earlier run (``breakers.json``) stay open until
     their cooldown; the caller writes the breaker back with
     :meth:`ArtifactStore.record_breaker_state` once its points ran.
     """
     policy = policy or SupervisionPolicy()
-    breaker = CircuitBreaker.from_state(
+    return CircuitBreaker.from_state(
         store.load_breaker_state(), threshold=policy.breaker_threshold,
         cooldown_s=policy.breaker_cooldown_s)
-    return Supervisor(policy=policy, breaker=breaker)
 
 
 def run_sweep(spec: ExperimentSpec,
@@ -432,7 +435,7 @@ def run_sweep(spec: ExperimentSpec,
 
     supervisor: Optional[Supervisor] = None
     if workers > 1 or chaos_plan is not None:
-        supervisor = store_supervisor(store, policy)
+        supervisor = Supervisor(policy, breaker=store_breaker(store, policy))
     executed = execute_points(
         pending, root, timeout_s=timeout_s, max_attempts=retries + 1,
         backoff_s=spec.backoff_s, supervisor=supervisor, workers=workers,

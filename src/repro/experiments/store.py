@@ -112,18 +112,41 @@ class ArtifactStore:
         """Path of the persisted circuit-breaker state."""
         return self.root / BREAKERS_NAME
 
-    def record_breaker_state(self, state: dict) -> None:
+    def record_breaker_state(self, state: dict,
+                             key: Optional[str] = None) -> None:
         """Persist a :meth:`CircuitBreaker.to_state` snapshot (atomic).
 
         Written at the end of every supervised sweep, so a resumed
         sweep honours earlier trips: a (benchmark, config) combination
         quarantined yesterday stays quarantined until its cooldown —
         not until someone happens to rerun it three more times.
+
+        With ``key`` (a service worker after one claimed point, while
+        other workers of the fleet record theirs) the snapshot is
+        merged, not written whole: under the file's lock the file is
+        read again, only ``key``'s cell is replaced, and only the
+        snapshot's trips on ``key`` the file lacks are appended.  A
+        worker holding a stale copy of other keys then cannot erase
+        their failure counts or trips.
         """
-        cachefile.atomic_write_bytes(
-            self.breakers_path,
-            json.dumps(state, indent=2, sort_keys=True,
-                       default=str).encode())
+        path = self.breakers_path
+        with cachefile.file_lock(path):
+            if key is not None:
+                current = self.load_breaker_state()
+                current = current if isinstance(current, dict) else {}
+                cells = current.get("cells")
+                cells = dict(cells) if isinstance(cells, dict) else {}
+                if key in state["cells"]:
+                    cells[key] = state["cells"][key]
+                trips = current.get("trips")
+                trips = list(trips) if isinstance(trips, list) else []
+                trips += [t for t in state.get("trips", ())
+                          if isinstance(t, dict) and t.get("key") == key
+                          and t not in trips]
+                state = dict(state, cells=cells, trips=trips)
+            cachefile.atomic_write_bytes(
+                path, json.dumps(state, indent=2, sort_keys=True,
+                                 default=str).encode())
 
     def load_breaker_state(self) -> Optional[dict]:
         """The persisted breaker snapshot, or None (absent/corrupt).

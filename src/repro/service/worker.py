@@ -18,11 +18,16 @@ SIGTERM→SIGKILL preemption, jittered retries), the same store-persisted
 circuit breaker, and the same chaos injection sites as a local ``repro
 sweep``.  A chaos plan in the worker's environment therefore fires
 per-point exactly as it does locally, which is what lets the e2e suite
-demand bit-identical matrices between the two paths.  One difference
-is cost: a local sweep forks each supervised worker once and reuses it
-point after point, while this loop builds one
-:class:`~repro.supervision.Supervisor` per claimed point, so every
-claim still forks a fresh worker and starts cold.
+demand bit-identical matrices between the two paths.  As in a local
+sweep, the supervised worker is forked once and reused point after
+point: each drain of one job opens one
+:class:`~repro.supervision.Supervisor` (``with supervisor:``) and runs
+every point it claims on that supervisor's worker, which forks at the
+first claim and is reaped when the drain returns.  What the job's
+points share — the trace memo, derived tile-stream data, the adaptive
+deadline learned per ``benchmark|kind`` — therefore lasts for the job
+and no longer: a tiny grid never sets the deadline of another job's
+large points.
 """
 
 from __future__ import annotations
@@ -38,10 +43,10 @@ from typing import Optional, Set, Union
 from .. import cachefile, chaos
 from ..errors import ConfigValidationError
 from ..experiments import ExperimentSpec, speedup_matrix
-from ..experiments.engine import (execute_points, store_supervisor,
-                                  sweep_result_from_store)
+from ..experiments.engine import (breaker_key, execute_points,
+                                  store_breaker, sweep_result_from_store)
 from ..harness import RESULT_GENERATION
-from ..supervision import SupervisionPolicy
+from ..supervision import SupervisionPolicy, Supervisor
 from .fleet import DEFAULT_FLEET_INTERVAL_S, FleetReporter
 from .jobs import JobStore
 from .queue import DEFAULT_LEASE_TTL_S, PointClaim, claim_point
@@ -179,46 +184,57 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
                policy: Optional[SupervisionPolicy], stop,
                remaining: Optional[int],
                reporter: Optional[FleetReporter] = None) -> int:
-    """Claim and execute points of one job until none remains."""
+    """Claim and execute points of one job until none remains.
+
+    Every point of the drain runs on one supervisor, whose worker is
+    forked at the first claim (a drain that claims nothing forks
+    nothing) and reaped when the drain returns.  The job is finalized
+    by the scan that finds nothing left to claim, or after the last
+    point when the drain stops early (``remaining`` spent, ``stop``
+    set), so finalizing costs one store scan per drain, not per point.
+    """
     ran = 0
-    while not (stop is not None and stop.is_set()):
-        if remaining is not None and ran >= remaining:
-            return ran
-        fresh = store.read(job_id)
-        if fresh is None or fresh.terminal:
-            return ran
-        claim = claim_point(store, job_id, spec, worker_id,
-                            lease_ttl_s=lease_ttl_s)
-        if claim is None:
-            if _maybe_finalize(store, job_id, spec, lease_ttl_s):
+    with Supervisor(policy) as supervisor:
+        while not (stop is not None and stop.is_set()):
+            if remaining is not None and ran >= remaining:
                 return ran
-            # Finalize declined: either another worker still holds a
-            # live lease (it will finalize), or verification just
-            # quarantined a torn artifact and re-opened its point.
-            # One more scan tells the two apart.
+            fresh = store.read(job_id)
+            if fresh is None or fresh.terminal:
+                return ran
             claim = claim_point(store, job_id, spec, worker_id,
                                 lease_ttl_s=lease_ttl_s)
             if claim is None:
-                return ran
-        _mark_running(store, job_id, worker_id)
-        store.events(job_id).emit(
-            "point_claimed", job_id=job_id,
-            point_id=claim.point.point_id, owner=worker_id,
-            adopted_from=claim.adopted_from)
-        if reporter is not None:
-            reporter.point_started(job_id, claim.point.point_id)
-        try:
-            outcome = _execute_claim(store, fresh, spec, claim,
-                                     lease_ttl_s, policy)
-        finally:
-            claim.release()
-        if reporter is not None:
-            reporter.point_finished(outcome.status == "ok",
-                                    attempts=outcome.attempts)
-        ran += 1
-        _maybe_finalize(store, job_id, spec, lease_ttl_s)
-        if reporter is not None:
-            reporter.idle()
+                if _maybe_finalize(store, job_id, spec, lease_ttl_s):
+                    return ran
+                # Finalize declined: either another worker still holds
+                # a live lease (it will finalize), or verification just
+                # quarantined a torn artifact and re-opened its point.
+                # One more scan tells the two apart.
+                claim = claim_point(store, job_id, spec, worker_id,
+                                    lease_ttl_s=lease_ttl_s)
+                if claim is None:
+                    return ran
+            _mark_running(store, job_id, worker_id)
+            store.events(job_id).emit(
+                "point_claimed", job_id=job_id,
+                point_id=claim.point.point_id, owner=worker_id,
+                adopted_from=claim.adopted_from)
+            if reporter is not None:
+                reporter.point_started(job_id, claim.point.point_id)
+            try:
+                outcome = _execute_claim(store, fresh, spec, claim,
+                                         lease_ttl_s, supervisor)
+            finally:
+                claim.release()
+            if reporter is not None:
+                reporter.point_finished(outcome.status == "ok",
+                                        attempts=outcome.attempts)
+            ran += 1
+            if (remaining is not None and ran >= remaining) \
+                    or (stop is not None and stop.is_set()):
+                _maybe_finalize(store, job_id, spec, lease_ttl_s)
+            if reporter is not None:
+                reporter.idle()
     return ran
 
 
@@ -239,9 +255,16 @@ def _mark_running(store: JobStore, job_id: str, worker_id: str) -> None:
 
 def _execute_claim(store: JobStore, record: JobRecord,
                    spec: ExperimentSpec, claim: PointClaim,
-                   lease_ttl_s: float,
-                   policy: Optional[SupervisionPolicy]):
+                   lease_ttl_s: float, supervisor: Supervisor):
     """Run one claimed point through the local sweep stack.
+
+    ``supervisor`` is the drain's, so the point runs on the worker the
+    job's earlier points warmed.  Its circuit breaker is loaded from the
+    job's ``breakers.json`` before the point, since other workers of the
+    fleet record theirs there too, and only the point's own
+    ``benchmark|kind`` cell is merged back afterwards
+    (:meth:`~repro.experiments.ArtifactStore.record_breaker_state`); a
+    point that left that cell as it was writes nothing.
 
     The lease renewer beats for the whole execution (simulation plus
     supervised retries), so a live worker grinding a slow point is
@@ -266,13 +289,18 @@ def _execute_claim(store: JobStore, record: JobRecord,
             tracing = dict(trace_dir=str(store.traces_dir(claim.job_id)),
                            correlation={"job_id": claim.job_id,
                                         "worker_id": claim.worker_id})
-        supervisor = store_supervisor(sweep_store, policy)
+        key = breaker_key(point)
+        breaker = supervisor.breaker = store_breaker(sweep_store,
+                                                     supervisor.policy)
+        cell = breaker.to_state()["cells"].get(key)
         [outcome] = execute_points(
             [point], sweep_store.root, timeout_s=spec.timeout_s,
             max_attempts=spec.retries + 1, backoff_s=spec.backoff_s,
             supervisor=supervisor, point_telemetry=record.point_telemetry,
             **tracing)
-        sweep_store.record_breaker_state(supervisor.breaker.to_state())
+        state = breaker.to_state()
+        if state["cells"].get(key) != cell:
+            sweep_store.record_breaker_state(state, key=key)
     finally:
         renewer.stop()
     elapsed = round(time.time() - wall_start, 6)
@@ -317,6 +345,15 @@ def _maybe_finalize(store: JobStore, job_id: str, spec: ExperimentSpec,
     counts = store.counts(job_id, spec, lease_ttl_s=lease_ttl_s)
     if counts["pending"] or counts["leased"]:
         return False
+    # Every point is accounted for, so a lease still on disk names a
+    # finished point whose worker died before releasing it (a SIGKILLed
+    # worker's child still checkpoints its in-flight point).  No one
+    # else would ever remove it.
+    for lease in store.leases_dir(job_id).glob("*.lease"):
+        try:
+            lease.unlink()
+        except OSError:
+            pass
     result = sweep_result_from_store(spec,
                                      store.sweep_store(job_id).root)
     matrix = speedup_matrix(result)

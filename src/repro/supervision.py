@@ -20,16 +20,19 @@ The pieces:
   worker, and the supervisor falls back to deadline-only monitoring.
 * :class:`Supervisor` / :func:`Supervisor.run` — forks each of its
   ``workers`` slots once, when a job first needs it, and sends the
-  worker job indices over a duplex pipe; the worker looks each job up
-  in the job list it inherited at fork and runs it under a fresh
-  heartbeat, so what one point warmed (traces, tile stream plans,
-  touched pages) serves the next.  A stale heartbeat (hung worker) or
-  a blown deadline preempts the worker with escalating SIGTERM →
-  SIGKILL; a worker that dies without returning (crash, OOM SIGKILL)
-  is detected by its exit code.  Either way only that worker is lost:
-  the attempt fails, and the next job gets a fresh fork.  Transient
-  failures are retried with exponential backoff plus jitter
-  (:func:`backoff_delay`).
+  worker each job pickled over a duplex pipe; the worker runs it under
+  a fresh heartbeat, so what one point warmed (traces, tile stream
+  plans, touched pages) serves the next.  A bare :meth:`~Supervisor.run`
+  reaps its workers before it returns; inside ``with supervisor:`` they
+  outlive each run and are reaped when the block exits, so a caller
+  that hands over its jobs a few at a time (the sweep service, one
+  claimed point per run) keeps one warm worker for all of them.  A
+  stale heartbeat (hung worker) or a blown deadline preempts the worker
+  with escalating SIGTERM → SIGKILL; a worker that dies without
+  returning (crash, OOM SIGKILL) is detected by its exit code.  Either
+  way only that worker is lost: the attempt fails, and the next job
+  gets a fresh fork.  Transient failures are retried with exponential
+  backoff plus jitter (:func:`backoff_delay`).
 * :class:`AdaptiveDeadline` — per-job deadlines derived from the median
   of completed durations of the job's key times a factor, floored at
   the caller's ``timeout_s``, so one pathologically imbalanced grid
@@ -68,6 +71,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection
+from multiprocessing.reduction import ForkingPickler
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -572,35 +576,35 @@ class _Worker:
 
 
 class _WorkerPool:
-    """The forked workers of one :meth:`Supervisor.run`.
+    """The forked workers of one :meth:`Supervisor.run`, or of every run
+    inside one ``with supervisor:`` block.
 
     A worker is forked when a job first needs one and no forked worker
     is idle, so the pool never holds more workers than the supervisor
-    runs jobs at once.  Each worker inherits ``jobs`` at fork and is
-    sent only ``(job index, heartbeat path)`` per job, so nothing new
-    has to pickle.  The pool keeps every live worker's parent end of
-    the pipe: a new worker closes its copies of them, so when the
-    driver goes away — even by SIGKILL — each worker reads EOF and
-    exits instead of waiting on a pipe a sibling still holds open.
+    runs jobs at once.  A kept worker was forked before later jobs
+    existed, so each request carries its job pickled: ``(pickled
+    SupervisedJob, heartbeat path)``.  The pool keeps every live
+    worker's parent end of the pipe: a new worker closes its copies of
+    them, so when the driver goes away — even by SIGKILL — each worker
+    reads EOF and exits instead of waiting on a pipe a sibling still
+    holds open.
     """
 
-    def __init__(self, jobs: List[SupervisedJob],
-                 heartbeat_interval_s: float):
+    def __init__(self, heartbeat_interval_s: float):
         self._ctx = multiprocessing.get_context("fork")
-        self._jobs = jobs
         self._heartbeat_interval_s = heartbeat_interval_s
         self.live: List[_Worker] = []
         self.idle: List[_Worker] = []
 
-    def dispatch(self, index: int, hb_path: Path) -> _Worker:
-        """Send job ``index`` to an idle worker, forking one if none is.
+    def dispatch(self, pickled: bytes, hb_path: Path) -> _Worker:
+        """Send a pickled job to an idle worker, forking one if none is.
 
         A worker found dead while idle costs a re-fork, not an attempt.
         A send that fails on a fresh fork is left for the caller's death
         detection, so a worker that cannot start fails the attempt
         instead of forking forever.
         """
-        request = (index, str(hb_path))
+        request = (pickled, str(hb_path))
         while self.idle:
             worker = self.idle.pop()
             if worker.proc.exitcode is None and self._send(worker, request):
@@ -623,8 +627,7 @@ class _WorkerPool:
         inherited = [w.conn for w in self.live] + [parent_end]
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_end, inherited, self._jobs,
-                  self._heartbeat_interval_s),
+            args=(child_end, inherited, self._heartbeat_interval_s),
             daemon=True)
         proc.start()
         child_end.close()
@@ -647,6 +650,7 @@ class _WorkerPool:
 
         Idle workers exit on EOF.  A busy one (an interrupted run) gets
         SIGTERM; whatever is still alive after ``grace_s`` is SIGKILLed.
+        The pool is empty afterwards, and the next dispatch forks anew.
         """
         for worker in self.live:
             if worker not in self.idle:
@@ -699,13 +703,14 @@ class _Attempt:
 class _JobState:
     """Per-job retry/outcome bookkeeping."""
 
-    __slots__ = ("index", "job", "attempts", "preemptions", "eligible_at",
-                 "first_start", "outcome", "last_error", "last_error_type",
-                 "max_gap_s")
+    __slots__ = ("index", "job", "pickled", "attempts", "preemptions",
+                 "eligible_at", "first_start", "outcome", "last_error",
+                 "last_error_type", "max_gap_s")
 
     def __init__(self, index: int, job: SupervisedJob):
         self.index = index
         self.job = job
+        self.pickled = b""
         self.attempts = 0
         self.preemptions = 0
         self.eligible_at = 0.0
@@ -719,18 +724,22 @@ class _JobState:
 class Supervisor:
     """Runs :class:`SupervisedJob`\\ s in monitored forked workers.
 
-    One instance supervises one campaign (a sweep, a suite): it owns the
-    adaptive-deadline statistics and the circuit breaker for the whole
-    job list, and :meth:`run` may be called once.  :meth:`run` forks at
-    most ``workers`` processes and reuses each for job after job; every
-    job still gets its own attempts, deadline, heartbeat, retries,
-    breaker decision and provenance.  Before each job a worker drops
-    what the previous job left in the process: a paused heartbeat,
-    armed chaos faults (:func:`repro.chaos.disarm`), and the metrics
-    registry and sinks of a telemetry hub inherited enabled from the
-    driver.  A worker that dies, hangs or blows its deadline is killed
-    with its attempt; the next job forks a fresh one.  See the module
-    docstring for the monitoring model.
+    One instance supervises one campaign (a sweep, a suite, one job of
+    the sweep service): it owns the adaptive-deadline statistics and
+    the circuit breaker for every job of every :meth:`run` call.
+    :meth:`run` forks at most ``workers`` processes and reuses each for
+    job after job; every job still gets its own attempts, deadline,
+    heartbeat, retries, breaker decision and provenance.  A bare
+    :meth:`run` reaps its workers before it returns.  Inside ``with
+    supervisor:`` the workers outlive each :meth:`run` and are reaped
+    when the block exits, so a caller that runs its jobs one batch at
+    a time keeps them warm across batches.  Before each job a worker
+    drops what the previous job left in the process: a paused
+    heartbeat, armed chaos faults (:func:`repro.chaos.disarm`), and the
+    metrics registry and sinks of a telemetry hub inherited enabled
+    from the driver.  A worker that dies, hangs or blows its deadline is
+    killed with its attempt; the next job forks a fresh one.  See the
+    module docstring for the monitoring model.
     """
 
     def __init__(self, policy: Optional[SupervisionPolicy] = None,
@@ -742,6 +751,16 @@ class Supervisor:
             min_samples=self.policy.deadline_min_samples,
             floor_s=self.policy.deadline_floor_s)
         self._aborted = False
+        #: The workers kept across runs inside ``with supervisor:``.
+        self._pool: Optional[_WorkerPool] = None
+
+    def __enter__(self) -> "Supervisor":
+        self._pool = _WorkerPool(self.policy.heartbeat_interval_s)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pool, self._pool = self._pool, None
+        pool.close(self.policy.term_grace_s)
 
     # -- public entry point --------------------------------------------------
 
@@ -752,12 +771,14 @@ class Supervisor:
             workers: int = 1) -> List[WorkerOutcome]:
         """Execute every job; outcomes align with the ``jobs`` order.
 
-        Never raises for job failures — crashes, hangs, OOM kills and
-        breaker trips all land in the returned outcomes.  A
-        ``KeyboardInterrupt`` (from the driver, or reported by a worker)
-        terminates the remaining workers and marks unfinished jobs
-        ``skipped``, as :func:`run_in_process` does.  Returns only after
-        every worker it forked has exited.
+        Never raises for job failures — crashes, hangs, OOM kills,
+        breaker trips and jobs that cannot be pickled all land in the
+        returned outcomes.  A ``KeyboardInterrupt`` (from the driver, or
+        reported by a worker) terminates the workers and marks
+        unfinished jobs ``skipped``, as :func:`run_in_process` does; the
+        next run starts clean.  Outside ``with supervisor:`` it returns
+        only after every worker it forked has exited; inside, the idle
+        workers stay for the next run.
         """
         if not jobs:
             return []
@@ -769,9 +790,12 @@ class Supervisor:
             hb_root.mkdir(parents=True, exist_ok=True)
 
         states = [_JobState(i, job) for i, job in enumerate(jobs)]
-        queue: deque = deque(range(len(jobs)))
+        queue: deque = deque(s.index for s in states if self._pickle(s))
         running: Dict[int, _Attempt] = {}
-        pool = _WorkerPool(jobs, policy.heartbeat_interval_s)
+        scoped = self._pool is not None
+        pool = self._pool if scoped \
+            else _WorkerPool(policy.heartbeat_interval_s)
+        self._aborted = False
         try:
             while (queue or running) and not self._aborted:
                 now = time.monotonic()
@@ -798,7 +822,8 @@ class Supervisor:
         except KeyboardInterrupt:
             self._aborted = True
         finally:
-            pool.close(policy.term_grace_s)
+            if not scoped or self._aborted or running:
+                pool.close(policy.term_grace_s)
             for state in states:
                 if state.outcome is None:
                     state.outcome = WorkerOutcome(
@@ -809,6 +834,25 @@ class Supervisor:
             if own_hb_root:
                 shutil.rmtree(hb_root, ignore_errors=True)
         return [state.outcome for state in states]
+
+    @staticmethod
+    def _pickle(state: _JobState) -> bool:
+        """Pickle ``state``'s job for its workers; False fails the job.
+
+        A job that cannot travel to a worker (a lambda ``fn``, an open
+        file in its arguments) would fail every attempt the same way, so
+        it fails once, here, without an attempt or a fork.
+        """
+        try:
+            state.pickled = bytes(ForkingPickler.dumps(state.job))
+            return True
+        except Exception as exc:  # a __reduce__ may raise anything
+            error = f"{state.job.label}: job failed to serialize ({exc!r})"
+            logger.warning("%s", error)
+            state.outcome = WorkerOutcome(
+                label=state.job.label, status="failed", error=error,
+                error_type="SimulationError", provenance="failed")
+            return False
 
     # -- scheduling ----------------------------------------------------------
 
@@ -850,7 +894,7 @@ class Supervisor:
         if state.first_start is None:
             state.first_start = now
         hb_path = hb_root / f"job{state.index}.a{state.attempts}.hb"
-        worker = pool.dispatch(state.index, hb_path)
+        worker = pool.dispatch(state.pickled, hb_path)
         deadline = self.adaptive.deadline_for(timeout_s,
                                               state.job.breaker_key)
         running[state.index] = _Attempt(
@@ -1065,16 +1109,17 @@ class Supervisor:
         return time.monotonic() - state.first_start
 
 
-def _worker_main(conn, inherited: List[Any], jobs: List[SupervisedJob],
+def _worker_main(conn, inherited: List[Any],
                  heartbeat_interval_s: float) -> None:
-    """Worker entry: run each job index the parent sends until EOF.
+    """Worker entry: run each pickled job the parent sends until EOF.
 
     ``inherited`` are the parent's ends of every worker's pipe, this
     one's included; closing them here is what lets EOF arrive when the
-    driver goes away.  Every job gets the process state a fresh fork
-    would have given it (:func:`_reset_for_job`) and ships one payload
-    back: ``("ok", result)`` or ``("error", type name, text,
-    transient)``.
+    driver goes away.  Jobs arrive pickled, since a worker kept across
+    :meth:`Supervisor.run` calls was forked before later jobs existed.
+    Every job gets the process state a fresh fork would have given it
+    (:func:`_reset_for_job`) and ships one payload back: ``("ok",
+    result)`` or ``("error", type name, text, transient)``.
     """
     for other in inherited:
         with contextlib.suppress(OSError):
@@ -1083,11 +1128,11 @@ def _worker_main(conn, inherited: List[Any], jobs: List[SupervisedJob],
     try:
         while True:
             try:
-                index, hb_path = conn.recv()
+                pickled, hb_path = conn.recv()
             except (EOFError, OSError):
                 return
             _reset_for_job(hub_enabled)
-            job = jobs[index]
+            job = ForkingPickler.loads(pickled)
             payload = _run_job(job, hb_path, heartbeat_interval_s)
             try:
                 conn.send(payload)

@@ -16,6 +16,8 @@ from repro.experiments import (AXIS_ALIASES, ArtifactStore, ExperimentSpec,
                                PointOutcome, SweepPoint, SweepResult,
                                parse_axis_option, parse_axis_value,
                                resolve_axes, run_sweep, speedup_matrix)
+from repro.experiments.engine import store_breaker
+from repro.supervision import CircuitBreaker
 
 from faults import bit_flip, truncate_file
 
@@ -204,6 +206,23 @@ class TestArtifactStore:
         truncate_file(store.manifest_path, 0.3)
         assert store.initialize(tiny_spec()) is False  # fresh manifest
         assert store.read_manifest() is not None
+
+    def test_keyed_breaker_write_keeps_other_keys(self, tmp_path):
+        # Two fleet workers load the breaker, then record in turn: the
+        # later writer's stale copy must not reopen what the first
+        # tripped, and a repeated write must not duplicate its trip.
+        store = ArtifactStore(tmp_path / "s")
+        first, second = store_breaker(store), store_breaker(store)
+        for _ in range(3):
+            second.record_failure("CCS|ptr")
+        store.record_breaker_state(second.to_state(), key="CCS|ptr")
+        first.record_failure("GDL|libra")
+        store.record_breaker_state(first.to_state(), key="GDL|libra")
+        store.record_breaker_state(second.to_state(), key="CCS|ptr")
+        state = store.load_breaker_state()
+        assert CircuitBreaker.from_state(state).open_keys == ["CCS|ptr"]
+        assert state["cells"]["GDL|libra"]["failures"] == 1
+        assert [t["key"] for t in state["trips"]] == ["CCS|ptr"]
 
 
 class TestEngine:

@@ -9,6 +9,7 @@ malformed spec must come back as HTTP 400 — never a stack trace.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -23,7 +24,8 @@ import pytest
 from repro.errors import ConfigValidationError, ServiceError
 from repro.experiments import (ArtifactStore, ExperimentSpec, SpeedupMatrix,
                                run_sweep, speedup_matrix)
-from repro.experiments.engine import sweep_result_from_store
+from repro.experiments import engine
+from repro.experiments.engine import store_breaker, sweep_result_from_store
 from repro.service import (DEFAULT_LEASE_TTL_S, JobRecord, JobStore,
                            SweepClient, claim_point, job_id_for, run_worker)
 from repro.service.fleet import (FleetReporter, job_progress, read_fleet,
@@ -31,6 +33,7 @@ from repro.service.fleet import (FleetReporter, job_progress, read_fleet,
 from repro.service.jobs import TERMINAL_EVENTS
 from repro.service.queue import read_lease
 from repro.service.server import create_server
+from repro.supervision import CircuitBreaker
 from repro.telemetry.fleet_trace import PID_WORKER0, fleet_chrome_trace
 from repro.telemetry.progress import ProgressLog
 
@@ -593,6 +596,24 @@ class TestWorkerCrashSafety:
             run_sweep(spec, store_root=tmp_path / "local"))
         assert rebuilt.to_markdown() == local.to_markdown()
 
+    def test_lease_left_on_a_finished_point_is_removed(
+            self, shared_cache_dir, tmp_path):
+        # A worker SIGKILLed alone leaves its lease behind while its
+        # child still checkpoints the point: finalizing must drop it.
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        assert run_worker(store.root, once=True, lease_ttl_s=5.0,
+                          max_points=spec.num_points - 1) \
+            == spec.num_points - 1
+        leases = store.leases_dir(record.job_id)
+        orphan = leases / f"{spec.expand()[0].point_id}.lease"
+        orphan.write_text(json.dumps({"owner": "killed"}))
+        os.utime(orphan, (time.time() - 60, time.time() - 60))
+        assert run_worker(store.root, once=True, lease_ttl_s=5.0) == 1
+        assert store.read(record.job_id).state == "done"
+        assert not list(leases.glob("*.lease"))
+
     def test_torn_artifact_is_quarantined_and_rerun(self, shared_cache_dir,
                                                     tmp_path):
         """A torn checkpoint must rerun, never finalize a partial job.
@@ -627,6 +648,123 @@ class TestWorkerCrashSafety:
         local = speedup_matrix(
             run_sweep(spec, store_root=tmp_path / "local"))
         assert payload["markdown"] == local.to_markdown()
+
+
+# ---------------------------------------------------------------------------
+# one supervised child per drained job
+
+
+class TestWorkerChildPerJob:
+    def test_clean_job_runs_on_one_child(self, shared_cache_dir, tmp_path):
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        assert run_worker(store.root, worker_id="w", once=True,
+                          lease_ttl_s=5.0) == spec.num_points
+        assert multiprocessing.active_children() == []
+        assert store.read(record.job_id).state == "done"
+        # One trace stream per point, named <point_id>.<child pid>.jsonl.
+        traces = list(store.traces_dir(record.job_id).glob("*.jsonl"))
+        assert len(traces) == spec.num_points
+        assert len({path.name.split(".")[-2] for path in traces}) == 1
+        # Clean points leave their breaker cell as it was: nothing to write.
+        assert not store.sweep_store(record.job_id).breakers_path.exists()
+
+    def test_crashed_first_attempt_still_finishes_the_job(
+            self, shared_cache_dir, tmp_path, monkeypatch):
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        flag = tmp_path / "crashed"
+        original = engine.execute_point
+
+        def crash_once(point):
+            # The flag is a file: the crashed child's memory dies with it.
+            if not flag.exists():
+                flag.write_text(point.point_id)
+                os._exit(9)
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", crash_once)
+        assert run_worker(store.root, worker_id="w", once=True,
+                          lease_ttl_s=5.0) == spec.num_points
+        assert multiprocessing.active_children() == []
+        assert store.read(record.job_id).state == "done"
+        done = [e for e in store.events(record.job_id).read()
+                if e["event"] == "point_done"]
+        assert len(done) == spec.num_points
+        assert [e["attempts"] for e in done
+                if e["point_id"] == flag.read_text()] == [2]
+        monkeypatch.setattr(engine, "execute_point", original)
+        local = speedup_matrix(
+            run_sweep(spec, store_root=tmp_path / "local"))
+        payload = json.loads(store.result_path(record.job_id).read_bytes())
+        assert payload["markdown"] == local.to_markdown()
+
+    def test_claim_merges_only_its_own_breaker_cell(
+            self, shared_cache_dir, tmp_path, monkeypatch):
+        # While this worker's point runs, a fleet mate trips CCS|ptr.
+        # The point's success then resets tri_overlap|baseline, which
+        # must not write back a stale copy that reopens CCS|ptr.
+        spec = tiny_spec(kinds=["baseline"], axes={})
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        sweep_store = store.sweep_store(record.job_id)
+        sweep_store.initialize(spec)
+        seeded = CircuitBreaker()
+        seeded.record_failure("tri_overlap|baseline")
+        sweep_store.record_breaker_state(seeded.to_state())
+        original = engine.execute_point
+
+        def fleet_mate_trips(point):
+            mate = store_breaker(sweep_store)  # fresh read, then write
+            for _ in range(3):
+                mate.record_failure("CCS|ptr")
+            sweep_store.record_breaker_state(mate.to_state())
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", fleet_mate_trips)
+        assert run_worker(store.root, once=True, lease_ttl_s=5.0) == 1
+        state = sweep_store.load_breaker_state()
+        assert CircuitBreaker.from_state(state).open_keys == ["CCS|ptr"]
+        assert state["cells"]["tri_overlap|baseline"]["failures"] == 0
+        assert [t["key"] for t in state["trips"]] == ["CCS|ptr"]
+
+
+class TestFinalizeOncePerDrain:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        original = JobStore.counts
+
+        def counts(self, job_id, *args, **kwargs):
+            calls.append(job_id)
+            return original(self, job_id, *args, **kwargs)
+
+        monkeypatch.setattr(JobStore, "counts", counts)
+        return calls
+
+    def test_counts_scans_do_not_grow_with_grid(self, shared_cache_dir,
+                                                tmp_path, counted):
+        store = JobStore(tmp_path / "root")
+        small = store.submit(tiny_spec())
+        large = store.submit(tiny_spec(axes={"raster_units": [1, 2, 4]}))
+        assert run_worker(store.root, once=True, lease_ttl_s=5.0) == 10
+        for job in (small, large):
+            assert counted.count(job.job_id) == 2
+            assert store.read(job.job_id).state == "done"
+            assert store.result_path(job.job_id).exists()
+
+    def test_max_points_at_grid_size_still_finalizes(self, shared_cache_dir,
+                                                     tmp_path, counted):
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        assert run_worker(store.root, once=True, lease_ttl_s=5.0,
+                          max_points=spec.num_points) == spec.num_points
+        assert store.read(record.job_id).state == "done"
+        assert store.result_path(record.job_id).exists()
+        assert counted.count(record.job_id) == 2
 
 
 # ---------------------------------------------------------------------------

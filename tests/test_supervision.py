@@ -534,3 +534,48 @@ class TestWorkerLifecycle:
         assert aborted[1].error_type == "KeyboardInterrupt"
         assert aborted[3].status == "skipped"
         assert multiprocessing.active_children() == []
+
+
+# -- workers kept across runs (``with supervisor:``) --------------------------
+
+class TestKeptWorkers:
+    def test_runs_share_one_worker(self):
+        with Supervisor(_policy()) as supervisor:
+            assert multiprocessing.active_children() == []  # lazy fork
+            outcomes = [o for i in range(3) for o in supervisor.run(
+                [SupervisedJob(f"j{i}", _ok_job, args=(i,))])]
+        assert [o.status for o in outcomes] == ["ok"] * 3
+        assert len({o.result["pid"] for o in outcomes}) == 1
+        assert multiprocessing.active_children() == []
+
+    def test_crash_gets_a_fresh_fork_in_the_next_run(self):
+        with Supervisor(_policy()) as supervisor:
+            [first] = supervisor.run([SupervisedJob("a", _ok_job, args=(1,))])
+            [crash] = supervisor.run([SupervisedJob("boom", _crash_job)],
+                                     max_attempts=1)
+            [third] = supervisor.run([SupervisedJob("b", _ok_job, args=(2,))])
+        assert crash.error_type == "WorkerCrashError"
+        assert third.ok
+        assert third.result["pid"] != first.result["pid"]
+        assert multiprocessing.active_children() == []
+
+    def test_interrupted_run_does_not_poison_the_next(self):
+        with Supervisor(_policy()) as supervisor:
+            aborted = supervisor.run(
+                [SupervisedJob("interrupt", _interrupt_job),
+                 SupervisedJob("never", _ok_job, args=(1,))])
+            [after] = supervisor.run([SupervisedJob("ok", _ok_job, args=(2,))])
+        assert aborted[0].error_type == "KeyboardInterrupt"
+        assert aborted[1].status == "skipped"
+        assert (after.status, after.result["value"]) == ("ok", 2)
+        assert multiprocessing.active_children() == []
+
+    def test_unpicklable_job_fails_only_itself(self):
+        with Supervisor(_policy()) as supervisor:
+            bad, good = supervisor.run(
+                [SupervisedJob("lambda", lambda: None),
+                 SupervisedJob("ok", _ok_job, args=(3,))])
+        assert bad.status == "failed"
+        assert "serialize" in bad.error
+        assert good.ok and good.result["value"] == 3
+        assert multiprocessing.active_children() == []
