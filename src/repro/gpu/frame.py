@@ -22,7 +22,7 @@ from ..telemetry import (HUB, CacheDelta, PhaseBegin, PhaseEnd,
                          SchedulerDecision, SimClock)
 from .raster_unit import TimingRasterUnit
 from .timing import RasterPhaseResult, TimingSimulator
-from .workload import FrameTrace
+from .workload import FrameTrace, line_list
 
 TileCoord = Tuple[int, int]
 
@@ -142,7 +142,7 @@ class FrameDriver:
         """
         if self.ideal_memory:
             return
-        lines = trace.vertex_lines
+        lines = line_list(trace.vertex_lines)
         interval = self.config.interval_cycles
         num_intervals = max(trace.geometry_cycles // interval, 1)
         n = len(lines)

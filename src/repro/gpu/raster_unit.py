@@ -28,7 +28,7 @@ from ..telemetry import (HUB, SimClock, TILE_LATENCY_BUCKETS, TileDispatch,
                          TileRetire)
 from . import tilestream
 from .shader_core import CoreCluster
-from .workload import TileCoord, TileWorkload
+from .workload import TileCoord, TileWorkload, line_list
 
 _EPS = 1e-9
 
@@ -95,6 +95,11 @@ class TimingRasterUnit:
             self._compressor = FrameBufferCompressor(
                 fallback_ratio=config.fb_compression_ratio)
         self._current: Optional[TileWorkload] = None
+        #: The current tile's texture stream as the loops below read it:
+        #: a list of Python ints where a path walks it line by line
+        #: through the dict caches, else the workload's array (only its
+        #: length is read).
+        self._lines: Sequence[int] = ()
         self._cycles_done = 0.0
         self._cycles_needed = 0.0
         self._line_idx = 0
@@ -183,8 +188,7 @@ class TimingRasterUnit:
                 worked = True
                 continue
             worked = True
-            w = self._current
-            lines = w.texture_lines
+            lines = self._lines
             n_lines = len(lines)
             if (self._line_idx < n_lines
                     and self._cycles_done + _EPS
@@ -245,14 +249,21 @@ class TimingRasterUnit:
         self._cycles_needed = self.cluster.tile_compute_cycles(workload)
         self._line_idx = 0
         self._tile_dram = 0
-        n_lines = len(workload.texture_lines)
+        lines = workload.texture_lines
+        n_lines = len(lines)
         self._cycles_per_line = (self._cycles_needed / n_lines
                                  if n_lines else 0.0)
         self._plan = None
         if self.batched and not self.ideal_memory and n_lines:
             self._plan_tile(workload, n_lines)
+        if (n_lines and self._plan is None
+                and not (self.batched and self.ideal_memory)):
+            # The fused loop (a set-unsafe tile) and the scalar oracle
+            # index the stream line by line.
+            lines = line_list(lines)
+        self._lines = lines
         if not self.ideal_memory:
-            pb_lines = workload.pb_lines
+            pb_lines = line_list(workload.pb_lines)
             if self.batched:
                 if pb_lines:
                     misses: list = []
@@ -273,15 +284,9 @@ class TimingRasterUnit:
         w = self._current
         assert w is not None
         if not self.ideal_memory:
-            fb_lines = w.fb_lines
-            if self._compressor is not None and fb_lines:
-                fb_lines = self._compressor.compress_flush(fb_lines)
-                if self.batched:
-                    self.shared.stream_to_dram_batch(fb_lines, FRAMEBUFFER)
-                else:
-                    for line in fb_lines:
-                        self.shared.stream_to_dram(line, FRAMEBUFFER)
-            elif self.batched and self._svc_integer and fb_lines:
+            flushed = len(w.fb_lines)
+            if (flushed and self.batched and self._svc_integer
+                    and self._compressor is None):
                 # The flush stream is row-consecutive; replay it as
                 # precomputed (bank, row, count) runs.  Within a run
                 # every request after the first hits the open row, and
@@ -312,12 +317,17 @@ class TimingRasterUnit:
                 d_stats.row_misses += row_misses
                 d_stats.activations += row_misses
                 self.shared.traffic.add(FRAMEBUFFER, n)
-            elif self.batched:
-                self.shared.stream_to_dram_batch(fb_lines, FRAMEBUFFER)
-            else:
-                for line in fb_lines:
-                    self.shared.stream_to_dram(line, FRAMEBUFFER)
-            self._tile_dram += len(fb_lines)
+            elif flushed:
+                fb_lines = line_list(w.fb_lines)
+                if self._compressor is not None:
+                    fb_lines = self._compressor.compress_flush(fb_lines)
+                    flushed = len(fb_lines)
+                if self.batched:
+                    self.shared.stream_to_dram_batch(fb_lines, FRAMEBUFFER)
+                else:
+                    for line in fb_lines:
+                        self.shared.stream_to_dram(line, FRAMEBUFFER)
+            self._tile_dram += flushed
         # Per-fragment fetches beyond the line footprint are filtered by
         # quad coalescing before the L1; account their energy only (they
         # do not contribute to the L1 hit ratio or latency statistics).

@@ -217,11 +217,10 @@ def fb_runs(workload, lines_per_row: int, bank_mask: int,
     key = ("fb", lines_per_row, bank_mask, bank_bits)
     data = cache.get(key)
     if data is None:
-        fb = workload.fb_lines
-        if not fb:
+        arr = np.asarray(workload.fb_lines, dtype=np.int64)
+        if not len(arr):
             data = ()
         else:
-            arr = np.asarray(fb, dtype=np.int64)
             rows = arr // lines_per_row
             boundary = np.empty(arr.shape[0], dtype=bool)
             boundary[0] = True

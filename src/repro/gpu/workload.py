@@ -7,6 +7,14 @@ Parameter Buffer reads at tile fetch, Frame Buffer writes at flush).
 A :class:`FrameTrace` bundles the workloads of every tile of one frame
 plus the Geometry-phase quantities.
 
+The line streams are one-dimensional ``np.int64`` arrays (8 bytes a
+line; a list of Python ints costs about 40).  Both classes convert any
+integer sequence they are built with, so hand-built workloads may pass
+lists.  A stream read therefore returns an array: test it with ``len``,
+not truthiness, and compare it with ``np.array_equal`` or after
+``.tolist()``.  Loops that walk a stream line by line through a dict
+cache take it as Python ints from :func:`line_list`.
+
 Traces are produced by :mod:`repro.workloads.traces` (driving the real
 functional rasterizer) and are configuration-independent: the same trace
 is reused across baseline / PTR / LIBRA runs of an experiment.
@@ -14,8 +22,10 @@ is reused across baseline / PTR / LIBRA runs of an experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import TraceFormatError
 
@@ -27,9 +37,53 @@ TileCoord = Tuple[int, int]
 MAX_LINE_ADDRESS = 1 << 48
 
 
+def as_lines(lines: Sequence[int]) -> np.ndarray:
+    """A line stream as an ``int64`` array (no copy when it is one)."""
+    return np.asarray(lines, dtype=np.int64)
+
+
+def line_list(lines: Sequence[int]) -> List[int]:
+    """A line stream as a list of Python ints.
+
+    For loops that walk a stream line by line through a dict cache:
+    indexing an array yields ``np.int64`` scalars, which are slower in
+    Python arithmetic and would end up as the caches' keys.
+    """
+    return as_lines(lines).tolist()
+
+
+def _no_lines() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+def _out_of_bounds(lines: Sequence[int]) -> Optional[int]:
+    """The first address of a stream outside [0, 2^48), or None."""
+    arr = np.asarray(lines)
+    if len(arr) and (arr.min() < 0 or arr.max() >= MAX_LINE_ADDRESS):
+        return arr[(arr < 0) | (arr >= MAX_LINE_ADDRESS)][0]
+    return None
+
+
+def _fields_equal(a, b) -> bool:
+    """Field-wise dataclass equality, arrays compared by value."""
+    for f in fields(a):
+        x = getattr(a, f.name)
+        y = getattr(b, f.name)
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            if not np.array_equal(x, y):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
 @dataclass
 class TileWorkload:
-    """The cost and traffic of rendering one tile."""
+    """The cost and traffic of rendering one tile.
+
+    ``texture_lines``, ``pb_lines`` and ``fb_lines`` are ``int64``
+    arrays; any integer sequence passed in is converted.
+    """
 
     tile: TileCoord
     #: Total shader-core instructions (fragment shading work).
@@ -37,16 +91,17 @@ class TileWorkload:
     #: Shaded fragments (post Early-Z).
     fragments: int = 0
     #: Ordered texture cache-line footprint (one entry per distinct line
-    #: per primitive, in first-touch order).
-    texture_lines: List[int] = field(default_factory=list)
+    #: per primitive, in first-touch order), ``int64``.
+    texture_lines: np.ndarray = field(default_factory=_no_lines)
     #: Total per-fragment texture fetches; fetches beyond the footprint
     #: re-hit resident lines and are accounted analytically.
     texture_fetches: int = 0
-    #: Parameter Buffer lines read by the Tile Fetcher for this tile.
-    pb_lines: List[int] = field(default_factory=list)
-    #: Frame Buffer lines written by the Color Buffer flush (empty when
-    #: transaction elimination suppressed the flush).
-    fb_lines: List[int] = field(default_factory=list)
+    #: Parameter Buffer lines read by the Tile Fetcher for this tile,
+    #: ``int64``.
+    pb_lines: np.ndarray = field(default_factory=_no_lines)
+    #: Frame Buffer lines written by the Color Buffer flush, ``int64``
+    #: (empty when transaction elimination suppressed the flush).
+    fb_lines: np.ndarray = field(default_factory=_no_lines)
     #: Primitives binned into this tile (each costs rasterizer setup).
     num_primitives: int = 0
     #: Per-primitive shaded fragment counts (only primitives that shaded
@@ -55,6 +110,16 @@ class TileWorkload:
     prim_fragments: List[int] = field(default_factory=list)
     #: Per-primitive instruction counts, aligned with ``prim_fragments``.
     prim_instructions: List[int] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.texture_lines = as_lines(self.texture_lines)
+        self.pb_lines = as_lines(self.pb_lines)
+        self.fb_lines = as_lines(self.fb_lines)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields_equal(self, other)
 
     @property
     def repeat_fetches(self) -> int:
@@ -80,10 +145,8 @@ class TileWorkload:
         for name, lines in (("texture", self.texture_lines),
                             ("pb", self.pb_lines),
                             ("fb", self.fb_lines),):
-            if lines and (min(lines) < 0
-                          or max(lines) >= MAX_LINE_ADDRESS):
-                bad = next(a for a in lines
-                           if not 0 <= a < MAX_LINE_ADDRESS)
+            bad = _out_of_bounds(lines)
+            if bad is not None:
                 raise TraceFormatError(
                     f"tile {self.tile}: {name} line address {bad} "
                     "out of bounds")
@@ -91,7 +154,11 @@ class TileWorkload:
 
 @dataclass
 class FrameTrace:
-    """One frame of work, tiled and measured, ready for timing simulation."""
+    """One frame of work, tiled and measured, ready for timing simulation.
+
+    ``vertex_lines`` is an ``int64`` array; any integer sequence passed
+    in is converted.
+    """
 
     frame_index: int
     tiles_x: int
@@ -100,10 +167,18 @@ class FrameTrace:
     workloads: Dict[TileCoord, TileWorkload]
     #: Geometry-phase duration (cycles), from the Geometry Pipeline model.
     geometry_cycles: int = 0
-    #: Vertex-fetch cache-line stream of the Geometry phase.
-    vertex_lines: List[int] = field(default_factory=list)
+    #: Vertex-fetch cache-line stream of the Geometry phase, ``int64``.
+    vertex_lines: np.ndarray = field(default_factory=_no_lines)
     #: Shader instructions spent in vertex shading (for energy).
     vertex_instructions: int = 0
+
+    def __post_init__(self) -> None:
+        self.vertex_lines = as_lines(self.vertex_lines)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return _fields_equal(self, other)
 
     @property
     def num_tiles(self) -> int:
@@ -143,9 +218,7 @@ class FrameTrace:
                     f"frame {self.frame_index}: workload keyed {coord} "
                     f"claims tile {workload.tile}")
             workload.validate()
-        if self.vertex_lines and (
-                min(self.vertex_lines) < 0
-                or max(self.vertex_lines) >= MAX_LINE_ADDRESS):
+        if _out_of_bounds(self.vertex_lines) is not None:
             raise TraceFormatError(
                 f"frame {self.frame_index}: vertex line address "
                 "out of bounds")

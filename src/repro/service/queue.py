@@ -31,7 +31,7 @@ import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from .. import cachefile
 from ..experiments import ExperimentSpec
@@ -93,7 +93,8 @@ def read_lease(path: Path) -> dict:
 
 def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
                 worker_id: str,
-                lease_ttl_s: float = DEFAULT_LEASE_TTL_S) -> \
+                lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
+                points: Optional[Sequence[SweepPoint]] = None) -> \
         Optional[PointClaim]:
     """Claim one pending point of a job, or None when none remains.
 
@@ -102,8 +103,12 @@ def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
     simulation — runs outside the lock).  Scan order follows the
     spec's deterministic expansion; a point is claimable when it has no
     checkpointed artifact, no recorded terminal failure, and no lease
-    renewed within ``lease_ttl_s``.
+    renewed within ``lease_ttl_s``.  A caller that claims repeatedly
+    passes ``points`` (``spec.expand()``, expanded once) so the grid is
+    not expanded again on every claim.
     """
+    if points is None:
+        points = spec.expand()
     leases = store.leases_dir(job_id)
     leases.mkdir(parents=True, exist_ok=True)
     sweep_store = store.sweep_store(job_id)
@@ -112,7 +117,7 @@ def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
         done = set(sweep_store.completed_ids())
         failed = set(sweep_store.load_point_failures())
         now = time.time()
-        for point in spec.expand():
+        for point in points:
             pid = point.point_id
             if pid in done or pid in failed:
                 continue

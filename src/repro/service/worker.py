@@ -192,8 +192,11 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
     by the scan that finds nothing left to claim, or after the last
     point when the drain stops early (``remaining`` spent, ``stop``
     set), so finalizing costs one store scan per drain, not per point.
+    The grid is expanded once per drain, and the job record is written
+    only to move it from ``queued`` to ``running``.
     """
     ran = 0
+    points = spec.expand()
     with Supervisor(policy) as supervisor:
         while not (stop is not None and stop.is_set()):
             if remaining is not None and ran >= remaining:
@@ -202,7 +205,7 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
             if fresh is None or fresh.terminal:
                 return ran
             claim = claim_point(store, job_id, spec, worker_id,
-                                lease_ttl_s=lease_ttl_s)
+                                lease_ttl_s=lease_ttl_s, points=points)
             if claim is None:
                 if _maybe_finalize(store, job_id, spec, lease_ttl_s):
                     return ran
@@ -211,10 +214,11 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
                 # quarantined a torn artifact and re-opened its point.
                 # One more scan tells the two apart.
                 claim = claim_point(store, job_id, spec, worker_id,
-                                    lease_ttl_s=lease_ttl_s)
+                                    lease_ttl_s=lease_ttl_s, points=points)
                 if claim is None:
                     return ran
-            _mark_running(store, job_id, worker_id)
+            if fresh.state == "queued":
+                _mark_running(store, job_id, worker_id)
             store.events(job_id).emit(
                 "point_claimed", job_id=job_id,
                 point_id=claim.point.point_id, owner=worker_id,

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 from .events import TelemetryEvent
 from .metrics import MetricsRegistry
@@ -72,16 +72,30 @@ class JsonlSink:
     plain one is.
     """
 
+    #: Field names per event type, in ``dataclasses.fields`` order.
+    _FIELDS: Dict[type, Tuple[str, ...]] = {}
+
     def __init__(self, stream: IO[str],
                  extra: Optional[Dict[str, Any]] = None):
         self.stream = stream
         self.extra = dict(extra) if extra else None
 
     def handle(self, event: TelemetryEvent) -> None:
-        """Serialize one event as a JSON line."""
+        """Serialize one event as a JSON line.
+
+        The record holds the same keys in the same order as
+        ``dataclasses.asdict`` would give (``seq`` first), without its
+        deep copy: the values are serialized right away.
+        """
+        cls = type(event)
+        names = self._FIELDS.get(cls)
+        if names is None:
+            names = self._FIELDS[cls] = tuple(
+                f.name for f in dataclasses.fields(cls))
         record = dict(self.extra) if self.extra else {}
-        record["type"] = type(event).__name__
-        record.update(dataclasses.asdict(event))
+        record["type"] = cls.__name__
+        for name in names:
+            record[name] = getattr(event, name)
         self.stream.write(json.dumps(record, default=str) + "\n")
 
 

@@ -14,7 +14,9 @@ Format (one JSON object per trace)::
      "tiles": {"4,7": {"instructions": ..., "fragments": ...,
                         "texture_lines": [...], ...}, ...}}
 
-Empty tiles are omitted; ``FrameTrace.workload_for`` regenerates them.
+Line streams are written as JSON lists and read back as ``int64``
+arrays.  A tile equal to an empty ``TileWorkload`` is omitted;
+``FrameTrace.workload_for`` regenerates it.
 
 Malformed input — truncated gzip streams, invalid JSON, missing keys,
 or a ``version`` other than :data:`FORMAT_VERSION` — raises
@@ -31,8 +33,10 @@ import zlib
 from pathlib import Path
 from typing import List, Union
 
+import numpy as np
+
 from ..errors import TraceFormatError
-from ..gpu.workload import FrameTrace, TileWorkload
+from ..gpu.workload import FrameTrace, TileWorkload, as_lines, line_list
 
 FORMAT_VERSION = 1
 
@@ -53,16 +57,15 @@ def trace_to_dict(trace: FrameTrace) -> dict:
     """Serialize one trace to a JSON-compatible dictionary."""
     tiles = {}
     for (tx, ty), workload in trace.workloads.items():
-        if (workload.instructions == 0 and not workload.texture_lines
-                and not workload.fb_lines and not workload.pb_lines):
+        if workload == TileWorkload(tile=workload.tile):
             continue
         tiles[f"{tx},{ty}"] = {
             "instructions": workload.instructions,
             "fragments": workload.fragments,
-            "texture_lines": workload.texture_lines,
+            "texture_lines": line_list(workload.texture_lines),
             "texture_fetches": workload.texture_fetches,
-            "pb_lines": workload.pb_lines,
-            "fb_lines": workload.fb_lines,
+            "pb_lines": line_list(workload.pb_lines),
+            "fb_lines": line_list(workload.fb_lines),
             "num_primitives": workload.num_primitives,
             "prim_fragments": workload.prim_fragments,
             "prim_instructions": workload.prim_instructions,
@@ -75,9 +78,20 @@ def trace_to_dict(trace: FrameTrace) -> dict:
         "tile_size": trace.tile_size,
         "geometry_cycles": trace.geometry_cycles,
         "vertex_instructions": trace.vertex_instructions,
-        "vertex_lines": trace.vertex_lines,
+        "vertex_lines": line_list(trace.vertex_lines),
         "tiles": tiles,
     }
+
+
+def _read_lines(value, where: str) -> np.ndarray:
+    """A JSON list of line addresses as an ``int64`` array."""
+    try:
+        lines = as_lines(value)
+    except (TypeError, ValueError, OverflowError):
+        lines = None
+    if lines is None or lines.ndim != 1:
+        raise TraceFormatError(f"{where}: not a list of line addresses")
+    return lines
 
 
 def trace_from_dict(data: dict, source: str = "<dict>") -> FrameTrace:
@@ -109,10 +123,13 @@ def trace_from_dict(data: dict, source: str = "<dict>") -> FrameTrace:
             tile=tile,
             instructions=fields["instructions"],
             fragments=fields["fragments"],
-            texture_lines=list(fields["texture_lines"]),
+            texture_lines=_read_lines(fields["texture_lines"],
+                                      f"{source}: tile {key} texture_lines"),
             texture_fetches=fields["texture_fetches"],
-            pb_lines=list(fields["pb_lines"]),
-            fb_lines=list(fields["fb_lines"]),
+            pb_lines=_read_lines(fields["pb_lines"],
+                                 f"{source}: tile {key} pb_lines"),
+            fb_lines=_read_lines(fields["fb_lines"],
+                                 f"{source}: tile {key} fb_lines"),
             num_primitives=fields["num_primitives"],
             prim_fragments=list(fields["prim_fragments"]),
             prim_instructions=list(fields["prim_instructions"]),
@@ -124,7 +141,8 @@ def trace_from_dict(data: dict, source: str = "<dict>") -> FrameTrace:
         tile_size=data["tile_size"],
         workloads=workloads,
         geometry_cycles=data["geometry_cycles"],
-        vertex_lines=list(data["vertex_lines"]),
+        vertex_lines=_read_lines(data["vertex_lines"],
+                                 f"{source}: vertex_lines"),
         vertex_instructions=data["vertex_instructions"],
     )
 

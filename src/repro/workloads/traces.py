@@ -17,6 +17,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from .. import cachefile
 from ..config import CACHE_LINE_BYTES
 from ..geometry.pipeline import GeometryPipeline
@@ -27,8 +29,8 @@ from ..tiling.engine import TilingEngine
 from .scene import Scene, SceneBuilder
 
 #: Bump when the trace format or generator behaviour changes, to invalidate
-#: any on-disk caches.
-TRACE_FORMAT_VERSION = 3
+#: any on-disk caches.  v4: line streams are ``int64`` arrays.
+TRACE_FORMAT_VERSION = 4
 
 
 class TraceBuilder:
@@ -113,8 +115,8 @@ class TraceBuilder:
             tile_size=self.tile_size,
             workloads=workloads,
             geometry_cycles=geometry.cycles,
-            vertex_lines=[a // CACHE_LINE_BYTES
-                          for a in geometry.vertex_fetch_addresses],
+            vertex_lines=np.asarray(geometry.vertex_fetch_addresses,
+                                    dtype=np.int64) // CACHE_LINE_BYTES,
             vertex_instructions=geometry.stats.vertex_instructions,
         )
 

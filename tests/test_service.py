@@ -767,6 +767,51 @@ class TestFinalizeOncePerDrain:
         assert counted.count(record.job_id) == 2
 
 
+class TestClaimsPerDrain:
+    def test_one_expand_and_one_record_write_per_drain(
+            self, shared_cache_dir, tmp_path, monkeypatch):
+        from repro.service import worker
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        expands, writes = [], []
+        expand, update = ExperimentSpec.expand, JobStore.update
+
+        def counted_expand(self):
+            expands.append(self.name)
+            return expand(self)
+
+        def counted_update(self, job_id, mutate):
+            writes.append(job_id)
+            return update(self, job_id, mutate)
+
+        monkeypatch.setattr(ExperimentSpec, "expand", counted_expand)
+        monkeypatch.setattr(JobStore, "update", counted_update)
+        # End the drain at its first empty scan: finalizing expands the
+        # grid and writes the record on its own account.
+        monkeypatch.setattr(worker, "_maybe_finalize",
+                            lambda *args, **kwargs: True)
+        ran = worker._drain_job(store, record.job_id, spec, "w1", 5.0,
+                                None, None, remaining=None)
+        assert ran == spec.num_points
+        assert len(expands) == 1
+        assert writes == [record.job_id]
+        assert store.read(record.job_id).state == "running"
+        started = [e for e in store.events(record.job_id).read()
+                   if e["event"] == "job_started"]
+        assert len(started) == 1
+
+    def test_points_passed_in_are_scanned(self, shared_cache_dir,
+                                          tmp_path):
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        points = spec.expand()[2:]
+        claim = claim_point(store, record.job_id, spec, "w1",
+                            points=points)
+        assert claim.point == points[0]
+
+
 # ---------------------------------------------------------------------------
 # telemetry flag propagation (the --no-point-telemetry fix)
 

@@ -8,8 +8,10 @@ The two load-bearing guarantees:
   bit-identical to the same run with it off.
 """
 
+import dataclasses
 import io
 import json
+from pathlib import PurePosixPath
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.telemetry import (DRAMSample, FSMState, FSMTransition, HUB,
                              chrome_trace, fleet_chrome_trace,
                              fleet_trace_events, metric_name,
                              render_exposition, telemetry_session)
+from repro.telemetry import events as event_types
 from repro.telemetry.exposition import cumulative_counts
 from repro.workloads import TraceBuilder, make_scene_builder
 
@@ -495,6 +498,77 @@ class TestSnapshotCumulativeBuckets:
             h.observe(v)
         assert MetricsRegistry.from_state(reg.dump()).snapshot() \
             == reg.snapshot()
+
+
+def _one_of_each_event():
+    """A populated instance of every event type, ``seq`` stamped."""
+    samples = [
+        event_types.PhaseBegin(name="raster", ts=5, frame=1),
+        event_types.PhaseEnd(name="raster", ts=9, frame=None),
+        event_types.TileDispatch(ru=1, tile=(3, 4), ts=7),
+        event_types.TileRetire(ru=2, tile=(0, 1), ts=11, start_ts=7,
+                               dram_lines=12, instructions=900),
+        event_types.SchedulerDecision(frame=2, order="zorder",
+                                      supertile_size=4, batches=30,
+                                      ts=None),
+        event_types.SchedulerRanking(supertiles=8, hottest=(5, 1, 2),
+                                     ts=40),
+        event_types.FSMTransition(machine="order", old=None,
+                                  new="temperature", ts=3),
+        event_types.FSMState(machine="supertile_size", state=2, frame=0,
+                             ts=0),
+        event_types.DRAMSample(ts=1000, requests=17, utilization=0.425,
+                               latency_cycles=66.66666666666667),
+        event_types.CacheDelta(name="l2", frame=1, ts=8, accesses=10,
+                               hits=7, misses=3, evictions=1,
+                               writebacks=0),
+        event_types.HarnessSpan(
+            name="GDL/libra", wall_start_s=1.5, wall_dur_s=0.25,
+            status="ok", attempts=2,
+            args={"benchmark": "GDL", "axes": (("l2_bytes", 262144),),
+                  "nested": {"list": [1, 2.5, None], "path":
+                             PurePosixPath("a/b")}}),
+        event_types.SupervisorEvent(kind="preempt", target="GDL|libra",
+                                    detail="deadline", wall_s=3.0),
+    ]
+    for seq, event in enumerate(samples, start=1):
+        event.seq = seq
+    return samples
+
+
+class TestJsonlSinkBytes:
+    """``JsonlSink`` writes what it wrote through ``dataclasses.asdict``."""
+
+    @staticmethod
+    def _asdict_line(event, extra):
+        record = dict(extra) if extra else {}
+        record["type"] = type(event).__name__
+        record.update(dataclasses.asdict(event))
+        return json.dumps(record, default=str) + "\n"
+
+    def test_samples_cover_every_event_type(self):
+        defined = {cls for cls in vars(event_types).values()
+                   if isinstance(cls, type)
+                   and issubclass(cls, event_types.TelemetryEvent)
+                   and cls is not event_types.TelemetryEvent}
+        assert {type(e) for e in _one_of_each_event()} == defined
+
+    @pytest.mark.parametrize("extra", [
+        None, {"job_id": "j1", "worker_id": "w1", "point_id": "p"},
+        {"name": "imposter", "seq": -1}])
+    def test_byte_identical_to_asdict(self, extra):
+        stream = io.StringIO()
+        sink = JsonlSink(stream, extra=extra)
+        expected = ""
+        for event in _one_of_each_event():
+            sink.handle(event)
+            expected += self._asdict_line(event, extra)
+        assert stream.getvalue() == expected
+
+    def test_seq_comes_first(self):
+        stream = io.StringIO()
+        JsonlSink(stream).handle(_one_of_each_event()[0])
+        assert list(json.loads(stream.getvalue()))[:2] == ["type", "seq"]
 
 
 class TestCorrelatedSinks:

@@ -1,0 +1,252 @@
+"""The stream derivations of ``repro.gpu.tilestream`` against plain loops.
+
+The batched Raster Unit plans a tile from four derivations of its trace:
+the distinct texture lines (``stream_uniq``), their layout against an L1
+geometry (``l1_layout``), the compute cadence (``TileCadence``) and the
+Color Buffer flush as DRAM row runs (``fb_runs``).  Each is checked here
+against the per-line loop it replaces, on streams held as ``int64``
+arrays (as traces hold them) and on plain lists assigned after
+construction (as hand-built workloads may).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.config import CacheConfig, DRAMConfig
+from repro.gpu import tilestream
+from repro.gpu.workload import TileWorkload
+from repro.memory.cache import Cache
+from repro.memory.dram import DRAM
+
+_EPS = 1e-9
+
+# 4 sets x 2 ways of 32-byte lines: short random streams overflow a set
+# about as often as they fit.
+TINY = CacheConfig(size_bytes=8 * 32, ways=2, line_bytes=32)
+# 8 sets x 4 ways.
+ROOMY = CacheConfig(size_bytes=32 * 32, ways=4, line_bytes=32)
+
+line_streams = st.lists(st.integers(0, 63), max_size=80)
+PROPERTY = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def workload(field: str, lines, as_list: bool) -> TileWorkload:
+    """A fresh workload whose ``field`` stream is ``lines``.
+
+    With ``as_list`` the stream is assigned as a list after
+    construction, which bypasses the conversion to an array.
+    """
+    w = TileWorkload(tile=(0, 0), **{field: lines})
+    if as_list:
+        setattr(w, field, list(lines))
+    else:
+        assert getattr(w, field).dtype.name == "int64"
+    return w
+
+
+def scan_uniq(stream):
+    """Distinct lines with first and last positions, one line at a time."""
+    first, last = {}, {}
+    for i, line in enumerate(stream):
+        first.setdefault(line, i)
+        last[line] = i
+    lines = tuple(first)
+    return (lines, tuple(first[line] for line in lines),
+            tuple(last[line] for line in lines))
+
+
+class TestStreamUniq:
+    @PROPERTY
+    @given(stream=line_streams, as_list=st.booleans())
+    def test_matches_python_scan(self, stream, as_list):
+        w = workload("texture_lines", stream, as_list)
+        got = tilestream.stream_uniq(w)
+        assert got == scan_uniq(stream)
+        assert all(type(v) is int for part in got for v in part)
+
+    def test_cached_on_the_workload(self):
+        w = workload("texture_lines", [3, 1, 3], as_list=False)
+        assert tilestream.stream_uniq(w) is tilestream.stream_uniq(w)
+
+
+def lru_order(cache):
+    """Each set's lines, least recently used first."""
+    return {index: list(ways) for index, ways in cache._sets.items()
+            if ways}
+
+
+def plan_walk(cache, layout):
+    """The walk ``TimingRasterUnit._plan_tile`` applies to its L1.
+
+    Each distinct line once in first-occurrence order, then the
+    ``retouch`` lines in last-occurrence order.
+    """
+    lines, _, retouch = layout
+    for line in lines:
+        cache.lookup(line)
+    for line in retouch:
+        assert cache.lookup(line)
+
+
+class TestL1Layout:
+    @PROPERTY
+    @given(stream=line_streams, warm=line_streams, as_list=st.booleans(),
+           config=st.sampled_from([TINY, ROOMY]))
+    def test_none_exactly_when_a_set_overflows(self, stream, warm, as_list,
+                                              config):
+        w = workload("texture_lines", stream, as_list)
+        mask = config.num_sets - 1
+        per_set = {}
+        for line in set(stream):
+            per_set[line & mask] = per_set.get(line & mask, 0) + 1
+        overflows = any(n > config.ways for n in per_set.values())
+        layout = tilestream.l1_layout(w, mask, config.ways)
+        assert (layout is None) == overflows
+        if layout is None:
+            return
+        lines, pos_of, _ = layout
+        assert lines == scan_uniq(stream)[0]
+        assert pos_of == {line: stream.index(line) for line in lines}
+
+        # From the same warm state, the plan walk leaves the LRU order,
+        # misses and evictions that walking every line leaves.
+        whole, planned = Cache(config), Cache(config)
+        for cache in (whole, planned):
+            for line in warm:
+                cache.lookup(line)
+            cache.stats.reset()
+        for line in stream:
+            whole.lookup(line)
+        plan_walk(planned, layout)
+        assert lru_order(planned) == lru_order(whole)
+        assert planned.stats.misses == whole.stats.misses
+        assert planned.stats.evictions == whole.stats.evictions
+
+    def test_cached_per_geometry(self):
+        w = workload("texture_lines", [0, 4, 8, 0], as_list=False)
+        assert tilestream.l1_layout(w, 3, 2) is None
+        layout = tilestream.l1_layout(w, 3, 4)
+        assert layout is not None
+        assert tilestream.l1_layout(w, 3, 4) is layout
+        assert tilestream.l1_layout(w, 3, 2) is None
+
+
+def scalar_advance(n, cycles_per_line, index, done, budget):
+    """The cadence part of ``TimingRasterUnit.step`` with ``batched=False``.
+
+    Line ``i`` is accessed once ``done`` reaches ``i * cycles_per_line``;
+    until then the unit advances ``done`` by at most the budget left.
+    """
+    i = index
+    while budget > _EPS and i < n:
+        target = i * cycles_per_line
+        if done + _EPS >= target:
+            i += 1
+            continue
+        chunk = min(target - done, budget)
+        if chunk > 0.0:
+            done += chunk
+            budget -= chunk
+    return i - index, done, budget
+
+
+cadence_states = st.integers(0, 120).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.floats(0.01, 40.0),
+    st.integers(0, n),
+    st.floats(0.0, 4000.0),
+    st.floats(0.0, 3000.0)))
+
+
+class TestTileCadence:
+    @PROPERTY
+    @given(state=cadence_states)
+    def test_consume_matches_scalar_loop(self, state):
+        n, cpl, index, done, budget = state
+        cad = tilestream.TileCadence(n, cpl)
+        assert cad.consume(index, done, budget) == \
+            scalar_advance(n, cpl, index, done, budget)
+
+    @PROPERTY
+    @given(n=st.integers(1, 120), cpl=st.floats(0.01, 40.0))
+    def test_done_after_is_the_scalar_done_at_each_line(self, n, cpl):
+        cad = tilestream.TileCadence(n, cpl)
+        for i in range(n):
+            _, done, _ = scalar_advance(i + 1, cpl, 0, 0.0, float(1 << 40))
+            assert cad.done_after[i] == done
+
+    @PROPERTY
+    @given(stream=line_streams, as_list=st.booleans(),
+           budgets=st.lists(st.floats(0.5, 300.0), min_size=1,
+                            max_size=40))
+    def test_interval_chain_matches_scalar_loop(self, stream, as_list,
+                                                budgets):
+        # A tile consumed interval by interval, as the planned path does.
+        w = workload("texture_lines", stream, as_list)
+        n = len(stream)
+        cpl = 1000.0 / n if n else 0.0
+        cad = tilestream.cadence(w, cpl)
+        assert cad is tilestream.cadence(w, cpl)
+        got = ref = (0, 0.0)
+        for budget in budgets:
+            k, done, _ = cad.consume(got[0], got[1], budget)
+            got = (got[0] + k, done)
+            k, done, _ = scalar_advance(n, cpl, ref[0], ref[1], budget)
+            ref = (ref[0] + k, done)
+            assert got == ref
+
+
+def apply_runs(dram, runs):
+    """Replay ``fb_runs`` on a DRAM as ``TimingRasterUnit._finish_tile``."""
+    hits = misses = 0
+    open_rows = dram._open_rows
+    for bank, row_of_bank, count in runs:
+        if open_rows[bank] == row_of_bank:
+            hits += count
+        else:
+            open_rows[bank] = row_of_bank
+            misses += 1
+            hits += count - 1
+    return hits, misses
+
+
+# Flush streams: runs of consecutive lines at random bases, so rows both
+# continue and change; plus fully random lines.
+flush_streams = st.one_of(
+    st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 70)),
+             max_size=4).map(lambda runs: [base + i for base, count in runs
+                                           for i in range(count)]),
+    st.lists(st.integers(0, 4000), max_size=60))
+
+
+class TestFbRuns:
+    @PROPERTY
+    @given(stream=flush_streams, warm=st.lists(st.integers(0, 4000),
+                                               max_size=20),
+           as_list=st.booleans(), banks=st.sampled_from([1, 4, 8]))
+    def test_matches_per_line_requests(self, stream, warm, as_list, banks):
+        config = DRAMConfig(num_banks=banks)
+        w = workload("fb_lines", stream, as_list)
+        per_line, by_runs = DRAM(config), DRAM(config)
+        for dram in (per_line, by_runs):
+            for line in warm:
+                dram.request(line)
+        before = (per_line.stats.row_hits, per_line.stats.row_misses)
+        for line in stream:
+            per_line.request(line, write=True)
+        runs = tilestream.fb_runs(w, by_runs._lines_per_row,
+                                  by_runs._bank_mask, by_runs._bank_bits)
+        assert sum(count for _, _, count in runs) == len(stream)
+        assert all(count > 0 for _, _, count in runs)
+        hits, misses = apply_runs(by_runs, runs)
+        assert by_runs._open_rows == per_line._open_rows
+        assert (hits, misses) == (per_line.stats.row_hits - before[0],
+                                  per_line.stats.row_misses - before[1])
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_empty_flush_has_no_runs(self, as_list):
+        w = workload("fb_lines", [], as_list)
+        assert tilestream.fb_runs(w, 32, 7, 3) == ()

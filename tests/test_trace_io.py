@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.config import GPUConfig
 from repro.errors import TraceFormatError
+from repro.gpu import GPUSimulator
 from repro.gpu.workload import FrameTrace, TileWorkload
 from repro.workloads.trace_io import (load_traces, save_traces,
                                       trace_from_dict, trace_to_dict)
@@ -32,11 +34,12 @@ class TestDictRoundtrip:
         back = trace_from_dict(trace_to_dict(trace))
         assert back.frame_index == trace.frame_index
         assert back.geometry_cycles == 777
-        assert back.vertex_lines == [3, 4]
+        assert back.vertex_lines.tolist() == [3, 4]
         original = trace.workloads[(0, 0)]
         restored = back.workloads[(0, 0)]
         assert restored.instructions == original.instructions
-        assert restored.texture_lines == original.texture_lines
+        assert restored.texture_lines.tolist() == \
+            original.texture_lines.tolist()
         assert restored.prim_fragments == original.prim_fragments
 
     def test_empty_tiles_omitted_but_regenerated(self):
@@ -44,6 +47,33 @@ class TestDictRoundtrip:
         assert (1, 1) not in back.workloads
         # workload_for still serves a flush-only placeholder.
         assert back.workload_for((1, 1)).instructions == 0
+
+    def test_streams_read_back_as_int64_arrays(self):
+        back = trace_from_dict(trace_to_dict(make_trace()))
+        assert back.vertex_lines.dtype.name == "int64"
+        restored = back.workloads[(0, 0)]
+        for lines in (restored.texture_lines, restored.pb_lines,
+                      restored.fb_lines):
+            assert lines.dtype.name == "int64"
+        assert restored == make_trace().workloads[(0, 0)]
+
+    def test_tile_with_only_primitives_survives(self):
+        # Nothing shaded, no stream, but 400 primitives of raster setup:
+        # dropping the tile would lose that cost.
+        trace = FrameTrace(frame_index=0, tiles_x=2, tiles_y=1,
+                           tile_size=32, workloads={
+                               (0, 0): TileWorkload(tile=(0, 0),
+                                                    num_primitives=400)})
+        back = trace_from_dict(trace_to_dict(trace))
+        assert back.workloads[(0, 0)].num_primitives == 400
+
+        def cycles(t):
+            config, scheduler = GPUConfig.build(
+                "baseline", screen_width=64, screen_height=32)
+            return GPUSimulator(config, scheduler=scheduler).run(
+                [t]).total_cycles
+
+        assert cycles(back) == cycles(trace)
 
     def test_dict_is_json_serializable(self):
         json.dumps(trace_to_dict(make_trace()))
@@ -144,6 +174,19 @@ class TestCorruptedInputs:
         data = trace_to_dict(make_trace())
         del data["tiles"]["0,0"]["fragments"]
         with pytest.raises(TraceFormatError, match="fragments"):
+            trace_from_dict(data)
+
+    @pytest.mark.parametrize("value", ["abc", [[1, 2]], [None], 7])
+    def test_malformed_line_stream_names_tile(self, value):
+        data = trace_to_dict(make_trace())
+        data["tiles"]["0,0"]["pb_lines"] = value
+        with pytest.raises(TraceFormatError, match="tile 0,0 pb_lines"):
+            trace_from_dict(data, source="t.jsonl:1")
+
+    def test_malformed_vertex_stream(self):
+        data = trace_to_dict(make_trace())
+        data["vertex_lines"] = {"a": 1}
+        with pytest.raises(TraceFormatError, match="vertex_lines"):
             trace_from_dict(data)
 
     def test_malformed_tile_key(self):

@@ -41,18 +41,18 @@ class TestTraceBuilding:
     def test_geometry_fields_populated(self):
         trace = builder().build(0)
         assert trace.geometry_cycles > 0
-        assert trace.vertex_lines
+        assert len(trace.vertex_lines)
         assert trace.vertex_instructions > 0
 
     def test_pb_lines_only_for_occupied_tiles(self):
         trace = builder().build(0)
         for tile, w in trace.workloads.items():
             if w.num_primitives == 0:
-                assert w.pb_lines == []
+                assert len(w.pb_lines) == 0
 
     def test_first_frame_flushes_every_tile(self):
         trace = builder().build(0)
-        assert all(w.fb_lines for w in trace.workloads.values())
+        assert all(len(w.fb_lines) for w in trace.workloads.values())
 
     def test_build_many_indices(self):
         traces = builder().build_many(3, start=2)
@@ -64,14 +64,14 @@ class TestTransactionElimination:
         b = builder(scroll_speed=0.0, wobble=0.0)
         b.build(0)
         second = b.build(0)  # identical content
-        flushed = [w for w in second.workloads.values() if w.fb_lines]
+        flushed = [w for w in second.workloads.values() if len(w.fb_lines)]
         assert len(flushed) == 0
 
     def test_moving_content_keeps_flushing(self):
         b = builder(scroll_speed=16.0)
         b.build(0)
         second = b.build(1)
-        flushed = [w for w in second.workloads.values() if w.fb_lines]
+        flushed = [w for w in second.workloads.values() if len(w.fb_lines)]
         assert flushed
 
     def test_disabled_flushes_everything(self):
@@ -79,7 +79,7 @@ class TestTransactionElimination:
                     wobble=0.0)
         b.build(0)
         second = b.build(0)
-        assert all(w.fb_lines for w in second.workloads.values())
+        assert all(len(w.fb_lines) for w in second.workloads.values())
 
 
 class TestFrameCoherence:
