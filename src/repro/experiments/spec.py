@@ -21,6 +21,7 @@ makes resume possible.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -82,9 +83,13 @@ class SweepPoint:
         """The axis assignment of this point as a dict."""
         return dict(self.axes)
 
-    @property
+    @functools.cached_property
     def point_id(self) -> str:
-        """Deterministic id keying this point's artifact across runs."""
+        """Deterministic id keying this point's artifact across runs.
+
+        Computed on first use and kept in the instance ``__dict__``
+        (equality and hashing read the fields only).
+        """
         blob = json.dumps(
             [self.benchmark, self.kind, sorted(self.axes),
              self.frames, self.width, self.height],

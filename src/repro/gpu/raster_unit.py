@@ -378,7 +378,7 @@ class TimingRasterUnit:
         layout = tilestream.l1_layout(workload, l1._set_mask, l1.ways)
         if layout is None:
             return
-        ulines, pos_of, retouch = layout
+        ulines, first, retouch = layout
         sets = l1._sets
         mask = l1._set_mask
         nways = l1.ways
@@ -387,7 +387,7 @@ class TimingRasterUnit:
         ml_append = mlines.append
         mp_append = mpos.append
         evictions = 0
-        for line in ulines:
+        for line, pos in zip(ulines.tolist(), first.tolist()):
             ways = sets[line & mask]
             if ways.pop(line, 0) is None:
                 ways[line] = None
@@ -399,8 +399,8 @@ class TimingRasterUnit:
                     evictions += 1
                 ways[line] = None
                 ml_append(line)
-                mp_append(pos_of[line])
-        for line in retouch:
+                mp_append(pos)
+        for line in retouch.tolist():
             ways = sets[line & mask]
             del ways[line]
             ways[line] = None
@@ -503,7 +503,7 @@ class TimingRasterUnit:
                 # ``done`` value at that position.
                 stalled = True
                 end = pos + 1
-                done_end = cad.done_after[pos]
+                done_end = cad.done_after(pos)
                 break
         self._plan_ptr = p
         slice_misses = p - p0

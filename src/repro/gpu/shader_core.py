@@ -12,6 +12,7 @@ tiles stall regardless of compute headroom.
 from __future__ import annotations
 
 from ..config import RasterUnitConfig, ShaderCoreConfig
+from . import tilestream
 
 
 class CoreCluster:
@@ -58,9 +59,7 @@ class CoreCluster:
         trace (benchmark repeats, scheduler comparisons on one config)
         skip the loop entirely.
         """
-        cache = workload.__dict__.get("_soa")
-        if cache is None:
-            cache = workload.__dict__["_soa"] = {}
+        cache = tilestream.derived(workload)
         key = ("cc", self.num_cores, self.ipc, self.min_fragments_per_core,
                self.primitive_setup_cycles)
         cycles = cache.get(key)

@@ -2,22 +2,25 @@
 
 The batched Raster Unit path plans a whole tile's texture-L1 behaviour at
 dispatch time and then consumes the plan interval by interval (see
-``TimingRasterUnit``).  Everything needed for that plan — the
-``np.unique``-compressed line stream, the per-set layout against a given
-cache geometry, the compute cadence that decides *when* each line is due,
-and the DRAM row/bank runs of the Color Buffer flush — derives purely
-from immutable trace content plus configuration constants.  It therefore
-lives here, computed once per workload with numpy and cached on the
-workload object, never on simulation state.
+``TimingRasterUnit``).  Everything needed for that plan — the distinct
+lines of the stream, the per-set layout against a given cache geometry,
+the compute cadence that decides *when* each line is due, and the DRAM
+row/bank runs of the Color Buffer flush — derives purely from immutable
+trace content plus configuration constants.  It therefore lives here,
+computed once per workload with numpy and cached on the workload object
+(:func:`derived`), never on simulation state.  Per-line data is held in
+``int64``/``float64`` arrays: a process that keeps its traces keeps
+these plans too.
 
 Exactness notes (load-bearing, verified by the parity suite):
 
 * ``TileCadence`` replays the scalar advance loop's float operations —
   ``gap = target - done; done += gap`` — once per ``(line, entry
   budget)`` and memoizes the outcome, so steady-state intervals reduce
-  to a dict hit.  ``done_after[i]`` is exactly the scalar ``done`` after
-  accessing line ``i`` because the chain is *computed with* the scalar
-  recurrence, not re-derived analytically.
+  to a dict hit.  ``done_after(i)`` is exactly the scalar ``done`` after
+  accessing line ``i``: the product ``i * cycles_per_line`` when every
+  target clears its predecessor by more than the epsilon (then each
+  step lands on its target exactly), else the scalar recurrence itself.
 * ``l1_layout`` only returns a plan when every cache set sees at most
   ``ways`` distinct stream lines (the tile working set fits its sets).
   Under that condition the eviction victims of the whole tile are
@@ -29,46 +32,64 @@ Exactness notes (load-bearing, verified by the parity suite):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from .workload import as_lines
+
 _EPS = 1e-9
 
-#: Layout plan: (uniq lines, line -> first position, retouch lines).
-L1Layout = Tuple[Tuple[int, ...], Dict[int, int], Tuple[int, ...]]
+#: Distinct lines of a stream: (lines, first positions, last positions).
+StreamUniq = Tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Layout plan: (distinct lines, their first positions, retouch lines).
+L1Layout = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+_NO_LINES = np.empty(0, dtype=np.int64)
+_NO_LINES.flags.writeable = False
 
 
-def _soa(workload) -> dict:
-    """Per-workload cache of derived stream data (attached lazily)."""
+def derived(workload) -> dict:
+    """The workload's cache of data derived from its trace.
+
+    Attached lazily to the workload object and keyed by derivation and
+    the configuration constants it depends on, so a process derives
+    each entry once per trace however many simulations replay it.
+    """
     cache = workload.__dict__.get("_soa")
     if cache is None:
         cache = workload.__dict__["_soa"] = {}
     return cache
 
 
-def stream_uniq(workload) -> Tuple[Tuple[int, ...], ...]:
+def stream_uniq(workload) -> StreamUniq:
     """The tile's distinct texture lines, in first-occurrence order.
 
-    Returns ``(lines, first_pos, last_pos)`` as parallel tuples of
-    Python ints: each distinct line, the stream position of its first
+    Returns ``(lines, first_pos, last_pos)`` as parallel ``int64``
+    arrays: each distinct line, the stream position of its first
     occurrence, and the position of its last occurrence.
     """
-    cache = _soa(workload)
+    cache = derived(workload)
     data = cache.get("uniq")
     if data is None:
-        arr = np.asarray(workload.texture_lines, dtype=np.int64)
+        arr = as_lines(workload.texture_lines)
         n = arr.shape[0]
         if n == 0:
-            data = ((), (), ())
+            data = (_NO_LINES, _NO_LINES, _NO_LINES)
         else:
-            values, first = np.unique(arr, return_index=True)
-            _, rlast = np.unique(arr[::-1], return_index=True)
-            last = n - 1 - rlast
-            order = np.argsort(first, kind="stable")
-            data = (tuple(values[order].tolist()),
-                    tuple(first[order].tolist()),
-                    tuple(last[order].tolist()))
+            # A stable sort keeps each line's occurrences in stream
+            # order, so a run of equal lines starts at its first
+            # position and ends at its last.
+            order = np.argsort(arr, kind="stable").astype(np.int64,
+                                                          copy=False)
+            ordered = arr[order]
+            starts = np.flatnonzero(np.concatenate(
+                ([True], ordered[1:] != ordered[:-1])))
+            ends = np.append(starts[1:], n) - 1
+            first = order[starts]
+            by_first = np.argsort(first)
+            data = (ordered[starts[by_first]], first[by_first],
+                    order[ends[by_first]])
         cache["uniq"] = data
     return data
 
@@ -76,47 +97,41 @@ def stream_uniq(workload) -> Tuple[Tuple[int, ...], ...]:
 def l1_layout(workload, set_mask: int, ways: int) -> Optional[L1Layout]:
     """Per-set layout of the tile stream against an L1 geometry.
 
-    Returns ``(uniq_lines, pos_of, retouch)`` when the stream is
+    Returns ``(lines, first_pos, retouch)`` when the stream is
     *set-safe* — no cache set sees more than ``ways`` distinct lines —
     or ``None`` when it is not (the caller must use the per-line path).
-    ``pos_of`` maps each line to its first stream position; the plan
-    walk only consults it for misses, so it is a dict rather than a
-    tuple paired positionally with ``uniq_lines``.
+    ``lines`` and ``first_pos`` are :func:`stream_uniq`'s arrays.
 
-    ``retouch`` lists the lines of sets holding two or more stream lines
-    whose LRU order after a first-occurrence walk differs from the true
-    final order; re-touching them in last-occurrence order afterwards
+    ``retouch`` holds the lines of every set whose LRU order after a
+    first-occurrence walk differs from the true final order, each set's
+    lines in last-occurrence order; re-touching them afterwards
     reproduces the exact scalar end state.
     """
-    cache = _soa(workload)
+    cache = derived(workload)
     key = ("l1", set_mask, ways)
     data = cache.get(key, False)
     if data is not False:
         return data
     lines, first, last = stream_uniq(workload)
-    if not lines:
-        data = ((), {}, ())
-        cache[key] = data
-        return data
-    arr = np.asarray(lines, dtype=np.int64)
-    setid = (arr & set_mask).astype(np.int64)
-    counts = np.bincount(setid - setid.min())
-    if int(counts.max()) > ways:
-        cache[key] = None
-        return None
-    retouch: List[int] = []
-    if int(counts.max()) > 1:
-        groups: Dict[int, List[int]] = {}
-        sid = setid.tolist()
-        for i, s in enumerate(sid):
-            groups.setdefault(s, []).append(i)
-        for idxs in groups.values():
-            if len(idxs) < 2:
-                continue
-            by_last = sorted(idxs, key=last.__getitem__)
-            if by_last != idxs:
-                retouch.extend(lines[i] for i in by_last)
-    data = (lines, dict(zip(lines, first)), tuple(retouch))
+    retouch = _NO_LINES
+    if lines.shape[0]:
+        setid = lines & set_mask
+        counts = np.bincount(setid)
+        if int(counts.max()) > ways:
+            cache[key] = None
+            return None
+        if int(counts.max()) > 1:
+            # Both sorts group the lines by set into the same position
+            # ranges, so a set's two orders differ exactly where the
+            # sorts disagree inside its range.
+            by_first = np.lexsort((first, setid))
+            by_last = np.lexsort((last, setid))
+            moved = np.zeros(set_mask + 1, dtype=bool)
+            moved[setid[by_first[by_first != by_last]]] = True
+            keep = moved[setid[by_last]]
+            if keep.any():
+                retouch = lines[by_last[keep]]
+    data = (lines, first, retouch)
     cache[key] = data
     return data
 
@@ -133,26 +148,42 @@ class TileCadence:
     exact scalar float sequence and cached.
     """
 
-    __slots__ = ("n", "targets", "done_after", "_memo")
+    __slots__ = ("n", "cpl", "chain", "_memo")
 
     def __init__(self, n_lines: int, cycles_per_line: float):
         self.n = n_lines
+        self.cpl = cycles_per_line
+        #: The scalar ``done`` after each line as a ``float64`` array,
+        #: or None when it is ``i * cycles_per_line`` at every line.
+        self.chain: Optional[np.ndarray] = None
         # Elementwise i * cpl in float64 — identical to the scalar mult.
-        self.targets = (np.arange(n_lines, dtype=np.float64)
-                        * cycles_per_line).tolist()
-        done = 0.0
-        eps = _EPS
-        done_after: List[float] = []
-        for target in self.targets:
-            # Unbounded-budget replay of the scalar chunk loop: each
-            # iteration performs the same subtract/add pair, repeating
-            # while rounding leaves ``done`` short of the target.
-            while done + eps < target:
-                done += (target - done)
-            done_after.append(done)
-        self.done_after = done_after
+        targets = np.arange(n_lines, dtype=np.float64) * cycles_per_line
+        # When every target clears its predecessor by more than the
+        # epsilon, each step of the scalar chain below starts at the
+        # previous target t and adds ``target - t``, which is exact (t is
+        # 0 or within a factor of two of the target: Sterbenz), so
+        # ``done`` lands on every target and no chain is kept.
+        if not np.all(targets[:-1] + _EPS < targets[1:]):
+            done = 0.0
+            eps = _EPS
+            chain = []
+            for target in targets.tolist():
+                # Unbounded-budget replay of the scalar chunk loop: each
+                # iteration performs the same subtract/add pair,
+                # repeating while rounding leaves ``done`` short of the
+                # target.
+                while done + eps < target:
+                    done += (target - done)
+                chain.append(done)
+            self.chain = np.array(chain, dtype=np.float64)
         self._memo: Dict[Tuple[int, float, float],
                          Tuple[int, float, float]] = {}
+
+    def done_after(self, index: int) -> float:
+        """The scalar ``done`` right after accessing line ``index``."""
+        if self.chain is None:
+            return index * self.cpl
+        return float(self.chain[index])
 
     def consume(self, index: int, done: float,
                 budget: float) -> Tuple[int, float, float]:
@@ -173,12 +204,12 @@ class TileCadence:
     def _replay(self, index: int, done: float,
                 budget: float) -> Tuple[int, float, float]:
         """The scalar advance loop, verbatim, from an arbitrary state."""
-        targets = self.targets
+        cpl = self.cpl
         n = self.n
         eps = _EPS
         i = index
         while budget > eps and i < n:
-            target = targets[i]
+            target = i * cpl
             if done + eps < target:
                 while True:
                     gap = target - done
@@ -195,7 +226,7 @@ class TileCadence:
 
 def cadence(workload, cycles_per_line: float) -> TileCadence:
     """The (cached) cadence of this workload at ``cycles_per_line``."""
-    cache = _soa(workload)
+    cache = derived(workload)
     key = ("cad", cycles_per_line)
     data = cache.get(key)
     if data is None:
@@ -213,11 +244,11 @@ def fb_runs(workload, lines_per_row: int, bank_mask: int,
     to a few ``(bank, row_of_bank, count)`` entries: within a run every
     request after the first hits the open row by construction.
     """
-    cache = _soa(workload)
+    cache = derived(workload)
     key = ("fb", lines_per_row, bank_mask, bank_bits)
     data = cache.get(key)
     if data is None:
-        arr = np.asarray(workload.fb_lines, dtype=np.int64)
+        arr = as_lines(workload.fb_lines)
         if not len(arr):
             data = ()
         else:

@@ -8,6 +8,7 @@ point must be adopted by the next worker through lease expiry, and a
 malformed spec must come back as HTTP 400 — never a stack trace.
 """
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -304,6 +305,28 @@ class TestLeaseQueue:
         assert claimed == [p.point_id for p in spec.expand()]
         # Every point now leased: nothing left for a second worker.
         assert claim_point(store, record.job_id, spec, "w2") is None
+
+    def test_each_point_id_is_hashed_once(self, tmp_path, monkeypatch):
+        # Every claim rescans the grid from the start; the ids it reads
+        # are computed once per point, not once per scan.
+        spec = tiny_spec(axes={"raster_units": [1, 2, 4]})
+        store = JobStore(tmp_path)
+        record = store.submit(spec)
+        points = spec.expand()
+        assert len(points) == 6
+        calls = []
+        sha1 = hashlib.sha1
+
+        def counting_sha1(*args, **kwargs):
+            calls.append(args)
+            return sha1(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha1", counting_sha1)
+        claimed = [claim_point(store, record.job_id, spec, "w1",
+                               points=points)
+                   for _ in points]
+        assert [c.point for c in claimed] == points
+        assert len(calls) == 6
 
     def test_release_makes_point_claimable_again(self, tmp_path):
         spec = tiny_spec()

@@ -6,19 +6,24 @@ geometry (``l1_layout``), the compute cadence (``TileCadence``) and the
 Color Buffer flush as DRAM row runs (``fb_runs``).  Each is checked here
 against the per-line loop it replaces, on streams held as ``int64``
 arrays (as traces hold them) and on plain lists assigned after
-construction (as hand-built workloads may).
+construction (as hand-built workloads may).  The derivations hold their
+per-line data as ``int64``/``float64`` arrays, and a cadence whose
+scalar chain is exact holds none at all.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.config import CacheConfig, DRAMConfig
+from repro.config import KIND_FAMILIES, CacheConfig, DRAMConfig
 from repro.gpu import tilestream
 from repro.gpu.workload import TileWorkload
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
+from repro.perf.kernels import run_kernel
+from repro.workloads import TraceBuilder, make_scene_builder
 
 _EPS = 1e-9
 
@@ -64,8 +69,9 @@ class TestStreamUniq:
     def test_matches_python_scan(self, stream, as_list):
         w = workload("texture_lines", stream, as_list)
         got = tilestream.stream_uniq(w)
-        assert got == scan_uniq(stream)
-        assert all(type(v) is int for part in got for v in part)
+        assert tuple(tuple(part.tolist()) for part in got) == \
+            scan_uniq(stream)
+        assert all(part.dtype == np.int64 for part in got)
 
     def test_cached_on_the_workload(self):
         w = workload("texture_lines", [3, 1, 3], as_list=False)
@@ -85,10 +91,22 @@ def plan_walk(cache, layout):
     ``retouch`` lines in last-occurrence order.
     """
     lines, _, retouch = layout
-    for line in lines:
+    for line in lines.tolist():
         cache.lookup(line)
-    for line in retouch:
+    for line in retouch.tolist():
         assert cache.lookup(line)
+
+
+def scan_retouch(stream, mask):
+    """Per set, its lines by last occurrence where that order differs
+    from first occurrence: the groups ``l1_layout`` must retouch."""
+    lines, _, last = scan_uniq(stream)
+    groups = {}
+    for i, line in enumerate(lines):
+        groups.setdefault(line & mask, []).append(i)
+    return {s: [lines[i] for i in sorted(idxs, key=last.__getitem__)]
+            for s, idxs in groups.items()
+            if sorted(idxs, key=last.__getitem__) != idxs}
 
 
 class TestL1Layout:
@@ -107,9 +125,15 @@ class TestL1Layout:
         assert (layout is None) == overflows
         if layout is None:
             return
-        lines, pos_of, _ = layout
-        assert lines == scan_uniq(stream)[0]
-        assert pos_of == {line: stream.index(line) for line in lines}
+        lines, first, retouch = layout
+        assert all(part.dtype == np.int64 for part in layout)
+        assert tuple(lines.tolist()) == scan_uniq(stream)[0]
+        assert first.tolist() == [stream.index(line)
+                                  for line in lines.tolist()]
+        by_set = {}
+        for line in retouch.tolist():
+            by_set.setdefault(line & mask, []).append(line)
+        assert by_set == scan_retouch(stream, mask)
 
         # From the same warm state, the plan walk leaves the LRU order,
         # misses and evictions that walking every line leaves.
@@ -132,6 +156,15 @@ class TestL1Layout:
         assert layout is not None
         assert tilestream.l1_layout(w, 3, 4) is layout
         assert tilestream.l1_layout(w, 3, 2) is None
+
+    def test_shares_the_stream_uniq_arrays(self):
+        w = workload("texture_lines", [0, 4, 1, 5, 0], as_list=False)
+        lines, first, _ = tilestream.stream_uniq(w)
+        layout = tilestream.l1_layout(w, 3, 4)
+        assert layout[0] is lines and layout[1] is first
+        # Set 0 holds 0 and 4, set 1 holds 1 and 5; only set 0 ends in
+        # the other order (0 last touched after 4).
+        assert layout[2].tolist() == [4, 0]
 
 
 def scalar_advance(n, cycles_per_line, index, done, budget):
@@ -176,7 +209,47 @@ class TestTileCadence:
         cad = tilestream.TileCadence(n, cpl)
         for i in range(n):
             _, done, _ = scalar_advance(i + 1, cpl, 0, 0.0, float(1 << 40))
-            assert cad.done_after[i] == done
+            assert cad.done_after(i) == done
+
+    def test_exact_and_fallback_chains_match_scalar_loop(self):
+        # Rates at or below the epsilon leave ``done`` short of some
+        # target, so only the scalar chain is exact there; ordinary
+        # rates land on every target and hold no chain.
+        chains = set()
+
+        @PROPERTY
+        @given(n=st.integers(0, 120),
+               cpl=st.one_of(st.sampled_from([0.0, 1e-12, 5e-10, 1e-9]),
+                             st.floats(0.0, 3e-9), st.floats(0.01, 40.0)),
+               entry=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 4e3),
+                               st.floats(0.0, 3e3)))
+        @example(n=50, cpl=0.0, entry=(0.5, 0.0, 10.0))
+        @example(n=50, cpl=2.5, entry=(0.5, 3.0, 10.0))
+        def check(n, cpl, entry):
+            cad = tilestream.TileCadence(n, cpl)
+            chains.add(cad.chain is None)
+            for i in range(n):
+                _, done, _ = scalar_advance(i + 1, cpl, 0, 0.0,
+                                            float(1 << 40))
+                assert cad.done_after(i) == done
+            share, done, budget = entry
+            index = int(share * n)
+            assert cad.consume(index, done, budget) == \
+                scalar_advance(n, cpl, index, done, budget)
+
+        check()
+        assert chains == {True, False}
+
+    @pytest.mark.parametrize("cpl,chained", [
+        (0.0, True), (1e-12, True), (5e-10, True), (1e-9, True),
+        (0.37, False)])
+    def test_only_rates_near_the_epsilon_keep_a_chain(self, cpl, chained):
+        cad = tilestream.TileCadence(4000, cpl)
+        if chained:
+            assert cad.chain.dtype == np.float64 and len(cad.chain) == 4000
+        else:
+            assert cad.chain is None
+            assert cad.done_after(3999) == 3999 * cpl
 
     @PROPERTY
     @given(stream=line_streams, as_list=st.booleans(),
@@ -250,3 +323,34 @@ class TestFbRuns:
     def test_empty_flush_has_no_runs(self, as_list):
         w = workload("fb_lines", [], as_list)
         assert tilestream.fb_runs(w, 32, 7, 3) == ()
+
+
+class TestHeldPlans:
+    """What a process keeps once it has simulated a trace."""
+
+    def test_suite_trace_holds_array_plans_under_every_kind(self):
+        traces = TraceBuilder(make_scene_builder("CCS", 256, 128),
+                              256, 128, 32).build_many(2)
+        for kind in KIND_FAMILIES:
+            run_kernel(kind, traces, 256, 128)
+        layouts = cadences = 0
+        for trace in traces:
+            for w in trace.workloads.values():
+                cache = w.__dict__.get("_soa", {})
+                for key, data in cache.items():
+                    if key == "uniq" or (key[0] == "l1"
+                                         and data is not None):
+                        assert all(isinstance(part, np.ndarray)
+                                   and part.dtype == np.int64
+                                   for part in data)
+                        layouts += key != "uniq"
+                    elif key[0] == "cad":
+                        cadences += 1
+                        targets = np.arange(data.n) * data.cpl
+                        exact = np.all(targets[:-1] + _EPS < targets[1:])
+                        assert (data.chain is None) == exact
+                        assert not any(isinstance(getattr(data, slot),
+                                                  list)
+                                       for slot in data.__slots__)
+        # Some tiles were planned, so the checks above ran.
+        assert layouts > 0 and cadences > 0
