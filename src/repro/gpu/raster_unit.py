@@ -18,12 +18,12 @@ tile start; Frame Buffer writes stream straight to DRAM at tile flush.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..config import GPUConfig
 from ..memory.cache import Cache
 from ..memory.hierarchy import SharedMemory, make_texture_l1
-from ..memory.traffic import FRAMEBUFFER, PARAMETER, TEXTURE, WRITEBACK
+from ..memory.traffic import FRAMEBUFFER, PARAMETER, TEXTURE
 from ..telemetry import (HUB, SimClock, TILE_LATENCY_BUCKETS, TileDispatch,
                          TileRetire)
 from . import tilestream
@@ -62,12 +62,12 @@ class RasterUnitStats:
 class TimingRasterUnit:
     """One Raster Unit of the timing simulator.
 
-    With ``batched`` (the default) the tile footprint is streamed through
-    the memory hierarchy in per-interval runs via
-    :meth:`_access_texture_run` — a fused L1/L2/DRAM loop with bound
-    locals and bulk statistics updates that is bit-identical in every
-    counter and cache state to the scalar per-line path (``batched=False``,
-    kept as the golden reference for the parity suite).
+    With ``batched`` (the default) a tile's whole texture-L1 walk is
+    applied when the tile is dispatched (:meth:`_plan_tile`), and each
+    interval walks only the planned L1 misses through the shared L2 and
+    DRAM (:meth:`_stream_planned`).  Every counter and cache state is
+    bit-identical to the scalar per-line path (``batched=False``, kept
+    as the golden reference for the parity suite).
     """
 
     def __init__(self, index: int, config: GPUConfig, shared: SharedMemory,
@@ -95,19 +95,16 @@ class TimingRasterUnit:
             self._compressor = FrameBufferCompressor(
                 fallback_ratio=config.fb_compression_ratio)
         self._current: Optional[TileWorkload] = None
-        #: The current tile's texture stream as the loops below read it:
-        #: a list of Python ints where a path walks it line by line
-        #: through the dict caches, else the workload's array (only its
-        #: length is read).
-        self._lines: Sequence[int] = ()
+        #: The current tile's texture stream as a list of Python ints.
+        self._lines: List[int] = []
         self._cycles_done = 0.0
         self._cycles_needed = 0.0
         self._line_idx = 0
         self._cycles_per_line = 0.0
         self._tile_dram = 0
         self._mshrs_total = self.cluster.mshrs_total
-        #: Whole-tile L1/cadence plan (see _begin_tile); None means the
-        #: per-line fused loop handles this tile.
+        #: The batched tile's plan (see _plan_tile): its cadence and
+        #: the stream positions and lines that miss the L1.
         self._plan = None
         self._plan_ptr = 0
         dram = shared.dram
@@ -120,23 +117,21 @@ class TimingRasterUnit:
         self._bind_hot()
 
     def _bind_hot(self) -> None:
-        """Snapshot the stable hot-path references into one tuple.
+        """Snapshot the stable L2/DRAM references into one tuple.
 
-        ``_stream_texture_lines`` unpacks this in a single statement
-        instead of ~20 attribute loads per call.  Everything here keeps
-        its identity for the lifetime of a run (caches clear in place,
-        the DRAM is never reset mid-run); the tuple is refreshed each
+        ``_stream_planned`` unpacks this in a single statement instead
+        of a dozen attribute loads per call.  Everything here keeps its
+        identity for the lifetime of a run (caches clear in place, the
+        DRAM is never reset mid-run); the tuple is refreshed each
         ``begin_frame`` anyway as cheap insurance.
         """
-        l1 = self.l1
         l2 = self.shared.l2
         dram = self.shared.dram
         self._hot = (
-            l1._sets, l1._set_mask, l1.ways, l1._dirty, l1.stats,
-            l2._sets, l2._set_mask, l2.ways, l2._dirty, l2.stats,
+            l2._sets, l2._set_mask, l2.ways, l2.stats,
             dram, dram._open_rows, dram._lines_per_row, dram._bank_mask,
             dram._bank_bits, dram._hit_service, dram._miss_service,
-            dram.stats, self.shared.traffic, l1,
+            dram.stats, self.shared.traffic,
         )
 
     # -- frame lifecycle ---------------------------------------------------
@@ -194,14 +189,8 @@ class TimingRasterUnit:
                     and self._cycles_done + _EPS
                     >= self._line_idx * self._cycles_per_line):
                 if self.batched:
-                    if self._plan is not None:
-                        cycle_budget, dram_misses, stalled = \
-                            self._stream_planned(cycle_budget, miss_budget)
-                    else:
-                        cycle_budget, dram_misses, stalled = \
-                            self._stream_texture_lines(lines, n_lines,
-                                                       cycle_budget,
-                                                       miss_budget)
+                    cycle_budget, dram_misses, stalled = \
+                        self._stream_planned(cycle_budget, miss_budget)
                     miss_budget -= dram_misses
                     if stalled:
                         # Memory-limited: the MSHR pool cannot absorb
@@ -249,19 +238,13 @@ class TimingRasterUnit:
         self._cycles_needed = self.cluster.tile_compute_cycles(workload)
         self._line_idx = 0
         self._tile_dram = 0
-        lines = workload.texture_lines
+        self._lines = lines = line_list(workload.texture_lines)
         n_lines = len(lines)
         self._cycles_per_line = (self._cycles_needed / n_lines
                                  if n_lines else 0.0)
         self._plan = None
-        if self.batched and not self.ideal_memory and n_lines:
-            self._plan_tile(workload, n_lines)
-        if (n_lines and self._plan is None
-                and not (self.batched and self.ideal_memory)):
-            # The fused loop (a set-unsafe tile) and the scalar oracle
-            # index the stream line by line.
-            lines = line_list(lines)
-        self._lines = lines
+        if self.batched and n_lines:
+            self._plan_tile(workload, lines)
         if not self.ideal_memory:
             pb_lines = line_list(workload.pb_lines)
             if self.batched:
@@ -354,44 +337,39 @@ class TimingRasterUnit:
         return float(self.config.raster_unit.tile_flush_cycles)
 
     # -- planned tile path -----------------------------------------------------
-    def _plan_tile(self, workload: TileWorkload, n_lines: int) -> None:
-        """Pre-apply the tile's whole texture-L1 walk and build its plan.
+    def _plan_tile(self, workload: TileWorkload, lines: List[int]) -> None:
+        """Apply the tile's whole texture-L1 walk and build its plan.
 
-        The L1 is private to this unit, tiles never span frames, and its
-        statistics are only observed at frame end — so the complete L1
-        effect of the tile (hits, misses, evictions, final LRU state)
-        can be applied at dispatch.  The walk visits each *distinct*
-        line once, in first-occurrence order, which under the set-safety
-        condition of :func:`tilestream.l1_layout` evicts exactly the
-        lines the scalar per-access walk would, in the same order;
-        duplicate occurrences are guaranteed hits and are accounted in
-        bulk.  What remains per interval is the plan: which stream
-        positions miss (-> L2/DRAM, which *are* interleaving-sensitive
-        and stay per-call) and the memoized compute cadence.
+        The L1 is private to this unit, a unit runs one tile at a time,
+        tiles never span frames, and the L1's statistics are only
+        observed at frame end, so the tile's complete L1 effect (hits,
+        misses, evictions, final LRU state) can be applied at dispatch.
+        The walk is :meth:`Cache.lookup` on every line in stream order,
+        inlined.  What remains per interval is the plan: the stream
+        positions that miss (they go on to the L2 and DRAM, which other
+        units interleave with, so they stay per interval) and the
+        memoized compute cadence.  Under ``ideal_memory`` every access
+        hits the L1, which the plan models as no misses and no L1 walk.
         """
-        l1 = self.l1
-        if l1._dirty:
-            # A dirty texture L1 would need writeback bookkeeping the
-            # plan does not model; impossible for texture reads, but
-            # fall back rather than assume.
-            return
-        layout = tilestream.l1_layout(workload, l1._set_mask, l1.ways)
-        if layout is None:
-            return
-        ulines, first, retouch = layout
-        sets = l1._sets
-        mask = l1._set_mask
-        nways = l1.ways
+        n_lines = len(lines)
         mlines: List[int] = []
         mpos: List[int] = []
-        ml_append = mlines.append
-        mp_append = mpos.append
-        evictions = 0
-        for line, pos in zip(ulines.tolist(), first.tolist()):
-            ways = sets[line & mask]
-            if ways.pop(line, 0) is None:
-                ways[line] = None
-            else:
+        if not self.ideal_memory:
+            l1 = self.l1
+            sets = l1._sets
+            mask = l1._set_mask
+            nways = l1.ways
+            ml_append = mlines.append
+            mp_append = mpos.append
+            evictions = 0
+            for pos, line in enumerate(lines):
+                ways = sets[line & mask]
+                # Stored values are always None, so a pop with a
+                # sentinel default is the membership test and the
+                # delete in one hash lookup; None back means hit.
+                if ways.pop(line, 0) is None:
+                    ways[line] = None
+                    continue
                 if len(ways) >= nways:
                     for evicted in ways:
                         break
@@ -400,16 +378,12 @@ class TimingRasterUnit:
                 ways[line] = None
                 ml_append(line)
                 mp_append(pos)
-        for line in retouch.tolist():
-            ways = sets[line & mask]
-            del ways[line]
-            ways[line] = None
+            l1_stats = l1.stats
+            l1_stats.accesses += n_lines
+            l1_stats.hits += n_lines - len(mlines)
+            l1_stats.misses += len(mlines)
+            l1_stats.evictions += evictions
         misses = len(mlines)
-        l1_stats = l1.stats
-        l1_stats.accesses += n_lines
-        l1_stats.hits += n_lines - misses
-        l1_stats.misses += misses
-        l1_stats.evictions += evictions
         stats = self.stats
         stats.texture_accesses += n_lines
         stats.texture_latency_sum += self._l1_latency * (n_lines - misses)
@@ -422,10 +396,11 @@ class TimingRasterUnit:
 
         The memoized cadence yields how many lines the budget covers;
         only the planned L1-miss positions inside that slice walk the
-        shared L2/DRAM (inlined, in stream order — the part that must
-        stay at interval granularity because other units interleave).
-        Returns ``(cycle_budget, dram_misses, stalled)`` like the fused
-        loop.
+        shared L2/DRAM (inlined, in stream order, with statistics
+        applied in bulk afterwards).  Stops after the access whose
+        DRAM-level miss exhausts ``miss_budget``; the caller charges the
+        stall.  Advances ``self._line_idx`` / ``self._cycles_done`` and
+        returns ``(cycle_budget, dram_misses, stalled)``.
         """
         cad, mpos, mlines, nmiss = self._plan
         index = self._line_idx
@@ -435,21 +410,20 @@ class TimingRasterUnit:
         p = self._plan_ptr
         if p >= nmiss or mpos[p] >= end:
             # Pure-hit slice: no shared-state traffic, nothing to account
-            # (L1 stats and latency were pre-applied at plan time).
+            # (L1 stats and latency were applied at plan time).
             self._line_idx = end
             self._cycles_done = done_end
             return budget_end, 0, False
         dram_misses = 0
         stalled = False
-        (_, _, _, _, _,
-         l2_sets, l2_mask, l2_nways, l2_dirty, l2_stats,
+        (l2_sets, l2_mask, l2_nways, l2_stats,
          dram, d_open, d_lpr, d_bmask, d_bbits, d_hit, d_miss,
-         d_stats, traffic, _) = self._hot
+         d_stats, traffic) = self._hot
         l2_lat = self._l1_latency + self._l2_latency
         dram_lat = l2_lat + dram._loaded_latency
         svc_sum = dram._service_cycles_sum
         p0 = p
-        l2_hits = l2_evictions = l2_writebacks = 0
+        l2_hits = l2_evictions = 0
         d_row_hits = d_row_misses = 0
         while p < nmiss:
             pos = mpos[p]
@@ -462,18 +436,14 @@ class TimingRasterUnit:
                 ways[line] = None
                 l2_hits += 1
                 continue
-            victim = None
+            # Every L2 access is a read, so no victim is dirty.
             if len(ways) >= l2_nways:
                 for victim in ways:
                     break
                 del ways[victim]
                 l2_evictions += 1
-                if victim in l2_dirty:
-                    l2_dirty.discard(victim)
-                    l2_writebacks += 1
-                else:
-                    victim = None
             ways[line] = None
+            # Inlined DRAM.request row-buffer walk.
             row = line // d_lpr
             bank = row & d_bmask
             row_of_bank = row >> d_bbits
@@ -484,17 +454,6 @@ class TimingRasterUnit:
                 d_row_misses += 1
                 d_open[bank] = row_of_bank
                 svc_sum += d_miss
-            if victim is not None:
-                row = victim // d_lpr
-                bank = row & d_bmask
-                row_of_bank = row >> d_bbits
-                if d_open[bank] == row_of_bank:
-                    d_row_hits += 1
-                    svc_sum += d_hit
-                else:
-                    d_row_misses += 1
-                    d_open[bank] = row_of_bank
-                    svc_sum += d_miss
             dram_misses += 1
             if dram_misses >= miss_budget:
                 # The access that exhausted the MSHR budget is the
@@ -511,20 +470,15 @@ class TimingRasterUnit:
         l2_stats.hits += l2_hits
         l2_stats.misses += slice_misses - l2_hits
         l2_stats.evictions += l2_evictions
-        l2_stats.writebacks += l2_writebacks
-        requests = dram_misses + l2_writebacks
-        if requests:
+        if dram_misses:
             dram._service_cycles_sum = svc_sum
-            dram._service_count += requests
-            dram._interval_requests += requests
+            dram._service_count += dram_misses
+            dram._interval_requests += dram_misses
             d_stats.reads += dram_misses
-            d_stats.writes += l2_writebacks
             d_stats.row_hits += d_row_hits
             d_stats.row_misses += d_row_misses
             d_stats.activations += d_row_misses
             traffic.add(TEXTURE, dram_misses)
-        if l2_writebacks:
-            traffic.add(WRITEBACK, l2_writebacks)
         unit_stats = self.stats
         unit_stats.texture_latency_sum += (l2_lat * l2_hits
                                            + dram_lat * dram_misses)
@@ -535,189 +489,6 @@ class TimingRasterUnit:
         if stalled:
             return 0.0, dram_misses, True
         return budget_end, dram_misses, False
-
-    # -- batched memory path ---------------------------------------------------
-    def _stream_texture_lines(self, lines: Sequence[int], n_lines: int,
-                              cycle_budget: float, miss_budget: int):
-        """Stream every texture line due this interval, in one fused loop.
-
-        Replays the scalar advance/access cadence — the same float
-        operations in the same order — with the per-line memory path
-        (L1 -> L2 -> DRAM) inlined with bound locals and statistics
-        applied in bulk afterwards.  Cache/LRU state, counters, and the
-        DRAM request order are bit-identical to the scalar path
-        (``batched=False``).  Stops after the access whose DRAM-level
-        miss exhausts ``miss_budget``; the caller charges the stall.
-
-        Advances ``self._line_idx`` / ``self._cycles_done`` and returns
-        ``(cycle_budget, dram_misses, stalled)``.
-        """
-        eps = _EPS
-        cpl = self._cycles_per_line
-        done = self._cycles_done
-        budget = cycle_budget
-        index = self._line_idx
-        unit_stats = self.stats
-
-        if self.ideal_memory:
-            accessed = 0
-            while budget > eps:
-                if index >= n_lines:
-                    break
-                target = index * cpl
-                if done + eps < target:
-                    while True:
-                        gap = target - done
-                        chunk = gap if gap < budget else budget
-                        done += chunk
-                        budget -= chunk
-                        if budget <= eps or done + eps >= target:
-                            break
-                    if budget <= eps:
-                        break
-                accessed += 1
-                index += 1
-            unit_stats.texture_accesses += accessed
-            unit_stats.texture_latency_sum += self._l1_latency * accessed
-            self._line_idx = index
-            self._cycles_done = done
-            return budget, 0, False
-
-        (l1_sets, l1_mask, l1_nways, l1_dirty, l1_stats,
-         l2_sets, l2_mask, l2_nways, l2_dirty, l2_stats,
-         dram, d_open, d_lpr, d_bmask, d_bbits, d_hit, d_miss,
-         d_stats, traffic, l1) = self._hot
-        l1_lat = self._l1_latency
-        l2_lat = l1_lat + self._l2_latency
-        dram_lat = l2_lat + dram._loaded_latency
-        svc_sum = dram._service_cycles_sum
-        l1_hits = l1_evictions = l1_writebacks = 0
-        l2_hits = l2_evictions = l2_writebacks = 0
-        d_row_hits = d_row_misses = 0
-        latency = 0.0
-        dram_misses = 0
-        accessed = 0
-        stalled = False
-        while budget > eps:
-            if index >= n_lines:
-                break
-            target = index * cpl
-            if done + eps < target:
-                # Advance the compute cadence to the next due line in one
-                # inner loop: the same chunk float operations the scalar
-                # path performs, including its budget re-check after every
-                # chunk (``chunk`` is always positive here, so the scalar
-                # path's ``chunk > 0.0`` guard is vacuous).
-                while True:
-                    gap = target - done
-                    chunk = gap if gap < budget else budget
-                    done += chunk
-                    budget -= chunk
-                    if budget <= eps or done + eps >= target:
-                        break
-                if budget <= eps:
-                    break
-            line = lines[index]
-            index += 1
-            accessed += 1
-            ways = l1_sets[line & l1_mask]
-            # dict.pop with a sentinel default folds the scalar path's
-            # membership test + delete into one hash lookup; stored
-            # values are always None, so None means hit.
-            if ways.pop(line, 0) is None:
-                ways[line] = None
-                l1_hits += 1
-                latency += l1_lat
-                continue
-            if len(ways) >= l1_nways:
-                for evicted in ways:
-                    break
-                del ways[evicted]
-                l1_evictions += 1
-                if evicted in l1_dirty:
-                    l1_dirty.discard(evicted)
-                    l1_writebacks += 1
-                    l1.pending_writebacks.append(evicted)
-            ways[line] = None
-            ways = l2_sets[line & l2_mask]
-            if ways.pop(line, 0) is None:
-                ways[line] = None
-                l2_hits += 1
-                latency += l2_lat
-                continue
-            victim = None
-            if len(ways) >= l2_nways:
-                for victim in ways:
-                    break
-                del ways[victim]
-                l2_evictions += 1
-                if victim in l2_dirty:
-                    l2_dirty.discard(victim)
-                    l2_writebacks += 1
-                else:
-                    victim = None
-            ways[line] = None
-            # Inlined DRAM row-buffer walk (DRAM.request): demand read
-            # first, then the dirty victim's writeback — same order and
-            # the same service-cycle float accumulation as the scalar
-            # path.  Counters are applied in bulk below.
-            row = line // d_lpr
-            bank = row & d_bmask
-            row_of_bank = row >> d_bbits
-            if d_open[bank] == row_of_bank:
-                d_row_hits += 1
-                svc_sum += d_hit
-            else:
-                d_row_misses += 1
-                d_open[bank] = row_of_bank
-                svc_sum += d_miss
-            if victim is not None:
-                row = victim // d_lpr
-                bank = row & d_bmask
-                row_of_bank = row >> d_bbits
-                if d_open[bank] == row_of_bank:
-                    d_row_hits += 1
-                    svc_sum += d_hit
-                else:
-                    d_row_misses += 1
-                    d_open[bank] = row_of_bank
-                    svc_sum += d_miss
-            latency += dram_lat
-            dram_misses += 1
-            if dram_misses >= miss_budget:
-                stalled = True
-                break
-        l1_stats.accesses += accessed
-        l1_stats.hits += l1_hits
-        l1_misses = accessed - l1_hits
-        l1_stats.misses += l1_misses
-        l1_stats.evictions += l1_evictions
-        l1_stats.writebacks += l1_writebacks
-        l2_stats.accesses += l1_misses
-        l2_stats.hits += l2_hits
-        l2_stats.misses += l1_misses - l2_hits
-        l2_stats.evictions += l2_evictions
-        l2_stats.writebacks += l2_writebacks
-        dram_requests = dram_misses + l2_writebacks
-        if dram_requests:
-            dram._service_cycles_sum = svc_sum
-            dram._service_count += dram_requests
-            dram._interval_requests += dram_requests
-            d_stats.reads += dram_misses
-            d_stats.writes += l2_writebacks
-            d_stats.row_hits += d_row_hits
-            d_stats.row_misses += d_row_misses
-            d_stats.activations += d_row_misses
-            traffic.add(TEXTURE, dram_misses)
-        if l2_writebacks:
-            traffic.add(WRITEBACK, l2_writebacks)
-        unit_stats.texture_accesses += accessed
-        unit_stats.texture_latency_sum += latency
-        unit_stats.dram_texture_misses += dram_misses
-        self._tile_dram += dram_misses
-        self._line_idx = index
-        self._cycles_done = done
-        return budget, dram_misses, stalled
 
     # -- memory path ----------------------------------------------------------
     def _access_texture(self, line: int) -> str:

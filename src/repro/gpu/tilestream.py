@@ -1,33 +1,23 @@
-"""Structure-of-arrays views of tile workload streams.
+"""Data the batched Raster Unit derives from a tile's trace.
 
-The batched Raster Unit path plans a whole tile's texture-L1 behaviour at
-dispatch time and then consumes the plan interval by interval (see
-``TimingRasterUnit``).  Everything needed for that plan — the distinct
-lines of the stream, the per-set layout against a given cache geometry,
+The batched Raster Unit applies a tile's whole texture-L1 walk at
+dispatch and then consumes the resulting plan interval by interval (see
+``TimingRasterUnit``).  What that plan needs beyond the L1 walk itself —
 the compute cadence that decides *when* each line is due, and the DRAM
 row/bank runs of the Color Buffer flush — derives purely from immutable
 trace content plus configuration constants.  It therefore lives here,
-computed once per workload with numpy and cached on the workload object
+computed once per workload and cached on the workload object
 (:func:`derived`), never on simulation state.  Per-line data is held in
-``int64``/``float64`` arrays: a process that keeps its traces keeps
-these plans too.
+``float64`` arrays: a process that keeps its traces keeps these too.
 
-Exactness notes (load-bearing, verified by the parity suite):
-
-* ``TileCadence`` replays the scalar advance loop's float operations —
-  ``gap = target - done; done += gap`` — once per ``(line, entry
-  budget)`` and memoizes the outcome, so steady-state intervals reduce
-  to a dict hit.  ``done_after(i)`` is exactly the scalar ``done`` after
-  accessing line ``i``: the product ``i * cycles_per_line`` when every
-  target clears its predecessor by more than the epsilon (then each
-  step lands on its target exactly), else the scalar recurrence itself.
-* ``l1_layout`` only returns a plan when every cache set sees at most
-  ``ways`` distinct stream lines (the tile working set fits its sets).
-  Under that condition the eviction victims of the whole tile are
-  exactly the oldest untouched resident lines of each set, in scalar
-  order, regardless of how duplicate occurrences interleave — which is
-  what makes whole-tile pre-application of the L1 walk bit-exact.
-  Tiles that violate it fall back to the fused per-line loop.
+Exactness note (load-bearing, verified by the parity suite):
+``TileCadence`` replays the scalar advance loop's float operations —
+``gap = target - done; done += gap`` — once per ``(line, entry budget)``
+and memoizes the outcome, so steady-state intervals reduce to a dict
+hit.  ``done_after(i)`` is exactly the scalar ``done`` after accessing
+line ``i``: the product ``i * cycles_per_line`` when every target clears
+its predecessor by more than the epsilon (then each step lands on its
+target exactly), else the scalar recurrence itself.
 """
 
 from __future__ import annotations
@@ -39,14 +29,6 @@ import numpy as np
 from .workload import as_lines
 
 _EPS = 1e-9
-
-#: Distinct lines of a stream: (lines, first positions, last positions).
-StreamUniq = Tuple[np.ndarray, np.ndarray, np.ndarray]
-#: Layout plan: (distinct lines, their first positions, retouch lines).
-L1Layout = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-_NO_LINES = np.empty(0, dtype=np.int64)
-_NO_LINES.flags.writeable = False
 
 
 def derived(workload) -> dict:
@@ -60,80 +42,6 @@ def derived(workload) -> dict:
     if cache is None:
         cache = workload.__dict__["_soa"] = {}
     return cache
-
-
-def stream_uniq(workload) -> StreamUniq:
-    """The tile's distinct texture lines, in first-occurrence order.
-
-    Returns ``(lines, first_pos, last_pos)`` as parallel ``int64``
-    arrays: each distinct line, the stream position of its first
-    occurrence, and the position of its last occurrence.
-    """
-    cache = derived(workload)
-    data = cache.get("uniq")
-    if data is None:
-        arr = as_lines(workload.texture_lines)
-        n = arr.shape[0]
-        if n == 0:
-            data = (_NO_LINES, _NO_LINES, _NO_LINES)
-        else:
-            # A stable sort keeps each line's occurrences in stream
-            # order, so a run of equal lines starts at its first
-            # position and ends at its last.
-            order = np.argsort(arr, kind="stable").astype(np.int64,
-                                                          copy=False)
-            ordered = arr[order]
-            starts = np.flatnonzero(np.concatenate(
-                ([True], ordered[1:] != ordered[:-1])))
-            ends = np.append(starts[1:], n) - 1
-            first = order[starts]
-            by_first = np.argsort(first)
-            data = (ordered[starts[by_first]], first[by_first],
-                    order[ends[by_first]])
-        cache["uniq"] = data
-    return data
-
-
-def l1_layout(workload, set_mask: int, ways: int) -> Optional[L1Layout]:
-    """Per-set layout of the tile stream against an L1 geometry.
-
-    Returns ``(lines, first_pos, retouch)`` when the stream is
-    *set-safe* — no cache set sees more than ``ways`` distinct lines —
-    or ``None`` when it is not (the caller must use the per-line path).
-    ``lines`` and ``first_pos`` are :func:`stream_uniq`'s arrays.
-
-    ``retouch`` holds the lines of every set whose LRU order after a
-    first-occurrence walk differs from the true final order, each set's
-    lines in last-occurrence order; re-touching them afterwards
-    reproduces the exact scalar end state.
-    """
-    cache = derived(workload)
-    key = ("l1", set_mask, ways)
-    data = cache.get(key, False)
-    if data is not False:
-        return data
-    lines, first, last = stream_uniq(workload)
-    retouch = _NO_LINES
-    if lines.shape[0]:
-        setid = lines & set_mask
-        counts = np.bincount(setid)
-        if int(counts.max()) > ways:
-            cache[key] = None
-            return None
-        if int(counts.max()) > 1:
-            # Both sorts group the lines by set into the same position
-            # ranges, so a set's two orders differ exactly where the
-            # sorts disagree inside its range.
-            by_first = np.lexsort((first, setid))
-            by_last = np.lexsort((last, setid))
-            moved = np.zeros(set_mask + 1, dtype=bool)
-            moved[setid[by_first[by_first != by_last]]] = True
-            keep = moved[setid[by_last]]
-            if keep.any():
-                retouch = lines[by_last[keep]]
-    data = (lines, first, retouch)
-    cache[key] = data
-    return data
 
 
 class TileCadence:

@@ -128,13 +128,6 @@ class SharedMemory:
         n = len(lines)
         if not n:
             return
-        if n >= 512:
-            # Long streams amortize the numpy dispatch: the vectorized
-            # bank walk lands the same stats, open rows and service sum
-            # (tile flushes are far shorter — they keep the loop below).
-            self.dram.request_batch(lines, write=write)
-            self.traffic.add(source, n)
-            return
         # Inlined DRAM.request row-buffer walk (see access_batch).
         dram = self.dram
         d_open = dram._open_rows

@@ -1,11 +1,13 @@
 """Parity suite: the batched hot path versus the scalar golden path.
 
-PR 2 rewrote the per-line memory loops (``Cache.lookup_batch``, the
-fused texture-stream loop of :class:`TimingRasterUnit`, the Geometry
-vertex stream) for speed while keeping the scalar implementations as the
-golden reference (``batched=False``).  These tests pin the contract:
-**bit-identical** LRU state, hit/miss/eviction/writeback counters, DRAM
-request interleaving and interval series, at every level.
+The batched paths (``Cache.lookup_batch``, the planned texture walk of
+:class:`TimingRasterUnit`, the Geometry vertex stream) are written for
+speed, and the scalar implementations stay as the golden reference
+(``batched=False``).  These tests pin the contract: **bit-identical**
+LRU state, hit/miss/eviction/writeback counters, DRAM request
+interleaving and interval series, at every level.  The tiny scenes keep
+each tile's lines within the ways of every L1 set; the suite scenes of
+:class:`TestOverflowingTileParity` make tiles evict their own lines.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.config import CacheConfig, RasterUnitConfig, small_config
+from repro.config import (CacheConfig, GPUConfig, RasterUnitConfig,
+                          small_config)
 from repro.core import (LibraScheduler, TemperatureScheduler,
                         ZOrderScheduler)
 from repro.gpu import GPUSimulator
 from repro.gpu.frame import FrameDriver
 from repro.memory.cache import Cache
+from repro.memory.hierarchy import make_texture_l1
 from repro.perf.kernels import run_kernel
 from repro.telemetry import HUB, RecordingSink
+from repro.workloads import make_scene_builder
 from repro.workloads.scene import SceneBuilder
 from repro.workloads.traces import TraceBuilder
 
@@ -235,6 +240,70 @@ class TestRandomizedSceneKindParity:
             HUB.disable()
         assert (quiet.total_cycles, quiet.raster_dram_accesses) \
             == (loud.total_cycles, loud.raster_dram_accesses)
+
+
+def _overflowing_tiles(traces, l1: Cache) -> int:
+    """Tiles in which some set of ``l1`` sees more distinct lines than
+    it has ways, so that the tile evicts lines it fetched itself."""
+    count = 0
+    for trace in traces:
+        for w in trace.workloads.values():
+            per_set = {}
+            for line in set(w.texture_lines.tolist()):
+                index = line & l1._set_mask
+                per_set[index] = per_set.get(index, 0) + 1
+            count += any(n > l1.ways for n in per_set.values())
+    return count
+
+
+class TestOverflowingTileParity:
+    """Suite traces whose tiles overflow L1 sets: bit-identical runs.
+
+    CCS and GrT at 256x128 fetch more distinct lines per tile than the
+    tiny scenes above, so some of their tiles overflow a set of every
+    kind's texture L1 and evict lines they fetched earlier in the same
+    tile.  Only such tiles tell a least- from a most-recently-used
+    victim, or an L1 hit from a miss taken twice.
+    """
+
+    WIDTH, HEIGHT, FRAMES = 256, 128, 2
+
+    @pytest.fixture(scope="class")
+    def suite_traces(self):
+        return {name: TraceBuilder(
+            make_scene_builder(name, self.WIDTH, self.HEIGHT),
+            self.WIDTH, self.HEIGHT, 32).build_many(self.FRAMES)
+            for name in ("CCS", "GrT")}
+
+    def _run(self, kind, traces, batched, ideal_memory):
+        config, scheduler = GPUConfig.build(
+            kind, screen_width=self.WIDTH, screen_height=self.HEIGHT)
+        sim = GPUSimulator(config, scheduler=scheduler,
+                           ideal_memory=ideal_memory, batched=batched)
+        return config, sim.run(traces)
+
+    @pytest.mark.parametrize("ideal_memory", [False, True],
+                             ids=["memory", "ideal"])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("name", ["CCS", "GrT"])
+    def test_batched_matches_scalar(self, suite_traces, name, kind,
+                                    ideal_memory):
+        traces = suite_traces[name]
+        config, fast = self._run(kind, traces, True, ideal_memory)
+        _, golden = self._run(kind, traces, False, ideal_memory)
+        assert _overflowing_tiles(traces, make_texture_l1(config)) > 0
+        if not ideal_memory:
+            assert sum(f.texture_l1_stats.evictions
+                       for f in golden.frames) > 0
+        assert fast.total_cycles == golden.total_cycles
+        assert fast.raster_dram_accesses == golden.raster_dram_accesses
+        assert fast.mean_texture_hit_ratio \
+            == golden.mean_texture_hit_ratio
+        assert len(fast.frames) == len(golden.frames) == self.FRAMES
+        for fa, fb in zip(fast.frames, golden.frames):
+            assert _frame_key(fa) == _frame_key(fb)
+            assert fa.mean_texture_latency \
+                == pytest.approx(fb.mean_texture_latency)
 
 
 class TestGeometryIntervalDeterminism:

@@ -112,26 +112,26 @@ class TestIdleIntervalFastPath:
 
 
 class TestStreamToDramDispatch:
-    """Long L2-bypass streams dispatch to the batched kernel."""
+    """L2-bypass streams of any length take the inline row walk."""
 
-    def _shared(self):
-        return SharedMemory(small_config(screen_width=128,
-                                         screen_height=64, tile_size=32))
-
-    def test_long_stream_matches_scalar_walk(self):
-        a, b = self._shared(), self._shared()
-        lines = [int(x) for x in
-                 np.random.default_rng(3).integers(0, 5000, size=900)]
+    def _check_against_requests(self, lines):
+        """The stream lands the statistics, open rows, service sum and
+        traffic of one ``DRAM.request`` per line."""
+        config = small_config(screen_width=128, screen_height=64,
+                              tile_size=32)
+        a, b = SharedMemory(config), SharedMemory(config)
         a.stream_to_dram_batch(lines, "framebuffer")
-        for line in lines:  # scalar reference: one request per line
+        for line in lines:
             b.dram.request(line, write=True)
         b.traffic.add("framebuffer", len(lines))
         assert _state(a.dram) == _state(b.dram)
         assert a.traffic.counts == b.traffic.counts
 
+    def test_long_stream_matches_scalar_walk(self):
+        # Far longer than a 32x32 tile's 64-line flush.
+        self._check_against_requests(
+            [int(x) for x in
+             np.random.default_rng(3).integers(0, 5000, size=900)])
+
     def test_short_stream_keeps_inline_walk(self):
-        a, b = self._shared(), self._shared()
-        lines = list(range(40))
-        a.stream_to_dram_batch(lines, "framebuffer")
-        b.stream_to_dram_batch(list(lines), "framebuffer")
-        assert _state(a.dram) == _state(b.dram)
+        self._check_against_requests(list(range(40)))

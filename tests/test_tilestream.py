@@ -1,14 +1,13 @@
-"""The stream derivations of ``repro.gpu.tilestream`` against plain loops.
+"""The batched Raster Unit's tile plan against plain per-line loops.
 
-The batched Raster Unit plans a tile from four derivations of its trace:
-the distinct texture lines (``stream_uniq``), their layout against an L1
-geometry (``l1_layout``), the compute cadence (``TileCadence``) and the
-Color Buffer flush as DRAM row runs (``fb_runs``).  Each is checked here
-against the per-line loop it replaces, on streams held as ``int64``
-arrays (as traces hold them) and on plain lists assigned after
-construction (as hand-built workloads may).  The derivations hold their
-per-line data as ``int64``/``float64`` arrays, and a cadence whose
-scalar chain is exact holds none at all.
+At dispatch the batched Raster Unit walks a tile's texture stream
+through its L1 and plans the misses (``TimingRasterUnit._plan_tile``);
+it takes the compute cadence (``TileCadence``) and the Color Buffer
+flush as DRAM row runs (``fb_runs``) from ``repro.gpu.tilestream``.
+Each is checked here against the per-line loop it replaces, on streams
+held as ``int64`` arrays (as traces hold them) and on plain lists
+assigned after construction (as hand-built workloads may).  A cadence
+whose scalar chain is exact holds no per-line data.
 """
 
 from __future__ import annotations
@@ -17,11 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.config import KIND_FAMILIES, CacheConfig, DRAMConfig
+from repro.config import KIND_FAMILIES, CacheConfig, DRAMConfig, small_config
 from repro.gpu import tilestream
+from repro.gpu.raster_unit import TimingRasterUnit
 from repro.gpu.workload import TileWorkload
 from repro.memory.cache import Cache
 from repro.memory.dram import DRAM
+from repro.memory.hierarchy import SharedMemory, make_tile_cache
 from repro.perf.kernels import run_kernel
 from repro.workloads import TraceBuilder, make_scene_builder
 
@@ -52,119 +53,70 @@ def workload(field: str, lines, as_list: bool) -> TileWorkload:
     return w
 
 
-def scan_uniq(stream):
-    """Distinct lines with first and last positions, one line at a time."""
-    first, last = {}, {}
-    for i, line in enumerate(stream):
-        first.setdefault(line, i)
-        last[line] = i
-    lines = tuple(first)
-    return (lines, tuple(first[line] for line in lines),
-            tuple(last[line] for line in lines))
-
-
-class TestStreamUniq:
-    @PROPERTY
-    @given(stream=line_streams, as_list=st.booleans())
-    def test_matches_python_scan(self, stream, as_list):
-        w = workload("texture_lines", stream, as_list)
-        got = tilestream.stream_uniq(w)
-        assert tuple(tuple(part.tolist()) for part in got) == \
-            scan_uniq(stream)
-        assert all(part.dtype == np.int64 for part in got)
-
-    def test_cached_on_the_workload(self):
-        w = workload("texture_lines", [3, 1, 3], as_list=False)
-        assert tilestream.stream_uniq(w) is tilestream.stream_uniq(w)
-
-
 def lru_order(cache):
     """Each set's lines, least recently used first."""
     return {index: list(ways) for index, ways in cache._sets.items()
             if ways}
 
 
-def plan_walk(cache, layout):
-    """The walk ``TimingRasterUnit._plan_tile`` applies to its L1.
-
-    Each distinct line once in first-occurrence order, then the
-    ``retouch`` lines in last-occurrence order.
-    """
-    lines, _, retouch = layout
-    for line in lines.tolist():
-        cache.lookup(line)
-    for line in retouch.tolist():
-        assert cache.lookup(line)
-
-
-def scan_retouch(stream, mask):
-    """Per set, its lines by last occurrence where that order differs
-    from first occurrence: the groups ``l1_layout`` must retouch."""
-    lines, _, last = scan_uniq(stream)
-    groups = {}
-    for i, line in enumerate(lines):
-        groups.setdefault(line & mask, []).append(i)
-    return {s: [lines[i] for i in sorted(idxs, key=last.__getitem__)]
-            for s, idxs in groups.items()
-            if sorted(idxs, key=last.__getitem__) != idxs}
+def unit_with_l1(config: CacheConfig, warm, ideal_memory=False):
+    """A batched Raster Unit whose texture L1 is ``config``, warmed by
+    looking up ``warm`` and then cleared of statistics."""
+    gpu = small_config(screen_width=128, screen_height=64, tile_size=32)
+    unit = TimingRasterUnit(0, gpu, SharedMemory(gpu), make_tile_cache(gpu),
+                            ideal_memory=ideal_memory)
+    unit.l1 = Cache(config)
+    for line in warm:
+        unit.l1.lookup(line)
+    unit.l1.stats.reset()
+    return unit
 
 
-class TestL1Layout:
+def l1_counts(cache):
+    """The cache's counters as one comparable tuple."""
+    s = cache.stats
+    return s.accesses, s.hits, s.misses, s.evictions, s.writebacks
+
+
+class TestPlanTile:
+    """Dispatching a tile walks its stream through the L1 exactly as
+    ``Cache.lookup`` does, one line at a time; under ``ideal_memory``,
+    as in the scalar oracle, it leaves the L1 alone."""
+
     @PROPERTY
     @given(stream=line_streams, warm=line_streams, as_list=st.booleans(),
-           config=st.sampled_from([TINY, ROOMY]))
-    def test_none_exactly_when_a_set_overflows(self, stream, warm, as_list,
-                                              config):
+           config=st.sampled_from([TINY, ROOMY]),
+           ideal_memory=st.booleans())
+    # Set 0 of TINY (2 ways) sees 0, 4 and 8.  8 evicts 4, the least
+    # recently used line, so 4 and then 0 miss again; evicting the most
+    # recently used line instead would keep 4.
+    @example(stream=[0, 4, 0, 8, 4, 0], warm=[], as_list=False,
+             config=TINY, ideal_memory=False)
+    def test_dispatch_is_the_per_line_lookup_walk(self, stream, warm,
+                                                  as_list, config,
+                                                  ideal_memory):
         w = workload("texture_lines", stream, as_list)
-        mask = config.num_sets - 1
-        per_set = {}
-        for line in set(stream):
-            per_set[line & mask] = per_set.get(line & mask, 0) + 1
-        overflows = any(n > config.ways for n in per_set.values())
-        layout = tilestream.l1_layout(w, mask, config.ways)
-        assert (layout is None) == overflows
-        if layout is None:
+        w.instructions = 10 * len(stream)
+        unit = unit_with_l1(config, warm, ideal_memory)
+        reference = Cache(config)
+        for line in warm:
+            reference.lookup(line)
+        reference.stats.reset()
+        missed = [] if ideal_memory else [
+            pos for pos, line in enumerate(stream)
+            if not reference.lookup(line)]
+
+        unit._begin_tile(w)
+        assert lru_order(unit.l1) == lru_order(reference)
+        assert l1_counts(unit.l1) == l1_counts(reference)
+        assert unit.stats.texture_accesses == len(stream)
+        if not stream:
+            assert unit._plan is None
             return
-        lines, first, retouch = layout
-        assert all(part.dtype == np.int64 for part in layout)
-        assert tuple(lines.tolist()) == scan_uniq(stream)[0]
-        assert first.tolist() == [stream.index(line)
-                                  for line in lines.tolist()]
-        by_set = {}
-        for line in retouch.tolist():
-            by_set.setdefault(line & mask, []).append(line)
-        assert by_set == scan_retouch(stream, mask)
-
-        # From the same warm state, the plan walk leaves the LRU order,
-        # misses and evictions that walking every line leaves.
-        whole, planned = Cache(config), Cache(config)
-        for cache in (whole, planned):
-            for line in warm:
-                cache.lookup(line)
-            cache.stats.reset()
-        for line in stream:
-            whole.lookup(line)
-        plan_walk(planned, layout)
-        assert lru_order(planned) == lru_order(whole)
-        assert planned.stats.misses == whole.stats.misses
-        assert planned.stats.evictions == whole.stats.evictions
-
-    def test_cached_per_geometry(self):
-        w = workload("texture_lines", [0, 4, 8, 0], as_list=False)
-        assert tilestream.l1_layout(w, 3, 2) is None
-        layout = tilestream.l1_layout(w, 3, 4)
-        assert layout is not None
-        assert tilestream.l1_layout(w, 3, 4) is layout
-        assert tilestream.l1_layout(w, 3, 2) is None
-
-    def test_shares_the_stream_uniq_arrays(self):
-        w = workload("texture_lines", [0, 4, 1, 5, 0], as_list=False)
-        lines, first, _ = tilestream.stream_uniq(w)
-        layout = tilestream.l1_layout(w, 3, 4)
-        assert layout[0] is lines and layout[1] is first
-        # Set 0 holds 0 and 4, set 1 holds 1 and 5; only set 0 ends in
-        # the other order (0 last touched after 4).
-        assert layout[2].tolist() == [4, 0]
+        _, mpos, mlines, nmiss = unit._plan
+        assert mpos == missed
+        assert mlines == [stream[pos] for pos in missed]
+        assert nmiss == len(missed)
 
 
 def scalar_advance(n, cycles_per_line, index, done, budget):
@@ -333,18 +285,12 @@ class TestHeldPlans:
                               256, 128, 32).build_many(2)
         for kind in KIND_FAMILIES:
             run_kernel(kind, traces, 256, 128)
-        layouts = cadences = 0
+        cadences = 0
         for trace in traces:
             for w in trace.workloads.values():
                 cache = w.__dict__.get("_soa", {})
                 for key, data in cache.items():
-                    if key == "uniq" or (key[0] == "l1"
-                                         and data is not None):
-                        assert all(isinstance(part, np.ndarray)
-                                   and part.dtype == np.int64
-                                   for part in data)
-                        layouts += key != "uniq"
-                    elif key[0] == "cad":
+                    if key[0] == "cad":
                         cadences += 1
                         targets = np.arange(data.n) * data.cpl
                         exact = np.all(targets[:-1] + _EPS < targets[1:])
@@ -353,4 +299,4 @@ class TestHeldPlans:
                                                   list)
                                        for slot in data.__slots__)
         # Some tiles were planned, so the checks above ran.
-        assert layouts > 0 and cadences > 0
+        assert cadences > 0
