@@ -11,6 +11,14 @@ goes through this module so the same guarantees hold everywhere:
   digest of the payload.  :func:`read_cache` verifies both and raises
   :class:`~repro.errors.CacheCorruptionError` on any mismatch, so a
   truncated or bit-flipped entry is *detected*, never silently served.
+* **Streaming** — neither direction holds the pickled payload in
+  memory.  :func:`write_cache` pickles straight into the temporary
+  file through a writer that updates the digest as the bytes pass, and
+  fills the header's digest slot in before the ``fsync``.
+  :func:`read_cache` hashes the whole payload through one reused
+  buffer and unpickles from the same open file only once the digest
+  matched, so a corrupt payload never reaches the unpickler.  Reading
+  an entry costs its unpickled objects and a 64 KiB buffer.
 * **Isolation** — writers and readers take an advisory ``fcntl`` lock on
   a sidecar ``<name>.lock`` file, so two concurrent bench runs never
   interleave their writes to one entry.
@@ -26,8 +34,10 @@ Chaos: :func:`write_cache` is an injection site of the deterministic
 chaos harness (:mod:`repro.chaos`) — an armed single-shot fault makes
 one write fail with ``ENOSPC`` or produce a corrupt-on-disk entry
 (digest over the real payload, payload bit-flipped), exactly the
-storage faults the integrity layer exists to catch.  Nothing is
-injected unless a chaos plan armed a fault in this process.
+storage faults the integrity layer exists to catch.  The fault fires
+once the object has pickled, so a write that fails to pickle leaves it
+armed.  Nothing is injected unless a chaos plan armed a fault in this
+process.
 
 The entry layout is ``MAGIC (4 bytes) | sha256(payload) (32 bytes) |
 payload (pickle)``.  Files written by older releases (bare pickles) fail
@@ -46,7 +56,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import IO, Any, Iterator, Optional, Tuple, Union
 
 from . import chaos
 from .errors import CacheCorruptionError
@@ -65,24 +75,33 @@ MAGIC = b"RPC1"
 #: Bytes of the SHA-256 digest stored after the magic tag.
 _DIGEST_BYTES = 32
 
+#: Bytes before the payload: the magic tag, then the digest.
+_HEADER_BYTES = len(MAGIC) + _DIGEST_BYTES
+
+#: Size of the one buffer :func:`read_cache` hashes a payload through.
+_CHUNK_BYTES = 1 << 16
+
 PathLike = Union[str, Path]
 
 
-def atomic_write_bytes(path: PathLike, data: bytes) -> None:
-    """Write ``data`` to ``path`` atomically (temp file + fsync + replace).
+@contextlib.contextmanager
+def _atomic_file(path: PathLike) -> Iterator[IO[bytes]]:
+    """A temporary file that replaces ``path`` when the block succeeds.
 
     The temporary file lives in the target directory so the final
-    ``os.replace`` is a same-filesystem rename.  On any failure the
-    temporary file is removed; the final name is either the complete new
-    content or whatever was there before — never a partial write.
+    ``os.replace`` is a same-filesystem rename; it is flushed and
+    ``fsync``'d first.  On any failure the temporary file is removed:
+    the final name is either the complete new content or whatever was
+    there before — never a partial write.  The handle is opened for
+    reading too, so a writer can revisit bytes it already wrote.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent,
                                     prefix=path.name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "w+b") as handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)
@@ -90,6 +109,12 @@ def atomic_write_bytes(path: PathLike, data: bytes) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+def atomic_write_bytes(path: PathLike, data: bytes) -> None:
+    """Write ``data`` to ``path`` atomically (temp file + fsync + replace)."""
+    with _atomic_file(path) as handle:
+        handle.write(data)
 
 
 @contextlib.contextmanager
@@ -180,24 +205,60 @@ def quarantine(path: PathLike, reason: str) -> Optional[Path]:
     return dest
 
 
+class _DigestWriter:
+    """Passes bytes on to a file and hashes them on the way (SHA-256)."""
+
+    def __init__(self, handle: IO[bytes]):
+        self._handle = handle
+        self._sha = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self._sha.update(data)
+        return self._handle.write(data)
+
+    def digest(self) -> bytes:
+        return self._sha.digest()
+
+
 def write_cache(obj: Any, path: PathLike) -> None:
     """Pickle ``obj`` to ``path`` with checksum header, atomically.
 
-    Callers that may race other processes should hold :func:`file_lock`
-    around the read-check-write sequence; the write itself is atomic
-    either way.
+    The pickle streams into the temporary file behind a placeholder
+    digest, which is overwritten with the real one once the object has
+    pickled.  Callers that may race other processes should hold
+    :func:`file_lock` around the read-check-write sequence; the write
+    itself is atomic either way.
     """
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).digest()
-    fault = chaos.consume_cache_fault()
-    if fault == "enospc":
-        raise chaos.enospc_error(path)
-    if fault == "corrupt":
-        # Digest stays honest, payload does not: the entry lands on
-        # disk looking exactly like storage-layer bit rot, and the next
-        # read must detect and quarantine it.
-        payload = chaos.corrupt_bytes(payload)
-    atomic_write_bytes(path, MAGIC + digest + payload)
+    with _atomic_file(path) as handle:
+        handle.write(MAGIC + bytes(_DIGEST_BYTES))
+        sink = _DigestWriter(handle)
+        pickle.dump(obj, sink, protocol=pickle.HIGHEST_PROTOCOL)
+        fault = chaos.consume_cache_fault()
+        if fault == "enospc":
+            raise chaos.enospc_error(path)
+        if fault == "corrupt":
+            # Digest stays honest, payload does not: the entry lands on
+            # disk looking exactly like storage-layer bit rot, and the
+            # next read must detect and quarantine it.
+            handle.seek(-1, os.SEEK_END)
+            last = handle.read(1)
+            handle.seek(-1, os.SEEK_END)
+            handle.write(chaos.corrupt_bytes(last))
+        handle.seek(len(MAGIC))
+        handle.write(sink.digest())
+
+
+def _payload_digest(handle: IO[bytes]) -> Tuple[bytes, int]:
+    """SHA-256 and length of the rest of ``handle``, read in chunks."""
+    sha = hashlib.sha256()
+    chunk = memoryview(bytearray(_CHUNK_BYTES))
+    size = 0
+    while True:
+        got = handle.readinto(chunk)
+        if not got:
+            return sha.digest(), size
+        sha.update(chunk[:got])
+        size += got
 
 
 def read_cache(path: PathLike) -> Any:
@@ -205,32 +266,34 @@ def read_cache(path: PathLike) -> Any:
 
     Raises :class:`CacheCorruptionError` (with path and reason) on a
     missing/short header, wrong magic (legacy bare pickle included),
-    checksum mismatch, or a payload that fails to unpickle.
+    checksum mismatch, or a payload that fails to unpickle.  The whole
+    payload is verified before any of it is unpickled.
     """
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        with open(path, "rb") as handle:
+            header = handle.read(_HEADER_BYTES)
+            if len(header) < _HEADER_BYTES:
+                raise CacheCorruptionError(
+                    f"{path}: truncated header ({len(header)} bytes)")
+            if header[:len(MAGIC)] != MAGIC:
+                raise CacheCorruptionError(
+                    f"{path}: bad magic {header[:len(MAGIC)]!r} "
+                    "(legacy or foreign format)")
+            digest, size = _payload_digest(handle)
+            if digest != header[len(MAGIC):]:
+                raise CacheCorruptionError(f"{path}: checksum mismatch "
+                                           f"({size} payload bytes)")
+            handle.seek(_HEADER_BYTES)
+            try:
+                return pickle.load(handle)
+            except Exception as exc:  # checksummed payload should never
+                # fail; anything here means a pickling-layer skew (class
+                # renamed/moved)
+                raise CacheCorruptionError(
+                    f"{path}: payload failed to unpickle ({exc!r})") from exc
     except OSError as exc:
         raise CacheCorruptionError(f"{path}: unreadable ({exc})") from exc
-    header = len(MAGIC) + _DIGEST_BYTES
-    if len(blob) < header:
-        raise CacheCorruptionError(
-            f"{path}: truncated header ({len(blob)} bytes)")
-    if blob[:len(MAGIC)] != MAGIC:
-        raise CacheCorruptionError(
-            f"{path}: bad magic {blob[:len(MAGIC)]!r} "
-            "(legacy or foreign format)")
-    digest = blob[len(MAGIC):header]
-    payload = blob[header:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheCorruptionError(f"{path}: checksum mismatch "
-                                   f"({len(payload)} payload bytes)")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:  # checksummed payload should never fail;
-        # anything here means a pickling-layer skew (class renamed/moved)
-        raise CacheCorruptionError(
-            f"{path}: payload failed to unpickle ({exc!r})") from exc
 
 
 def load_or_quarantine(path: PathLike) -> Any:

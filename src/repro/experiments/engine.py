@@ -474,7 +474,8 @@ def run_sweep(spec: ExperimentSpec,
 
 def sweep_result_from_store(
         spec: ExperimentSpec,
-        store_root: Union[str, Path]) -> SweepResult:
+        store_root: Union[str, Path],
+        summaries: Optional[Dict[str, RunSummary]] = None) -> SweepResult:
     """Rebuild a :class:`SweepResult` purely from on-disk artifacts.
 
     The distributed sweep service has no single driver process holding
@@ -490,6 +491,11 @@ def sweep_result_from_store(
     result to :func:`~repro.experiments.aggregate.speedup_matrix`
     yields a matrix bit-identical to a local :func:`run_sweep` of the
     same spec once every point has checkpointed.
+
+    ``summaries`` are the verified checkpoints of the grid as
+    :meth:`ArtifactStore.load_completed` returns them, for a caller that
+    has just read them (the service finalizer); without them every
+    artifact is read and verified here.
     """
     spec.validate()
     store = ArtifactStore(store_root)
@@ -501,7 +507,7 @@ def sweep_result_from_store(
             f"(stored fingerprint {manifest.get('fingerprint')!r}, "
             f"this spec {spec.fingerprint()!r})")
     points = spec.expand()
-    done = store.load_completed(points)
+    done = store.load_completed(points) if summaries is None else summaries
     failures = store.load_point_failures()
     result = SweepResult(spec=spec, store_root=Path(store_root))
     for point in points:

@@ -39,11 +39,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import cachefile
 from .errors import ConfigValidationError
 from .gpu import FrameTrace, RunResult
-from .workloads import TraceBuilder, make_scene_builder
-from .workloads.traces import TRACE_FORMAT_VERSION
+from .workloads import TraceBuilder, TraceCache, make_scene_builder
 
 if TYPE_CHECKING:
     from .experiments import SweepResult
@@ -95,30 +93,25 @@ def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
                height: int = HEIGHT) -> List[FrameTrace]:
     """Frame traces for a benchmark, built once and cached on disk.
 
-    The entry is read through :func:`cachefile.load_or_quarantine`: a
-    corrupt cache file (truncated, bit-flipped, interrupted write,
-    legacy format) is quarantined with a logged warning naming the path
-    and reason, then rebuilt from the scene generator.  The advisory
-    per-entry lock is held across the check, the build and the write,
-    so concurrent bench runs build the traces exactly once.  A small
-    in-process memo short-circuits repeat loads within one sweep; the
-    returned list is shared, so treat it as read-only.
+    The disk entry is :meth:`TraceCache.get_or_build`'s, keyed by the
+    generation, benchmark, geometry and frame count under
+    :func:`cache_dir`: a corrupt cache file (truncated, bit-flipped,
+    interrupted write, legacy format) is quarantined with a logged
+    warning naming the path and reason, then rebuilt from the scene
+    generator.  The advisory per-entry lock is held across the check,
+    the build and the write, so concurrent bench runs build the traces
+    exactly once.  A small in-process memo short-circuits repeat loads
+    within one sweep; the returned list is shared, so treat it as
+    read-only.
     """
     memo_key = (benchmark, frames, width, height)
     memoized = _TRACE_MEMO.get(memo_key)
     if memoized is not None:
         return list(memoized)
     key = f"trace-g{TRACE_GENERATION}-{benchmark}-{width}x{height}-f{frames}"
-    path = cache_dir() / f"{key}.v{TRACE_FORMAT_VERSION}.pkl"
-    with cachefile.file_lock(path):
-        cached = cachefile.load_or_quarantine(path)
-        if cached is not None:
-            _memoize_traces(memo_key, cached)
-            return cached
-        builder = TraceBuilder(make_scene_builder(benchmark, width, height),
-                               width, height, TILE)
-        traces = builder.build_many(frames)
-        cachefile.write_cache(traces, path)
+    builder = TraceBuilder(make_scene_builder(benchmark, width, height),
+                           width, height, TILE)
+    traces = TraceCache(cache_dir()).get_or_build(key, builder, frames)
     _memoize_traces(memo_key, traces)
     return traces
 

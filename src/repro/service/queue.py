@@ -31,7 +31,7 @@ import socket
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Set
 
 from .. import cachefile
 from ..experiments import ExperimentSpec
@@ -94,8 +94,8 @@ def read_lease(path: Path) -> dict:
 def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
                 worker_id: str,
                 lease_ttl_s: float = DEFAULT_LEASE_TTL_S,
-                points: Optional[Sequence[SweepPoint]] = None) -> \
-        Optional[PointClaim]:
+                points: Optional[Sequence[SweepPoint]] = None,
+                done: Optional[Set[str]] = None) -> Optional[PointClaim]:
     """Claim one pending point of a job, or None when none remains.
 
     Runs under the job's queue lock so concurrent workers scanning the
@@ -105,21 +105,30 @@ def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
     checkpointed artifact, no recorded terminal failure, and no lease
     renewed within ``lease_ttl_s``.  A caller that claims repeatedly
     passes ``points`` (``spec.expand()``, expanded once) so the grid is
-    not expanded again on every claim.
+    not expanded again on every claim, and one ``done`` set: the scan
+    adds every point whose artifact it found and skips them on later
+    claims, so a drain stats each finished point's artifact once
+    instead of listing the store on every claim.  Artifacts go by
+    existence here, as in :meth:`JobStore.counts`; the finalizer
+    verifies their content.
     """
     if points is None:
         points = spec.expand()
+    if done is None:
+        done = set()
     leases = store.leases_dir(job_id)
     leases.mkdir(parents=True, exist_ok=True)
     sweep_store = store.sweep_store(job_id)
     queue_lock = leases / ".queue"
     with cachefile.file_lock(queue_lock):
-        done = set(sweep_store.completed_ids())
         failed = set(sweep_store.load_point_failures())
         now = time.time()
         for point in points:
             pid = point.point_id
             if pid in done or pid in failed:
+                continue
+            if sweep_store.point_path(pid).exists():
+                done.add(pid)
                 continue
             lease_path = leases / f"{pid}.lease"
             adopted_from = ""

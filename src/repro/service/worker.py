@@ -197,6 +197,7 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
     """
     ran = 0
     points = spec.expand()
+    done: Set[str] = set()
     with Supervisor(policy) as supervisor:
         while not (stop is not None and stop.is_set()):
             if remaining is not None and ran >= remaining:
@@ -205,16 +206,20 @@ def _drain_job(store: JobStore, job_id: str, spec: ExperimentSpec,
             if fresh is None or fresh.terminal:
                 return ran
             claim = claim_point(store, job_id, spec, worker_id,
-                                lease_ttl_s=lease_ttl_s, points=points)
+                                lease_ttl_s=lease_ttl_s, points=points,
+                                done=done)
             if claim is None:
                 if _maybe_finalize(store, job_id, spec, lease_ttl_s):
                     return ran
                 # Finalize declined: either another worker still holds
                 # a live lease (it will finalize), or verification just
                 # quarantined a torn artifact and re-opened its point.
-                # One more scan tells the two apart.
+                # One more scan, which forgets what this drain saw
+                # complete, tells the two apart.
+                done.clear()
                 claim = claim_point(store, job_id, spec, worker_id,
-                                    lease_ttl_s=lease_ttl_s, points=points)
+                                    lease_ttl_s=lease_ttl_s, points=points,
+                                    done=done)
                 if claim is None:
                     return ran
             if fresh.state == "queued":
@@ -345,7 +350,7 @@ def _maybe_finalize(store: JobStore, job_id: str, spec: ExperimentSpec,
     # layer first: a corrupt artifact is quarantined aside, which
     # re-opens its point, and the re-checked gate declines so the
     # caller rescans and reruns it instead of serving a partial matrix.
-    store.sweep_store(job_id).load_completed(spec.expand())
+    summaries = store.sweep_store(job_id).load_completed(spec.expand())
     counts = store.counts(job_id, spec, lease_ttl_s=lease_ttl_s)
     if counts["pending"] or counts["leased"]:
         return False
@@ -358,8 +363,8 @@ def _maybe_finalize(store: JobStore, job_id: str, spec: ExperimentSpec,
             lease.unlink()
         except OSError:
             pass
-    result = sweep_result_from_store(spec,
-                                     store.sweep_store(job_id).root)
+    result = sweep_result_from_store(spec, store.sweep_store(job_id).root,
+                                     summaries=summaries)
     matrix = speedup_matrix(result)
     payload = {"schema": RESULT_SCHEMA,
                "generation": RESULT_GENERATION, "job_id": job_id,

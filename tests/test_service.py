@@ -789,6 +789,28 @@ class TestFinalizeOncePerDrain:
         assert store.result_path(record.job_id).exists()
         assert counted.count(record.job_id) == 2
 
+    def test_finalize_loads_each_checkpoint_once(self, shared_cache_dir,
+                                                 tmp_path, monkeypatch):
+        from repro.service import worker
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        local = speedup_matrix(run_sweep(
+            spec, store_root=store.sweep_store(record.job_id).root))
+        loads = []
+        load = ArtifactStore.load
+
+        def counted_load(self, point_id):
+            loads.append(point_id)
+            return load(self, point_id)
+
+        monkeypatch.setattr(ArtifactStore, "load", counted_load)
+        assert worker._maybe_finalize(store, record.job_id, spec, 5.0)
+        assert sorted(loads) == sorted(p.point_id for p in spec.expand())
+        payload = json.loads(store.result_path(record.job_id).read_bytes())
+        assert payload["markdown"] == local.to_markdown()
+        assert store.read(record.job_id).state == "done"
+
 
 class TestClaimsPerDrain:
     def test_one_expand_and_one_record_write_per_drain(
@@ -823,6 +845,34 @@ class TestClaimsPerDrain:
         started = [e for e in store.events(record.job_id).read()
                    if e["event"] == "job_started"]
         assert len(started) == 1
+
+    def test_store_listings_do_not_grow_with_grid(
+            self, shared_cache_dir, tmp_path, monkeypatch):
+        # Claims stat the artifacts; only the finalizer lists points/.
+        listings = []
+        completed_ids = ArtifactStore.completed_ids
+
+        def counted_completed_ids(self):
+            listings.append(self.root)
+            return completed_ids(self)
+
+        monkeypatch.setattr(ArtifactStore, "completed_ids",
+                            counted_completed_ids)
+        store = JobStore(tmp_path / "root")
+        per_drain = []
+        for spec in (tiny_spec(),
+                     tiny_spec(axes={"raster_units": [1, 2, 4]})):
+            record = store.submit(spec)
+            del listings[:]
+            assert run_worker(store.root, worker_id="w", once=True,
+                              lease_ttl_s=5.0) == spec.num_points
+            assert store.read(record.job_id).state == "done"
+            claimed = [e["point_id"]
+                       for e in store.events(record.job_id).read()
+                       if e["event"] == "point_claimed"]
+            assert claimed == [p.point_id for p in spec.expand()]
+            per_drain.append(len(listings))
+        assert per_drain[0] == per_drain[1]
 
     def test_points_passed_in_are_scanned(self, shared_cache_dir,
                                           tmp_path):
