@@ -9,13 +9,16 @@ One directory per sweep::
       failures.json          # terminal per-point failures (service workers)
 
 Every write goes through :mod:`repro.cachefile` (atomic replace +
-SHA-256 checksum + advisory lock), so a SIGKILL of the sweep driver —
-or of a worker process mid-write — can never leave a half-written
-artifact that a resumed sweep would trust: a torn file fails the
-checksum, is quarantined, and the point simply reruns.  The manifest
-pins the grid fingerprint so a store can only be resumed by the spec
-that created it; pointing a different grid at the same directory is an
-error, not silent cross-contamination.
+SHA-256 checksum), so a SIGKILL of the sweep driver — or of a worker
+process mid-write — can never leave a half-written artifact that a
+resumed sweep would trust: a torn file fails the checksum, is
+quarantined, and the point simply reruns.  Point artifacts take no
+lock (each write replaces the file whole and no reader locks), so
+``points/`` holds nothing but one ``.pkl`` per finished point; the
+read-modify-write files (breakers, failures) take an advisory lock.
+The manifest pins the grid fingerprint so a store can only be resumed
+by the spec that created it; pointing a different grid at the same
+directory is an error, not silent cross-contamination.
 """
 
 from __future__ import annotations
@@ -220,10 +223,12 @@ class ArtifactStore:
     # -- point artifacts ----------------------------------------------------
 
     def save(self, point_id: str, summary) -> None:
-        """Checkpoint one completed point (atomic, checksummed, locked)."""
-        path = self.point_path(point_id)
-        with cachefile.file_lock(path):
-            cachefile.write_cache(summary, path)
+        """Checkpoint one completed point (atomic and checksummed).
+
+        Unlocked: two writers of one point each replace the file whole,
+        so a reader sees one of their artifacts, never a mix.
+        """
+        cachefile.write_cache(summary, self.point_path(point_id))
 
     def load(self, point_id: str):
         """One point's summary, or None (missing or quarantined-corrupt)."""

@@ -107,32 +107,21 @@ class TimingRasterUnit:
         #: the stream positions and lines that miss the L1.
         self._plan = None
         self._plan_ptr = 0
-        dram = shared.dram
-        #: Integer-valued service cycles make bulk float accumulation
-        #: exact (sums of integers are order-independent in float64), a
-        #: precondition of the run-length Color Buffer flush.
-        self._svc_integer = (dram._hit_service.is_integer()
-                             and dram._miss_service.is_integer())
         self.stats = RasterUnitStats()
         self._bind_hot()
 
     def _bind_hot(self) -> None:
-        """Snapshot the stable L2/DRAM references into one tuple.
+        """Snapshot the stable L2 references into one tuple.
 
         ``_stream_planned`` unpacks this in a single statement instead
-        of a dozen attribute loads per call.  Everything here keeps its
-        identity for the lifetime of a run (caches clear in place, the
-        DRAM is never reset mid-run); the tuple is refreshed each
+        of an attribute load per field per call.  Everything here keeps
+        its identity for the lifetime of a run (caches clear in place,
+        the DRAM is never reset mid-run); the tuple is refreshed each
         ``begin_frame`` anyway as cheap insurance.
         """
         l2 = self.shared.l2
-        dram = self.shared.dram
-        self._hot = (
-            l2._sets, l2._set_mask, l2.ways, l2.stats,
-            dram, dram._open_rows, dram._lines_per_row, dram._bank_mask,
-            dram._bank_bits, dram._hit_service, dram._miss_service,
-            dram.stats, self.shared.traffic,
-        )
+        self._hot = (l2._sets, l2._set_mask, l2.ways, l2.stats,
+                     self.shared.dram, self.shared.traffic)
 
     # -- frame lifecycle ---------------------------------------------------
     def begin_frame(self) -> None:
@@ -166,7 +155,7 @@ class TimingRasterUnit:
             miss_budget = 1 << 62
         else:
             memory_latency = (self._l1_latency + self._l2_latency
-                              + self.shared.dram._loaded_latency)
+                              + self.shared.dram.loaded_latency)
             # Inlined CoreCluster.miss_budget (Little's law on the MSHR
             # pool); latencies are validated positive at construction.
             miss_budget = int(self._mshrs_total * cycles / memory_latency)
@@ -266,51 +255,16 @@ class TimingRasterUnit:
         """Flush the Color Buffer; record per-tile statistics."""
         w = self._current
         assert w is not None
-        if not self.ideal_memory:
-            flushed = len(w.fb_lines)
-            if (flushed and self.batched and self._svc_integer
-                    and self._compressor is None):
-                # The flush stream is row-consecutive; replay it as
-                # precomputed (bank, row, count) runs.  Within a run
-                # every request after the first hits the open row, and
-                # integer-valued service cycles keep the bulk float
-                # accumulation bit-identical to the per-line walk.
-                dram = self.shared.dram
-                d_open = dram._open_rows
-                row_hits = row_misses = 0
-                n = 0
-                for bank, row_of_bank, count in tilestream.fb_runs(
-                        w, dram._lines_per_row, dram._bank_mask,
-                        dram._bank_bits):
-                    n += count
-                    if d_open[bank] == row_of_bank:
-                        row_hits += count
-                    else:
-                        d_open[bank] = row_of_bank
-                        row_misses += 1
-                        row_hits += count - 1
-                dram._service_cycles_sum += (row_hits * dram._hit_service
-                                             + row_misses
-                                             * dram._miss_service)
-                dram._service_count += n
-                dram._interval_requests += n
-                d_stats = dram.stats
-                d_stats.writes += n
-                d_stats.row_hits += row_hits
-                d_stats.row_misses += row_misses
-                d_stats.activations += row_misses
-                self.shared.traffic.add(FRAMEBUFFER, n)
-            elif flushed:
-                fb_lines = line_list(w.fb_lines)
-                if self._compressor is not None:
-                    fb_lines = self._compressor.compress_flush(fb_lines)
-                    flushed = len(fb_lines)
-                if self.batched:
-                    self.shared.stream_to_dram_batch(fb_lines, FRAMEBUFFER)
-                else:
-                    for line in fb_lines:
-                        self.shared.stream_to_dram(line, FRAMEBUFFER)
-            self._tile_dram += flushed
+        if not self.ideal_memory and len(w.fb_lines):
+            fb_lines = line_list(w.fb_lines)
+            if self._compressor is not None:
+                fb_lines = self._compressor.compress_flush(fb_lines)
+            if self.batched:
+                self.shared.stream_to_dram_batch(fb_lines, FRAMEBUFFER)
+            else:
+                for line in fb_lines:
+                    self.shared.stream_to_dram(line, FRAMEBUFFER)
+            self._tile_dram += len(fb_lines)
         # Per-fragment fetches beyond the line footprint are filtered by
         # quad coalescing before the L1; account their energy only (they
         # do not contribute to the L1 hit ratio or latency statistics).
@@ -396,11 +350,13 @@ class TimingRasterUnit:
 
         The memoized cadence yields how many lines the budget covers;
         only the planned L1-miss positions inside that slice walk the
-        shared L2/DRAM (inlined, in stream order, with statistics
-        applied in bulk afterwards).  Stops after the access whose
-        DRAM-level miss exhausts ``miss_budget``; the caller charges the
-        stall.  Advances ``self._line_idx`` / ``self._cycles_done`` and
-        returns ``(cycle_budget, dram_misses, stalled)``.
+        shared L2 (inlined, in stream order, with statistics applied in
+        bulk afterwards), and the slice's L2 misses go to DRAM in stream
+        order in one :meth:`DRAM.request_batch`.  Stops after the access
+        whose DRAM-level miss exhausts ``miss_budget``; the caller
+        charges the stall.  Advances ``self._line_idx`` /
+        ``self._cycles_done`` and returns ``(cycle_budget, dram_misses,
+        stalled)``.
         """
         cad, mpos, mlines, nmiss = self._plan
         index = self._line_idx
@@ -416,15 +372,12 @@ class TimingRasterUnit:
             return budget_end, 0, False
         dram_misses = 0
         stalled = False
-        (l2_sets, l2_mask, l2_nways, l2_stats,
-         dram, d_open, d_lpr, d_bmask, d_bbits, d_hit, d_miss,
-         d_stats, traffic) = self._hot
+        l2_sets, l2_mask, l2_nways, l2_stats, dram, traffic = self._hot
         l2_lat = self._l1_latency + self._l2_latency
-        dram_lat = l2_lat + dram._loaded_latency
-        svc_sum = dram._service_cycles_sum
+        dram_lat = l2_lat + dram.loaded_latency
         p0 = p
         l2_hits = l2_evictions = 0
-        d_row_hits = d_row_misses = 0
+        dram_lines: List[int] = []
         while p < nmiss:
             pos = mpos[p]
             if pos >= end:
@@ -443,17 +396,7 @@ class TimingRasterUnit:
                 del ways[victim]
                 l2_evictions += 1
             ways[line] = None
-            # Inlined DRAM.request row-buffer walk.
-            row = line // d_lpr
-            bank = row & d_bmask
-            row_of_bank = row >> d_bbits
-            if d_open[bank] == row_of_bank:
-                d_row_hits += 1
-                svc_sum += d_hit
-            else:
-                d_row_misses += 1
-                d_open[bank] = row_of_bank
-                svc_sum += d_miss
+            dram_lines.append(line)
             dram_misses += 1
             if dram_misses >= miss_budget:
                 # The access that exhausted the MSHR budget is the
@@ -471,13 +414,7 @@ class TimingRasterUnit:
         l2_stats.misses += slice_misses - l2_hits
         l2_stats.evictions += l2_evictions
         if dram_misses:
-            dram._service_cycles_sum = svc_sum
-            dram._service_count += dram_misses
-            dram._interval_requests += dram_misses
-            d_stats.reads += dram_misses
-            d_stats.row_hits += d_row_hits
-            d_stats.row_misses += d_row_misses
-            d_stats.activations += d_row_misses
+            dram.request_batch(dram_lines)
             traffic.add(TEXTURE, dram_misses)
         unit_stats = self.stats
         unit_stats.texture_latency_sum += (l2_lat * l2_hits

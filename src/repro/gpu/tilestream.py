@@ -3,12 +3,12 @@
 The batched Raster Unit applies a tile's whole texture-L1 walk at
 dispatch and then consumes the resulting plan interval by interval (see
 ``TimingRasterUnit``).  What that plan needs beyond the L1 walk itself —
-the compute cadence that decides *when* each line is due, and the DRAM
-row/bank runs of the Color Buffer flush — derives purely from immutable
-trace content plus configuration constants.  It therefore lives here,
-computed once per workload and cached on the workload object
-(:func:`derived`), never on simulation state.  Per-line data is held in
-``float64`` arrays: a process that keeps its traces keeps these too.
+the compute cadence that decides *when* each line is due — derives
+purely from immutable trace content plus configuration constants.  It
+therefore lives here, computed once per workload and cached on the
+workload object (:func:`derived`), never on simulation state.  Per-line
+data is held in ``float64`` arrays: a process that keeps its traces
+keeps these too.
 
 Exactness note (load-bearing, verified by the parity suite):
 ``TileCadence`` replays the scalar advance loop's float operations —
@@ -25,8 +25,6 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-
-from .workload import as_lines
 
 _EPS = 1e-9
 
@@ -142,33 +140,3 @@ def cadence(workload, cycles_per_line: float) -> TileCadence:
                                         cycles_per_line)
     return data
 
-
-def fb_runs(workload, lines_per_row: int, bank_mask: int,
-            bank_bits: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Row-buffer runs of the tile's Color Buffer flush stream.
-
-    The flush stream visits DRAM rows in long consecutive runs (the
-    frame buffer is laid out linearly), so the row/bank walk collapses
-    to a few ``(bank, row_of_bank, count)`` entries: within a run every
-    request after the first hits the open row by construction.
-    """
-    cache = derived(workload)
-    key = ("fb", lines_per_row, bank_mask, bank_bits)
-    data = cache.get(key)
-    if data is None:
-        arr = as_lines(workload.fb_lines)
-        if not len(arr):
-            data = ()
-        else:
-            rows = arr // lines_per_row
-            boundary = np.empty(arr.shape[0], dtype=bool)
-            boundary[0] = True
-            np.not_equal(rows[1:], rows[:-1], out=boundary[1:])
-            starts = np.flatnonzero(boundary)
-            counts = np.diff(np.append(starts, arr.shape[0]))
-            run_rows = rows[starts]
-            data = tuple(zip((run_rows & bank_mask).tolist(),
-                             (run_rows >> bank_bits).tolist(),
-                             counts.tolist()))
-        cache[key] = data
-    return data

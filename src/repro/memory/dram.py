@@ -22,11 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from ..compat import require_numpy
 from ..config import CACHE_LINE_BYTES, DRAMConfig
 from ..telemetry import DRAM_BURST_BUCKETS, DRAMSample, HUB
-
-np = require_numpy()
 
 
 @dataclass
@@ -69,8 +66,7 @@ class DRAM:
         self._bank_bits = max(config.num_banks.bit_length() - 1, 0)
         # Hot-path constants, bound once (config is immutable): the
         # service-cycle floats issued per request and the per-interval
-        # service capacity.  Callers on the batched fast path inline the
-        # row-buffer walk against these exact values.
+        # service capacity.
         self._hit_service = float(config.row_hit_cycles)
         self._miss_service = float(config.row_miss_cycles)
         self._capacity = config.requests_per_cycle * interval_cycles
@@ -116,73 +112,46 @@ class DRAM:
     def request_batch(self, lines, write: bool = False) -> float:
         """Issue a whole line stream in order; returns summed service cycles.
 
-        Vectorized equivalent of calling :meth:`request` per line: the
-        per-bank row walk is solved with one stable sort (grouping the
-        stream by bank keeps each bank's subsequence in stream order, so
-        "hits the open row" reduces to comparing neighbours), and the
-        statistics, open-row state and service-cycle accounting land
-        bit-identically.  With integer-valued service cycles (the
-        shipped configurations) the bulk float sum is exact in any
-        order; otherwise the sum is accumulated element by element in
-        stream order, exactly as the scalar path would.
+        Equivalent to calling :meth:`request` once per line: the same
+        per-line row walk with the locals bound once and the statistics
+        applied in bulk afterwards.  Service cycles are added in stream
+        order, so the running sum and the returned total are bit-identical
+        to the scalar path whatever the service cycles are.  This is the
+        one batched row walk: every batched caller issues through it.
         """
-        arr = np.asarray(lines, dtype=np.int64)
-        n = arr.shape[0]
-        if n == 0:
-            return 0.0
-        rows = arr // self._lines_per_row
-        banks = rows & self._bank_mask
-        rob = rows >> self._bank_bits
-        by_bank = np.argsort(banks, kind="stable")
-        bank_sorted = banks[by_bank]
-        rob_sorted = rob[by_bank]
-        group_first = np.empty(n, dtype=bool)
-        group_first[0] = True
-        np.not_equal(bank_sorted[1:], bank_sorted[:-1],
-                     out=group_first[1:])
-        same_as_prev = np.empty(n, dtype=bool)
-        same_as_prev[0] = False
-        np.equal(rob_sorted[1:], rob_sorted[:-1], out=same_as_prev[1:])
         open_rows = self._open_rows
-        open_arr = np.asarray(open_rows, dtype=np.int64)
-        hit_sorted = np.where(group_first,
-                              open_arr[bank_sorted] == rob_sorted,
-                              same_as_prev)
-        row_hits = int(hit_sorted.sum())
-        row_misses = n - row_hits
-        # Each bank's open row after the batch is its last row visited;
-        # mutate the list in place (hot-path tuples bind the object).
-        group_last = np.empty(n, dtype=bool)
-        group_last[:-1] = group_first[1:]
-        group_last[-1] = True
-        for bank, row_of_bank in zip(bank_sorted[group_last].tolist(),
-                                     rob_sorted[group_last].tolist()):
-            open_rows[bank] = row_of_bank
+        lines_per_row = self._lines_per_row
+        bank_mask = self._bank_mask
+        bank_bits = self._bank_bits
         hit_service = self._hit_service
         miss_service = self._miss_service
-        if hit_service.is_integer() and miss_service.is_integer():
-            total = row_hits * hit_service + row_misses * miss_service
-            self._service_cycles_sum += total
-        else:
-            hit_stream = np.empty(n, dtype=bool)
-            hit_stream[by_bank] = hit_sorted
-            total = 0.0
-            running = self._service_cycles_sum
-            for is_hit in hit_stream.tolist():
-                service = hit_service if is_hit else miss_service
-                total += service
-                running += service  # scalar-order rounding, bit-exact
-            self._service_cycles_sum = running
+        running = self._service_cycles_sum
+        total = 0.0
+        row_misses = 0
+        for line in lines:
+            row = line // lines_per_row
+            bank = row & bank_mask
+            row_of_bank = row >> bank_bits
+            if open_rows[bank] == row_of_bank:
+                service = hit_service
+            else:
+                row_misses += 1
+                open_rows[bank] = row_of_bank
+                service = miss_service
+            total += service
+            running += service
+        n = len(lines)
+        self._service_cycles_sum = running
+        self._service_count += n
+        self._interval_requests += n
         stats = self.stats
-        stats.row_hits += row_hits
+        stats.row_hits += n - row_misses
         stats.row_misses += row_misses
         stats.activations += row_misses
         if write:
             stats.writes += n
         else:
             stats.reads += n
-        self._interval_requests += n
-        self._service_count += n
         return total
 
     # -- interval stepping -------------------------------------------------

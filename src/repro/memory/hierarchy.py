@@ -43,78 +43,21 @@ class SharedMemory:
             self.traffic.add(WRITEBACK)
         return level
 
-    def access_batch(self, lines: Sequence[int], source: str,
-                     write: bool = False) -> int:
-        """Issue a stream of L2-level accesses; returns the DRAM-miss count.
+    def access_batch(self, lines: Sequence[int], source: str) -> int:
+        """Issue a stream of L2-level reads; returns the DRAM-miss count.
 
         Equivalent to calling :meth:`access` once per line, with identical
-        L2 LRU state, counters, and DRAM request order: each L2 miss
-        issues its demand read first and its dirty victim's writeback
-        immediately after, exactly as the scalar path interleaves them.
+        L2 LRU state, counters, and DRAM request order.  No caller writes
+        into the L2, so no line in it is dirty and no miss queues a
+        writeback: the misses go to DRAM in stream order, in one call.
         """
-        for victim in self.l2.drain_writebacks():
-            # Stale queue from a caller that bypassed drain; flush it
-            # first so this batch's ordering matches the scalar path.
-            self.dram.request(victim, write=True)
-            self.traffic.add(WRITEBACK)
         misses: List[Tuple[int, Optional[int]]] = []
-        self.l2.lookup_batch(lines, write=write, miss_record=misses)
-        # lookup_batch queued the dirty victims on pending_writebacks; we
-        # re-issue them interleaved from the record instead, so drop them.
-        self.l2.pending_writebacks.clear()
+        self.l2.lookup_batch(lines, miss_record=misses)
         if not misses:
             return 0
-        # Inlined DRAM.request row-buffer walk with bound locals: demand
-        # read, then that miss's dirty-victim writeback — the exact scalar
-        # interleaving, with counters applied in bulk afterwards.
-        dram = self.dram
-        d_open = dram._open_rows
-        d_lpr = dram._lines_per_row
-        d_bmask = dram._bank_mask
-        d_bbits = dram._bank_bits
-        d_hit = dram._hit_service
-        d_miss = dram._miss_service
-        svc_sum = dram._service_cycles_sum
-        row_hits = row_misses = 0
-        writebacks = 0
-        for line, victim in misses:
-            row = line // d_lpr
-            bank = row & d_bmask
-            row_of_bank = row >> d_bbits
-            if d_open[bank] == row_of_bank:
-                row_hits += 1
-                svc_sum += d_hit
-            else:
-                row_misses += 1
-                d_open[bank] = row_of_bank
-                svc_sum += d_miss
-            if victim is not None:
-                writebacks += 1
-                row = victim // d_lpr
-                bank = row & d_bmask
-                row_of_bank = row >> d_bbits
-                if d_open[bank] == row_of_bank:
-                    row_hits += 1
-                    svc_sum += d_hit
-                else:
-                    row_misses += 1
-                    d_open[bank] = row_of_bank
-                    svc_sum += d_miss
-        n_misses = len(misses)
-        requests = n_misses + writebacks
-        dram._service_cycles_sum = svc_sum
-        dram._service_count += requests
-        dram._interval_requests += requests
-        stats = dram.stats
-        stats.reads += n_misses
-        stats.writes += writebacks
-        stats.row_hits += row_hits
-        stats.row_misses += row_misses
-        stats.activations += row_misses
-        self.traffic.add(source, n_misses)
-        if writebacks:
-            self.traffic.add(WRITEBACK, writebacks)
-        return n_misses
+        self.dram.request_batch([line for line, _ in misses])
+        self.traffic.add(source, len(misses))
+        return len(misses)
 
     def stream_to_dram(self, line: int, source: str,
                        write: bool = True) -> None:
@@ -124,43 +67,14 @@ class SharedMemory:
 
     def stream_to_dram_batch(self, lines: Sequence[int], source: str,
                              write: bool = True) -> None:
-        """Bypass the L2 for a whole line stream (tile Color Buffer flush)."""
+        """Bypass the L2 for a whole line stream (tile Color Buffer flush).
+
+        Equivalent to calling :meth:`stream_to_dram` once per line.
+        """
         n = len(lines)
-        if not n:
-            return
-        # Inlined DRAM.request row-buffer walk (see access_batch).
-        dram = self.dram
-        d_open = dram._open_rows
-        d_lpr = dram._lines_per_row
-        d_bmask = dram._bank_mask
-        d_bbits = dram._bank_bits
-        d_hit = dram._hit_service
-        d_miss = dram._miss_service
-        svc_sum = dram._service_cycles_sum
-        row_hits = row_misses = 0
-        for line in lines:
-            row = line // d_lpr
-            bank = row & d_bmask
-            row_of_bank = row >> d_bbits
-            if d_open[bank] == row_of_bank:
-                row_hits += 1
-                svc_sum += d_hit
-            else:
-                row_misses += 1
-                d_open[bank] = row_of_bank
-                svc_sum += d_miss
-        dram._service_cycles_sum = svc_sum
-        dram._service_count += n
-        dram._interval_requests += n
-        stats = dram.stats
-        if write:
-            stats.writes += n
-        else:
-            stats.reads += n
-        stats.row_hits += row_hits
-        stats.row_misses += row_misses
-        stats.activations += row_misses
-        self.traffic.add(source, n)
+        if n:
+            self.dram.request_batch(lines, write=write)
+            self.traffic.add(source, n)
 
     def publish_metrics(self, registry) -> None:
         """Mirror the per-source traffic breakdown into a metrics registry.

@@ -306,6 +306,62 @@ class TestOverflowingTileParity:
                 == pytest.approx(fb.mean_texture_latency)
 
 
+def _dram_writes(run) -> int:
+    return sum(f.energy_counts.dram_writes for f in run.frames)
+
+
+class TestFlushSettingsParity:
+    """Compressed flushes and fractional service cycles: bit-identical.
+
+    A Color Buffer flush compressed by ``fb_compression_ratio`` (the
+    model of ablation A3) and DRAM service cycles that are not integers
+    change what each flush sends to DRAM and how its service cycles
+    add up.  CCS and GDL at 256x128 run under both settings with the
+    batched path and the ``batched=False`` oracle; each run is also
+    checked against the default settings, so the setting took effect.
+    """
+
+    WIDTH, HEIGHT, FRAMES = 256, 128, 2
+    SETTINGS = {
+        "compressed": {"fb_compression_ratio": 0.5},
+        "fractional": {"dram.row_hit_cycles": 50.3,
+                       "dram.row_miss_cycles": 100.7},
+    }
+
+    @pytest.fixture(scope="class")
+    def suite_traces(self):
+        return {name: TraceBuilder(
+            make_scene_builder(name, self.WIDTH, self.HEIGHT),
+            self.WIDTH, self.HEIGHT, 32).build_many(self.FRAMES)
+            for name in ("CCS", "GDL")}
+
+    @pytest.mark.parametrize("setting", sorted(SETTINGS))
+    @pytest.mark.parametrize("kind", ["baseline", "ptr", "libra"])
+    @pytest.mark.parametrize("name", ["CCS", "GDL"])
+    def test_batched_matches_scalar(self, suite_traces, name, kind,
+                                    setting):
+        traces = suite_traces[name]
+        settings = self.SETTINGS[setting]
+        fast, golden = (run_kernel(kind, traces, self.WIDTH, self.HEIGHT,
+                                   batched=batched, settings=settings)
+                        for batched in (True, False))
+        default = run_kernel(kind, traces, self.WIDTH, self.HEIGHT)
+        if setting == "compressed":
+            assert _dram_writes(golden) < _dram_writes(default)
+        else:
+            assert [f.mean_texture_latency for f in golden.frames] \
+                != [f.mean_texture_latency for f in default.frames]
+        assert fast.total_cycles == golden.total_cycles
+        assert fast.raster_dram_accesses == golden.raster_dram_accesses
+        assert fast.mean_texture_hit_ratio \
+            == golden.mean_texture_hit_ratio
+        assert len(fast.frames) == len(golden.frames) == self.FRAMES
+        for fa, fb in zip(fast.frames, golden.frames):
+            assert _frame_key(fa) == _frame_key(fb)
+            assert fa.mean_texture_latency \
+                == pytest.approx(fb.mean_texture_latency)
+
+
 class TestGeometryIntervalDeterminism:
     """The Geometry phase closes a fixed interval count per frame.
 

@@ -1,10 +1,13 @@
 """``DRAM.request_batch`` versus the scalar ``request`` walk.
 
-Same parity-oracle contract as the cache kernel: the vectorized bank
-walk must land bit-identical statistics, open-row state, service-cycle
-accounting and interval series, for any stream and any interleaving
-with ``end_interval`` — including non-integer service cycles, where
-float summation order matters.
+``request_batch`` is the one batched DRAM row walk: the batched
+``SharedMemory`` calls and the batched Raster Unit issue through it.
+Same parity-oracle contract as the cache kernel: it must land
+bit-identical statistics, open-row state, service-cycle accounting and
+interval series, for any stream and any interleaving with
+``end_interval`` — including non-integer service cycles, where float
+summation order matters.  ``TestStreamToDramDispatch`` holds the two
+``SharedMemory`` batch calls to one per-line call each.
 """
 
 from __future__ import annotations
@@ -14,11 +17,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import numpy as np
 
-from repro.config import DRAMConfig, small_config
+from repro.config import CacheConfig, DRAMConfig, small_config
 from repro.memory.dram import DRAM
 from repro.memory.hierarchy import SharedMemory
 
 bursts = st.lists(st.lists(st.integers(0, 4000), max_size=60), max_size=6)
+
+# Lines from a small pool hit a warm 16-line L2 and share DRAM rows;
+# lines from the wide range miss it and spread over rows and banks.
+shared_lines = st.lists(st.one_of(st.integers(0, 63), st.integers(0, 4000)),
+                        max_size=40)
+SMALL_L2 = CacheConfig(size_bytes=16 * 64, ways=4, line_bytes=64)
 
 
 def _pair(**kw):
@@ -111,8 +120,53 @@ class TestIdleIntervalFastPath:
         assert dram.loaded_latency <= latency_loaded
 
 
+def _l2_state(cache):
+    s = cache.stats
+    return ((s.accesses, s.hits, s.misses, s.evictions, s.writebacks),
+            cache.resident_lines())
+
+
 class TestStreamToDramDispatch:
-    """L2-bypass streams of any length take the inline row walk."""
+    """The batched ``SharedMemory`` calls equal one per-line call each."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(warm=shared_lines, rows=shared_lines,
+           stream=st.lists(shared_lines, max_size=4),
+           banks=st.sampled_from([1, 4, 8]), fractional=st.booleans(),
+           write=st.booleans())
+    def test_batch_calls_match_per_line_calls(self, warm, rows, stream,
+                                              banks, fractional, write):
+        # Both memories start from the same warm L2 and open rows; then
+        # each burst goes through access_batch and stream_to_dram_batch
+        # on one, and through access and stream_to_dram per line on the
+        # other.
+        if fractional:
+            dram = DRAMConfig(num_banks=banks, row_hit_cycles=50.3,
+                              row_miss_cycles=100.7)
+        else:
+            dram = DRAMConfig(num_banks=banks)
+        config = small_config(screen_width=128, screen_height=64,
+                              tile_size=32, l2_cache=SMALL_L2, dram=dram)
+        batched, scalar = SharedMemory(config), SharedMemory(config)
+        for shared in (batched, scalar):
+            for line in warm:
+                shared.access(line, "texture")
+            for line in rows:
+                shared.dram.request(line)
+            shared.end_interval()
+        for burst in stream:
+            misses = batched.access_batch(burst, "texture")
+            assert misses == sum(scalar.access(line, "texture") == "dram"
+                                 for line in burst)
+            batched.stream_to_dram_batch(burst, "framebuffer", write=write)
+            for line in burst:
+                scalar.stream_to_dram(line, "framebuffer", write=write)
+            for shared in (batched, scalar):
+                shared.end_interval()
+            assert _l2_state(batched.l2) == _l2_state(scalar.l2)
+            assert _state(batched.dram) == _state(scalar.dram)
+            assert batched.traffic.counts == scalar.traffic.counts
 
     def _check_against_requests(self, lines):
         """The stream lands the statistics, open rows, service sum and

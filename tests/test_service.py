@@ -812,6 +812,30 @@ class TestFinalizeOncePerDrain:
         assert store.read(record.job_id).state == "done"
 
 
+class TestCheckpointFiles:
+    """A store's ``points/`` holds one ``.pkl`` per point and nothing else."""
+
+    @staticmethod
+    def _names(store: ArtifactStore):
+        return sorted(p.name for p in store.points_dir.iterdir())
+
+    def test_local_sweep(self, shared_cache_dir, tmp_path):
+        spec = tiny_spec()
+        run_sweep(spec, store_root=tmp_path / "store", workers=1)
+        assert self._names(ArtifactStore(tmp_path / "store")) \
+            == sorted(f"{p.point_id}.pkl" for p in spec.expand())
+
+    def test_service_drain(self, shared_cache_dir, tmp_path):
+        spec = tiny_spec()
+        store = JobStore(tmp_path / "root")
+        record = store.submit(spec)
+        assert run_worker(store.root, worker_id="w", once=True,
+                          lease_ttl_s=5.0) == spec.num_points
+        assert store.read(record.job_id).state == "done"
+        assert self._names(store.sweep_store(record.job_id)) \
+            == sorted(f"{p.point_id}.pkl" for p in spec.expand())
+
+
 class TestClaimsPerDrain:
     def test_one_expand_and_one_record_write_per_drain(
             self, shared_cache_dir, tmp_path, monkeypatch):

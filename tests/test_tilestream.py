@@ -2,12 +2,15 @@
 
 At dispatch the batched Raster Unit walks a tile's texture stream
 through its L1 and plans the misses (``TimingRasterUnit._plan_tile``);
-it takes the compute cadence (``TileCadence``) and the Color Buffer
-flush as DRAM row runs (``fb_runs``) from ``repro.gpu.tilestream``.
-Each is checked here against the per-line loop it replaces, on streams
-held as ``int64`` arrays (as traces hold them) and on plain lists
-assigned after construction (as hand-built workloads may).  A cadence
-whose scalar chain is exact holds no per-line data.
+it takes the compute cadence (``TileCadence``) from
+``repro.gpu.tilestream``.  Each is checked here against the per-line
+loop it replaces, on streams held as ``int64`` arrays (as traces hold
+them) and on plain lists assigned after construction (as hand-built
+workloads may).  A cadence whose scalar chain is exact holds no
+per-line data.  The Color Buffer flush has no derived plan: it goes to
+DRAM through ``SharedMemory.stream_to_dram_batch``, which
+``tests/test_dram_batch.py`` checks against one ``stream_to_dram`` per
+line.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.config import KIND_FAMILIES, CacheConfig, DRAMConfig, small_config
+from repro.config import KIND_FAMILIES, CacheConfig, small_config
 from repro.gpu import tilestream
 from repro.gpu.raster_unit import TimingRasterUnit
 from repro.gpu.workload import TileWorkload
 from repro.memory.cache import Cache
-from repro.memory.dram import DRAM
 from repro.memory.hierarchy import SharedMemory, make_tile_cache
 from repro.perf.kernels import run_kernel
 from repro.workloads import TraceBuilder, make_scene_builder
@@ -222,59 +224,6 @@ class TestTileCadence:
             k, done, _ = scalar_advance(n, cpl, ref[0], ref[1], budget)
             ref = (ref[0] + k, done)
             assert got == ref
-
-
-def apply_runs(dram, runs):
-    """Replay ``fb_runs`` on a DRAM as ``TimingRasterUnit._finish_tile``."""
-    hits = misses = 0
-    open_rows = dram._open_rows
-    for bank, row_of_bank, count in runs:
-        if open_rows[bank] == row_of_bank:
-            hits += count
-        else:
-            open_rows[bank] = row_of_bank
-            misses += 1
-            hits += count - 1
-    return hits, misses
-
-
-# Flush streams: runs of consecutive lines at random bases, so rows both
-# continue and change; plus fully random lines.
-flush_streams = st.one_of(
-    st.lists(st.tuples(st.integers(0, 4000), st.integers(1, 70)),
-             max_size=4).map(lambda runs: [base + i for base, count in runs
-                                           for i in range(count)]),
-    st.lists(st.integers(0, 4000), max_size=60))
-
-
-class TestFbRuns:
-    @PROPERTY
-    @given(stream=flush_streams, warm=st.lists(st.integers(0, 4000),
-                                               max_size=20),
-           as_list=st.booleans(), banks=st.sampled_from([1, 4, 8]))
-    def test_matches_per_line_requests(self, stream, warm, as_list, banks):
-        config = DRAMConfig(num_banks=banks)
-        w = workload("fb_lines", stream, as_list)
-        per_line, by_runs = DRAM(config), DRAM(config)
-        for dram in (per_line, by_runs):
-            for line in warm:
-                dram.request(line)
-        before = (per_line.stats.row_hits, per_line.stats.row_misses)
-        for line in stream:
-            per_line.request(line, write=True)
-        runs = tilestream.fb_runs(w, by_runs._lines_per_row,
-                                  by_runs._bank_mask, by_runs._bank_bits)
-        assert sum(count for _, _, count in runs) == len(stream)
-        assert all(count > 0 for _, _, count in runs)
-        hits, misses = apply_runs(by_runs, runs)
-        assert by_runs._open_rows == per_line._open_rows
-        assert (hits, misses) == (per_line.stats.row_hits - before[0],
-                                  per_line.stats.row_misses - before[1])
-
-    @pytest.mark.parametrize("as_list", [False, True])
-    def test_empty_flush_has_no_runs(self, as_list):
-        w = workload("fb_lines", [], as_list)
-        assert tilestream.fb_runs(w, 32, 7, 3) == ()
 
 
 class TestHeldPlans:
