@@ -15,7 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..geometry.primitive import Primitive
-from .rasterizer import FragmentBatch, TileFragments
+from .rasterizer import FragmentBatch
 from .texture import BLOCK, MipTable, Texture, TextureSet, select_mip
 
 
@@ -61,30 +61,35 @@ _BLOCK_SHIFT = BLOCK.bit_length() - 1
 FOOTPRINT_CHUNK = 8192
 
 
-def tile_texture_lines(table: MipTable, visible: TileFragments,
-                       rows: np.ndarray, fetches: np.ndarray) -> np.ndarray:
-    """Texture lines of a whole tile's shaded fragments, in trace order.
+def tile_texture_lines(table: MipTable, u: np.ndarray, v: np.ndarray,
+                       offsets: np.ndarray, rows: np.ndarray,
+                       fetches: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Texture lines of the shaded fragments of a tile or a chunk of
+    tiles, in trace order, and the (P,) number of lines of each primitive.
 
-    ``visible`` holds the shaded fragments of the tile's P primitives;
-    ``rows`` gives each primitive's texture row in ``table`` (-1 when its
-    texture is not in the set) and ``fetches`` its texture fetches.  A
+    ``u``, ``v`` and ``offsets`` are the UVs and the (P + 1,) offsets of
+    the shaded fragments of P primitives, packed as
+    :class:`~repro.raster.rasterizer.TileFragments`; ``rows``
+    gives each primitive's texture row in ``table`` (-1 when its texture
+    is not in the set) and ``fetches`` its texture fetches.  A
     primitive with ``f`` fetches samples the ``max(f, 1)`` textures
-    bound consecutively from its own (multitexturing).  The result is
+    bound consecutively from its own (multitexturing).  The lines are
     the concatenation, per primitive with fragments and a bound texture
     and per sampled texture, of :func:`touched_lines` at
     :func:`pick_mip_level`: the same levels and first-touch line order.
+    Primitives share nothing, so the lines of consecutive primitives
+    are those of one tile's list.
     """
-    offsets = visible.offsets
-    counts = visible.counts()
+    counts = offsets[1:] - offsets[:-1]
     drawn = np.flatnonzero(counts)
     # One segment per (primitive, sampled texture).
     slots = np.where(rows[drawn] < 0, 0, np.maximum(fetches[drawn], 1))
     seg = np.repeat(np.arange(len(drawn)), slots)
     if seg.size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return (np.zeros(0, dtype=np.int64),
+                np.zeros(len(counts), dtype=np.int64))
     # pick_mip_level: UV span of each drawn primitive's fragments.
     first = offsets[drawn]
-    u, v = visible.u, visible.v
     area = ((np.maximum.reduceat(u, first) - np.minimum.reduceat(u, first))
             * (np.maximum.reduceat(v, first)
                - np.minimum.reduceat(v, first)))[seg]
@@ -133,13 +138,18 @@ def tile_texture_lines(table: MipTable, visible: TileFragments,
     found = np.concatenate(found)
     if len(shared) == len(seg):
         # No run is shared: the blocks are already in segment order.
-        return np.repeat(base, found) + blocks
-    # Every segment lists its run's blocks above its own level base.
-    run = np.cumsum(runs) - 1
-    count = found[run]
-    index = np.arange(int(count.sum())) + np.repeat(
-        (np.cumsum(found) - found)[run] - (np.cumsum(count) - count), count)
-    return np.repeat(base, count) + blocks[index]
+        count = found
+        lines = np.repeat(base, found) + blocks
+    else:
+        # Every segment lists its run's blocks above its own level base.
+        run = np.cumsum(runs) - 1
+        count = found[run]
+        index = np.arange(int(count.sum())) + np.repeat(
+            (np.cumsum(found) - found)[run] - (np.cumsum(count) - count),
+            count)
+        lines = np.repeat(base, count) + blocks[index]
+    per_prim = np.bincount(prim, weights=count, minlength=len(counts))
+    return lines, per_prim.astype(np.int64)
 
 
 def _chunks(lengths: np.ndarray, limit: int) -> List[Tuple[int, int]]:

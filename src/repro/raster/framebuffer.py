@@ -105,17 +105,21 @@ def tile_flush_lines(origin_x: int, origin_y: int, tile_size: int,
     """Line addresses a tile flush writes, without touching pixel data.
 
     Used by the trace path (the timing model needs addresses only).
+    Each screen row segment of the tile, clipped to the screen, covers
+    the lines ``first..last`` of its byte range; the result is the union
+    over rows, ascending.  Both ends grow with the row, so starting each
+    row past the previous row's last line leaves disjoint ranges in
+    ascending order: two rows share a line only at that boundary.
     """
     x1 = min(origin_x + tile_size, width)
     y1 = min(origin_y + tile_size, height)
     if origin_x >= width or origin_y >= height:
         return []
-    lines: List[int] = []
-    base_line = base_address // CACHE_LINE_BYTES
-    for y in range(origin_y, y1):
-        start = (y * width + origin_x) * PIXEL_BYTES
-        end = (y * width + x1) * PIXEL_BYTES
-        first = start // CACHE_LINE_BYTES
-        last = (end - 1) // CACHE_LINE_BYTES
-        lines.extend(range(base_line + first, base_line + last + 1))
-    return sorted(set(lines))
+    row = np.arange(origin_y, y1, dtype=np.int64) * width
+    first = (row + origin_x) * PIXEL_BYTES // CACHE_LINE_BYTES
+    last = ((row + x1) * PIXEL_BYTES - 1) // CACHE_LINE_BYTES
+    first[1:] = np.maximum(first[1:], last[:-1] + 1)
+    count = np.maximum(last - first + 1, 0)
+    lines = np.arange(int(count.sum())) \
+        + np.repeat(first - (np.cumsum(count) - count), count)
+    return (lines + base_address // CACHE_LINE_BYTES).tolist()

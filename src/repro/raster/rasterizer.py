@@ -6,15 +6,18 @@ Two entry points share the same arithmetic:
 
 * :func:`rasterize_in_region` — one primitive against the region.  This
   is the scalar reference (the *parity oracle* of the batched path).
-* :func:`rasterize_tile` — every primitive of a tile in one shot: the
-  edge functions of all P primitives are evaluated as one (P, H, W)
-  broadcast and the covered fragments come back as packed
-  structure-of-arrays (:class:`TileFragments`), sliceable per primitive.
-  Because every elementwise operation runs on exactly the same operand
-  values as the scalar path (broadcasting never changes per-element
-  IEEE arithmetic) and the bounding-box clip is applied as an explicit
-  mask, each slice is *bit-identical* to the corresponding
-  :func:`rasterize_in_region` call — a property the test suite checks.
+* :func:`rasterize_tile` — every primitive of a tile, or of a chunk of
+  tiles, in one shot: the edge functions of all P primitives are
+  evaluated as one (P, H, W) broadcast over region-local pixels, each
+  primitive against its own region's origin, and the covered fragments
+  come back as packed structure-of-arrays (:class:`TileFragments`),
+  sliceable per primitive.  Because every elementwise operation runs on
+  exactly the same operand values as the scalar path (broadcasting
+  never changes per-element IEEE arithmetic, and a region-local pixel
+  plus its origin is the same integral float) and the bounding-box clip
+  is applied as an explicit mask, each slice is *bit-identical* to the
+  corresponding :func:`rasterize_in_region` call — a property the test
+  suite checks.
 
 Fill convention is the top-left rule, so triangles sharing an edge never
 double-shade a pixel.
@@ -23,7 +26,7 @@ double-shade a pixel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,7 +140,8 @@ def rasterize_in_region(prim: Primitive, x0: int, y0: int,
 
 @dataclass
 class TileFragments:
-    """All fragments of one tile, packed primitive-major (SoA layout).
+    """All fragments of a tile or a chunk of tiles, packed
+    primitive-major (SoA layout).
 
     Fragments of primitive ``i`` occupy the contiguous slice
     ``offsets[i]:offsets[i+1]`` of every array, in the same row-major
@@ -149,7 +153,8 @@ class TileFragments:
     depth: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    #: Primitive index (into the tile's list) per fragment.
+    #: Primitive index (into the list :func:`rasterize_tile` took) per
+    #: fragment.
     prim_id: np.ndarray
     #: (P + 1,) prefix sums of per-primitive fragment counts.
     offsets: np.ndarray
@@ -184,24 +189,29 @@ class TileFragments:
                              v=self.v[mask], prim_id=prim_id,
                              offsets=offsets)
 
-    def quad_counts(self, x0: int, y0: int, width: int,
-                    height: int) -> np.ndarray:
+    def quad_counts(self, x0, y0, width: int, height: int) -> np.ndarray:
         """(P,) :meth:`FragmentBatch.quad_count` of every primitive, for
         fragments inside the region [x0, x0+width) x [y0, y0+height).
 
-        Marks each fragment's 2x2 quad in one (P, quads) bitmap of the
-        region's quads, then counts per row.
+        ``x0`` and ``y0`` are one origin for all primitives or one per
+        primitive (as :func:`rasterize_tile` takes them).  Marks each
+        fragment's 2x2 quad in one (P, quads) bitmap of its region's
+        quads, then counts per row.  Quads are screen-aligned, so a
+        region at an odd origin starts inside a quad.
         """
+        x0, y0 = np.asarray(x0), np.asarray(y0)
         qx0, qy0 = x0 >> 1, y0 >> 1
-        span = ((x0 + width - 1) >> 1) - qx0 + 1
-        cells = (((y0 + height - 1) >> 1) - qy0 + 1) * span
+        span = int((((x0 + width - 1) >> 1) - qx0).max()) + 1
+        cells = (int((((y0 + height - 1) >> 1) - qy0).max()) + 1) * span
+        if x0.ndim:
+            qx0, qy0 = qx0[self.prim_id], qy0[self.prim_id]
         bitmap = np.zeros((len(self.offsets) - 1) * cells, dtype=bool)
         bitmap[self.prim_id * cells + ((self.ys >> 1) - qy0) * span
                + ((self.xs >> 1) - qx0)] = True
         return np.count_nonzero(bitmap.reshape(-1, cells), axis=1)
 
 
-def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
+def rasterize_tile(prims: Sequence[Primitive], x0, y0,
                    width: int, height: int) -> TileFragments:
     """Rasterize every primitive of a tile in one broadcast evaluation.
 
@@ -210,6 +220,11 @@ def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
     docstring), but the setup, edge functions, fill-rule masks and
     perspective-correct interpolation all run as array operations over
     the P primitives instead of P times over per-primitive grids.
+
+    ``x0`` and ``y0`` are the region's origin, one int for every
+    primitive or one per primitive: a chunk of tiles rasterizes as one
+    call in which every (tile, primitive) pair is a primitive with its
+    own tile's origin.
     """
     num = len(prims)
     if num == 0:
@@ -224,15 +239,17 @@ def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
     x, y = xy[:, :, 0], xy[:, :, 1]
     area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) \
         - (y[:, 1] - y[:, 0]) * (x[:, 2] - x[:, 0])
-    lo = np.maximum(np.floor(xy.min(axis=1)), (x0, y0))       # (P, 2)
-    hi = np.minimum(np.ceil(xy.max(axis=1)), (x0 + width, y0 + height))
+    origin = np.empty((num, 2), dtype=np.int64)
+    origin[:, 0], origin[:, 1] = x0, y0
+    lo = np.maximum(np.floor(xy.min(axis=1)), origin)         # (P, 2)
+    hi = np.minimum(np.ceil(xy.max(axis=1)), origin + (width, height))
     live = (area2 != 0.0) & (lo < hi).all(axis=1)
     rows = np.arange(num)[:, None]
     if not live.all():
         rows = rows[live]
         if rows.size == 0:
             return _no_fragments(num)
-        area2, lo, hi = area2[live], lo[live], hi[live]
+        area2, lo, hi, origin = area2[live], lo[live], hi[live], origin[live]
     # Clockwise primitives swap vertices 1 and 2.
     sel = rows, _VERTEX_ORDER[(area2 < 0.0).view(np.int8)]
     verts = xy[sel]
@@ -244,60 +261,94 @@ def rasterize_tile(prims: Sequence[Primitive], x0: int, y0: int,
          .transpose(0, 2, 1), corners[:, 1]), axis=2)[sel]
     attrs = np.ascontiguousarray(attrs.reshape(len(attrs), 12).T)
 
-    ax, ay = verts[:, 0, 0, None, None], verts[:, 0, 1, None, None]
-    bx, by = verts[:, 1, 0, None, None], verts[:, 1, 1, None, None]
-    cx, cy = verts[:, 2, 0, None, None], verts[:, 2, 1, None, None]
+    # Only the union of the live boxes, each taken relative to its own
+    # origin, can hold fragments.  A pixel's centre is its origin plus
+    # its region-local offset, an exact integral float, plus 0.5: the
+    # operand the scalar path computes.
+    gx0, gy0 = (lo - origin).min(axis=0).astype(np.int64).tolist()
+    gx1, gy1 = (hi - origin).max(axis=0).astype(np.int64).tolist()
+    px = (origin[:, 0, None] + np.arange(gx0, gx1)) + 0.5     # (L, W)
+    py = (origin[:, 1, None] + np.arange(gy0, gy1)) + 0.5     # (L, H)
 
-    # Only the union of the live boxes can hold fragments.
-    gx0, gy0 = lo.min(axis=0).tolist()
-    gx1, gy1 = hi.max(axis=0).tolist()
-    px = np.arange(gx0, gx1) + 0.5
-    py = np.arange(gy0, gy1)[:, None] + 0.5
-
-    # Edge functions of every primitive over the grid, computed with the
-    # exact operand values of the scalar path, and _inside's top-left
-    # rule for fragments exactly on an edge.
-    edges = []
-    mask = None
-    for sx, sy, ex, ey in ((bx, by, cx, cy), (cx, cy, ax, ay),
-                           (ax, ay, bx, by)):
-        dx = ex - sx
-        dy = ey - sy
-        edge = dx * (py - sy) - dy * (px - sx)
-        inside = edge > 0.0
-        np.greater_equal(edge, 0.0, out=inside,
-                         where=((dy == 0.0) & (dx > 0.0)) | (dy < 0.0))
-        edges.append(edge)
-        mask = inside if mask is None else mask & inside
     # The scalar path only ever evaluates pixels inside the clipped
-    # bounding box; masking to the same rectangle makes the fragment
+    # bounding box; starting from the same rectangle makes the fragment
     # sets equal by construction (not just up to rounding).
-    in_x = (px >= lo[:, 0, None]) & (px < hi[:, 0, None])
-    in_y = (py[:, 0] >= lo[:, 1, None]) & (py[:, 0] < hi[:, 1, None])
-    mask &= in_y[:, :, None] & in_x[:, None, :]
+    mask = ((py >= lo[:, 1, None]) & (py < hi[:, 1, None]))[:, :, None] \
+        & ((px >= lo[:, 0, None]) & (px < hi[:, 0, None]))[:, None, :]
+    # Edge functions of every primitive over the grid, with the exact
+    # operand values of the scalar path: edge = dx * (py - sy) -
+    # dy * (px - sx), a per-row term minus a per-column term, and
+    # _inside's top-left rule for fragments exactly on an edge.  The
+    # grid keeps only the coverage mask; each fragment's edge values are
+    # recomputed from the two terms, the same subtraction of the same
+    # operands.
+    edge = np.empty(mask.shape)
+    inside = np.empty(mask.shape, dtype=bool)
+    terms = []
+    for start_vertex, end_vertex in ((1, 2), (2, 0), (0, 1)):
+        sx, sy = verts[:, start_vertex, 0], verts[:, start_vertex, 1]
+        dx = verts[:, end_vertex, 0] - sx
+        dy = verts[:, end_vertex, 1] - sy
+        by_row = dx[:, None] * (py - sy[:, None])              # (L, H)
+        by_col = dy[:, None] * (px - sx[:, None])              # (L, W)
+        np.subtract(by_row[:, :, None], by_col[:, None, :], out=edge)
+        np.greater(edge, 0.0, out=inside)
+        top_left = ((dy == 0.0) & (dx > 0.0)) | (dy < 0.0)
+        np.greater_equal(edge, 0.0, out=inside,
+                         where=top_left[:, None, None])
+        mask &= inside
+        terms.append((by_row.reshape(-1), by_col.reshape(-1)))
+    del edge, inside
 
-    local, ys_grid, xs_grid = np.nonzero(mask)
+    # Covered cells in (primitive, row, column) order, the order of
+    # rasterize_in_region's fragments per primitive.
+    cell = np.flatnonzero(mask)
+    del mask
+    columns = gx1 - gx0
+    at_row = cell // columns                    # (primitive, row) term
+    xs = cell - at_row * columns
+    del cell
+    local = at_row // (gy1 - gy0)
+    ys = at_row - local * (gy1 - gy0)
+    at_col = local * columns + xs                # (primitive, column)
+    xs += (origin[:, 0] + gx0)[local]
+    ys += (origin[:, 1] + gy0)[local]
+    # Every per-fragment product and sum below is the scalar path's, in
+    # its order (a product's operands commute exactly); gathering into
+    # one scratch array keeps the working set at a few arrays per
+    # fragment.
     area2s = area2s[local]
-    w0, w1, w2 = (e[mask] / area2s for e in edges)
-    # Release the grids before the per-fragment arrays grow.
-    del edges, edge, inside, mask
+    scratch = np.empty(len(local))
+    weights = []
+    for by_row, by_col in terms:
+        weight = by_row[at_row]
+        weight -= np.take(by_col, at_col, out=scratch)
+        weight /= area2s
+        weights.append(weight)
+    del at_row, at_col, area2s, terms
 
-    def lerp(attr: int) -> np.ndarray:
-        return (w0 * attrs[attr][local] + w1 * attrs[attr + 4][local]
-                + w2 * attrs[attr + 8][local])
+    def lerp(attr: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.multiply(weights[0], attrs[attr][local], out=out)
+        for vertex in (1, 2):
+            np.take(attrs[attr + 4 * vertex], local, out=scratch)
+            out += np.multiply(scratch, weights[vertex], out=scratch)
+        return out
 
-    depth = lerp(0)
     inv_w = lerp(1)
-    inv_w = np.where(inv_w == 0.0, 1e-30, inv_w)
-    u = lerp(2) / inv_w
-    v = lerp(3) / inv_w
+    inv_w[inv_w == 0.0] = 1e-30
+    u = lerp(2)
+    u /= inv_w
+    v = lerp(3)
+    v /= inv_w
+    del inv_w
+    # The last interpolation overwrites the first weight, read first.
+    depth = lerp(0, out=weights[0])
 
-    pid = rows[local, 0]
+    pid = local if len(rows) == num else rows[local, 0]
     counts = np.bincount(pid, minlength=num)
     offsets = np.zeros(num + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    return TileFragments(xs=xs_grid + int(gx0), ys=ys_grid + int(gy0),
-                         depth=depth, u=u, v=v, prim_id=pid,
+    return TileFragments(xs=xs, ys=ys, depth=depth, u=u, v=v, prim_id=pid,
                          offsets=offsets)
 
 

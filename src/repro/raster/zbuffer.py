@@ -22,7 +22,6 @@ class TileZBuffer:
             raise ValueError("tile size must be positive")
         self.tile_size = tile_size
         self._depth = np.full((tile_size, tile_size), np.inf)
-        self._pixel_type = np.min_scalar_type(tile_size * tile_size - 1)
         self._origin_x = 0
         self._origin_y = 0
 
@@ -58,49 +57,63 @@ class TileZBuffer:
                           batch.depth[passed])
         return passed
 
-    def test_tile(self, fragments: TileFragments,
-                  depth_write: np.ndarray) -> np.ndarray:
-        """Depth-test every fragment of a tile in program order.
+    def test_tile(self, fragments: TileFragments, depth_write: np.ndarray,
+                  slot, x0, y0) -> np.ndarray:
+        """Depth-test every fragment of a chunk of tiles in program order.
 
-        ``fragments`` are packed primitive-major (:func:`rasterize_tile`)
-        and ``depth_write`` holds one flag per primitive.  The pass mask
-        and the final buffer equal those of calling :meth:`test` once per
-        primitive in list order.  A primitive covers a pixel at most
-        once, so the fragments of one pixel, taken in program order, are
-        that pixel's test sequence: step ``k`` tests the ``k``-th
-        fragment of every pixel at once.
+        ``fragments`` are packed primitive-major (:func:`rasterize_tile`).
+        ``depth_write`` holds one flag per primitive, and ``slot``,
+        ``x0`` and ``y0`` give, per primitive or once for all, the slot of
+        the tile the primitive is binned to and that tile's origin.  Each
+        slot starts from a cleared buffer, so the pass mask equals that of
+        resetting the buffer to each tile and calling :meth:`test` once
+        per primitive of the tile in list order.  A primitive covers a
+        pixel at most once, so the fragments of one pixel of one slot,
+        taken in program order, are that pixel's test sequence: step
+        ``k`` tests the ``k``-th fragment of every pixel at once.
         """
         count = fragments.count
         if count == 0:
             return np.zeros(0, dtype=bool)
-        pixel = (fragments.ys - self._origin_y) * self.tile_size \
-            + (fragments.xs - self._origin_x)
+        area = self.tile_size * self.tile_size
+        slot = np.asarray(slot)
+        buffer = np.full((int(slot.max()) + 1) * area, np.inf)
+        # Slot s holds pixels [s * area, (s + 1) * area); keys of at most
+        # 16 bits sort in linear time.
+        base = np.asarray(slot * area - np.asarray(y0) * self.tile_size - x0)
+        pixel = fragments.ys * self.tile_size + fragments.xs
+        pixel += base[fragments.prim_id] if base.ndim else base
+        pixel = pixel.astype(np.min_scalar_type(len(buffer) - 1))
         depth = fragments.depth
         writes = depth_write[fragments.prim_id]
-        if np.bincount(pixel).max() == 1:
+        covered = np.zeros(len(buffer), dtype=bool)
+        covered[pixel] = True
+        if np.count_nonzero(covered) == count:
             order, bounds = None, [0, count]
         else:
-            # Stable sorts keep program order within a pixel; keys of
-            # at most 16 bits sort in linear time.
-            by_pixel = np.argsort(pixel.astype(self._pixel_type),
-                                  kind="stable")
-            index = np.arange(count)
-            run_start = np.ones(count, dtype=bool)
-            run_start[1:] = pixel[by_pixel[1:]] != pixel[by_pixel[:-1]]
-            rank = index - np.maximum.accumulate(
-                np.where(run_start, index, 0))
+            # Stable sorts keep program order within a pixel.
+            by_pixel = np.argsort(pixel, kind="stable")
+            key = pixel[by_pixel]
+            # A fragment's rank is its distance from the start of its
+            # pixel's run in that order.
+            rank = np.arange(count)
+            start = rank.copy()
+            start[1:][key[1:] == key[:-1]] = 0
+            del key
+            rank -= np.maximum.accumulate(start, out=start)
+            del start
             order = by_pixel[np.argsort(
                 rank.astype(np.min_scalar_type(len(depth_write))),
                 kind="stable")]
             bounds = [0, *np.cumsum(np.bincount(rank)).tolist()]
+            del by_pixel, rank
             pixel, depth, writes = pixel[order], depth[order], writes[order]
         passed = np.empty(count, dtype=bool)
-        flat = self._depth.reshape(-1)
         for a, b in zip(bounds[:-1], bounds[1:]):
             where = pixel[a:b]
-            ok = np.less(depth[a:b], flat[where], out=passed[a:b])
+            ok = np.less(depth[a:b], buffer[where], out=passed[a:b])
             ok = ok & writes[a:b]
-            flat[where[ok]] = depth[a:b][ok]
+            buffer[where[ok]] = depth[a:b][ok]
         if order is None:
             return passed
         in_order = np.empty(count, dtype=bool)

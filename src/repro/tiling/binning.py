@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ..config import CACHE_LINE_BYTES
 from ..geometry.primitive import Primitive
 
@@ -121,30 +123,95 @@ class PolygonListBuilder:
 
     def bin(self, primitives: Sequence[Primitive]
             ) -> Tuple[ParameterBuffer, BinningStats]:
-        """Bin primitives into per-tile lists; returns (buffer, stats)."""
+        """Bin primitives into per-tile lists; returns (buffer, stats).
+
+        Every (primitive, candidate tile) pair of the primitives'
+        clamped bounding boxes, and the :func:`triangle_overlaps_rect`
+        test of each, is computed as arrays with the scalar test's
+        operations in its order, so the lists are those of testing one
+        candidate at a time: each tile's list in program order, and the
+        tiles in the order their first primitive reached them.
+        """
         buffer = ParameterBuffer()
         stats = BinningStats()
-        size = self.tile_size
-        for prim in primitives:
-            min_x, min_y, max_x, max_y = prim.bounding_box()
-            tx0 = max(int(min_x // size), 0)
-            ty0 = max(int(min_y // size), 0)
-            tx1 = min(int(max_x // size), self.tiles_x - 1)
-            ty1 = min(int(max_y // size), self.tiles_y - 1)
-            if tx1 < tx0 or ty1 < ty0:
-                continue  # entirely off-screen
-            stats.primitives_binned += 1
-            for ty in range(ty0, ty1 + 1):
-                for tx in range(tx0, tx1 + 1):
-                    if self.exact and not triangle_overlaps_rect(
-                            prim.xy, tx * size, ty * size,
-                            (tx + 1) * size, (ty + 1) * size):
-                        continue
-                    buffer.lists.setdefault((tx, ty), []).append(prim)
-                    stats.tile_entries += 1
+        prims = list(primitives)
+        if prims:
+            size = self.tile_size
+            xy = np.array([prim.xy for prim in prims])          # (P, 3, 2)
+            lo, hi = xy.min(axis=1), xy.max(axis=1)              # (P, 2)
+            # The clamped tile range of each bounding box.  Clamping the
+            # far side too keeps off-screen ranges empty and integral.
+            grid = np.array([self.tiles_x, self.tiles_y])
+            first = np.clip(lo // size, 0, grid).astype(np.int64)
+            last = np.clip(hi // size, -1, grid - 1).astype(np.int64)
+            binned = np.flatnonzero((last >= first).all(axis=1))
+            stats.primitives_binned = len(binned)
+            span = last[binned] - first[binned] + 1
+            per_prim = span[:, 0] * span[:, 1]
+            # Candidates prim-major, then row-major over the box.
+            owner = np.repeat(binned, per_prim)
+            step = np.arange(len(owner)) \
+                - np.repeat(np.cumsum(per_prim) - per_prim, per_prim)
+            columns = np.repeat(span[:, 0], per_prim)
+            tx = first[owner, 0] + step % columns
+            ty = first[owner, 1] + step // columns
+            if self.exact:
+                keep = np.flatnonzero(_overlaps(xy, lo, hi, owner, tx, ty,
+                                                size))
+                owner, tx, ty = owner[keep], tx[keep], ty[keep]
+            self._fill(buffer, prims, owner, ty * self.tiles_x + tx)
+            stats.tile_entries = len(owner)
         buffer.finalize()
         stats.nonempty_tiles = len(buffer.lists)
         if buffer.lists:
             stats.max_entries_per_tile = max(
                 len(lst) for lst in buffer.lists.values())
         return buffer, stats
+
+    def _fill(self, buffer: ParameterBuffer, prims: List[Primitive],
+              owner: np.ndarray, key: np.ndarray) -> None:
+        """Lists from (primitive, tile key) pairs in candidate order."""
+        if not len(key):
+            return
+        by_tile = np.argsort(key, kind="stable")
+        key = key[by_tile]
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        ends = np.r_[starts[1:], len(key)].tolist()
+        listed = [prims[i] for i in owner[by_tile].tolist()]
+        # A tile's first pair in candidate order is the first of its
+        # group (the sort is stable); the dict takes tiles in that order.
+        for group in np.argsort(by_tile[starts], kind="stable").tolist():
+            tile = int(key[starts[group]])
+            buffer.lists[(tile % self.tiles_x, tile // self.tiles_x)] = \
+                listed[starts[group]:ends[group]]
+
+
+def _overlaps(xy: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+              owner: np.ndarray, tx: np.ndarray, ty: np.ndarray,
+              size: int) -> np.ndarray:
+    """:func:`triangle_overlaps_rect` of every (primitive ``owner``,
+    tile (``tx``, ``ty``)) candidate, as a boolean array."""
+    rx0 = (tx * size).astype(np.float64)
+    ry0 = (ty * size).astype(np.float64)
+    rx1 = ((tx + 1) * size).astype(np.float64)
+    ry1 = ((ty + 1) * size).astype(np.float64)
+    # Axis-aligned separating axes (the rectangle's edges).
+    keep = (hi[owner, 0] > rx0) & (lo[owner, 0] < rx1) \
+        & (hi[owner, 1] > ry0) & (lo[owner, 1] < ry1)
+    # Triangle-edge separating axes, oriented towards the third vertex;
+    # a degenerate edge (third vertex on it) separates nothing.
+    for i in range(3):
+        ex0, ey0 = xy[:, i, 0], xy[:, i, 1]
+        ex1, ey1 = xy[:, (i + 1) % 3, 0], xy[:, (i + 1) % 3, 1]
+        ox, oy = xy[:, (i + 2) % 3, 0], xy[:, (i + 2) % 3, 1]
+        nx, ny = ey1 - ey0, ex0 - ex1
+        tri_side = nx * (ox - ex0) + ny * (oy - ey0)
+        flip = tri_side < 0.0
+        nx = np.where(flip, -nx, nx)[owner]
+        ny = np.where(flip, -ny, ny)[owner]
+        ex0, ey0 = ex0[owner], ey0[owner]
+        separated = (tri_side != 0.0)[owner]
+        for px, py in ((rx0, ry0), (rx1, ry0), (rx1, ry1), (rx0, ry1)):
+            separated &= nx * (px - ex0) + ny * (py - ey0) < 0.0
+        keep &= ~separated
+    return keep

@@ -68,8 +68,9 @@ class TraceBuilder:
                                     store_pixels=False))
         workloads: Dict[tuple, TileWorkload] = {}
         signatures: Dict[tuple, int] = {}
-        for tile, primitives in tiled.parameter_buffer.lists.items():
-            measured = raster.process_tile(tile, primitives)
+        for measured in raster.process_tiles(
+                tiled.parameter_buffer.lists.items()):
+            tile = measured.tile
             signature = _tile_signature(measured)
             fb_lines = measured.framebuffer_lines
             if (self.transaction_elimination

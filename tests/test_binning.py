@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from repro.config import CACHE_LINE_BYTES
 from repro.geometry.mesh import ShaderProfile
 from repro.geometry.primitive import Primitive
-from repro.tiling.binning import (ParameterBuffer, PolygonListBuilder,
-                                  triangle_overlaps_rect)
+from repro.tiling.binning import (BinningStats, ParameterBuffer,
+                                  PolygonListBuilder, triangle_overlaps_rect)
 
 
 def prim(xy, sequence=0):
@@ -144,3 +144,106 @@ class TestParameterBuffer:
                 la, lb = buffer.fetch_addresses(a), buffer.fetch_addresses(b)
                 shared = set(la[1:-1]) & set(lb[1:-1])
                 assert not shared
+
+
+def loop_bin(builder, primitives):
+    """The per-candidate loop the array binning replaced: every tile of
+    each primitive's clamped bounding box, tested one at a time with
+    :func:`triangle_overlaps_rect` (the oracle)."""
+    buffer = ParameterBuffer()
+    stats = BinningStats()
+    size = builder.tile_size
+    for p in primitives:
+        min_x, min_y, max_x, max_y = p.bounding_box()
+        tx0 = max(int(min_x // size), 0)
+        ty0 = max(int(min_y // size), 0)
+        tx1 = min(int(max_x // size), builder.tiles_x - 1)
+        ty1 = min(int(max_y // size), builder.tiles_y - 1)
+        if tx1 < tx0 or ty1 < ty0:
+            continue
+        stats.primitives_binned += 1
+        for ty in range(ty0, ty1 + 1):
+            for tx in range(tx0, tx1 + 1):
+                if builder.exact and not triangle_overlaps_rect(
+                        p.xy, tx * size, ty * size,
+                        (tx + 1) * size, (ty + 1) * size):
+                    continue
+                buffer.lists.setdefault((tx, ty), []).append(p)
+                stats.tile_entries += 1
+    buffer.finalize()
+    stats.nonempty_tiles = len(buffer.lists)
+    if buffer.lists:
+        stats.max_entries_per_tile = max(
+            len(lst) for lst in buffer.lists.values())
+    return buffer, stats
+
+
+@st.composite
+def triangles(draw, size):
+    """Vertices on tile edges, collinear, repeated, off screen, negative
+    or spanning many tiles as thin slivers."""
+    coord = st.one_of(
+        st.integers(-3, 8).map(lambda k: float(k * size)),
+        st.floats(-3.0 * size, 8.0 * size, allow_nan=False),
+        st.integers(-4 * size, 9 * size).map(lambda k: k / 2.0))
+    kind = draw(st.sampled_from(["free", "collinear", "repeated", "sliver",
+                                 "offscreen"]))
+    a = np.array([draw(coord), draw(coord)])
+    b = np.array([draw(coord), draw(coord)])
+    if kind == "collinear":
+        c = a + (b - a) * draw(st.sampled_from([-1.0, 0.5, 2.0]))
+    elif kind == "repeated":
+        c = a.copy()
+    elif kind == "sliver":
+        c = b + draw(st.floats(-0.5, 0.5, allow_nan=False))
+    elif kind == "offscreen":
+        shift = draw(st.sampled_from([-20.0, 20.0])) * size
+        a, b = a + shift, b + shift
+        c = a + (draw(coord), draw(coord))
+    else:
+        c = np.array([draw(coord), draw(coord)])
+    return np.array([a, b, c])
+
+
+class TestArrayBinningParity:
+    """``PolygonListBuilder.bin`` equals the per-candidate loop: the same
+    primitive objects in each list in program order, the same key order,
+    stats and Parameter Buffer addresses."""
+
+    @given(data=st.data(), size=st.sampled_from([8, 15, 32]),
+           tiles_x=st.integers(1, 5), tiles_y=st.integers(1, 5),
+           exact=st.booleans())
+    def test_matches_loop(self, data, size, tiles_x, tiles_y, exact):
+        vertices = data.draw(st.lists(triangles(size), max_size=25))
+        prims = [prim(xy, sequence=i) for i, xy in enumerate(vertices)]
+        builder = PolygonListBuilder(tiles_x, tiles_y, size, exact=exact)
+        got, got_stats = builder.bin(prims)
+        ref, ref_stats = loop_bin(builder, prims)
+        assert list(got.lists) == list(ref.lists)
+        for tile, lst in ref.lists.items():
+            assert [id(p) for p in got.lists[tile]] == [id(p) for p in lst]
+            assert got.fetch_addresses(tile) == ref.fetch_addresses(tile)
+        assert got_stats == ref_stats
+        assert got.total_entries == ref.total_entries
+
+    def test_empty_frame(self):
+        buffer, stats = PolygonListBuilder(2, 2, 32).bin([])
+        assert buffer.lists == {} and stats == BinningStats()
+
+    @pytest.mark.parametrize("name", ["GrT", "CCS", "GDL"])
+    def test_suite_frames_match_loop(self, name):
+        from repro.geometry.pipeline import GeometryPipeline
+        from repro.workloads import SceneBuilder, get_params
+        scenes = SceneBuilder(get_params(name), 256, 128)
+        builder = PolygonListBuilder(8, 4, 32)
+        for frame in range(2):
+            scene = scenes.frame(frame)
+            prims = GeometryPipeline(256, 128).run(
+                scene.draws, scene.view_projection).primitives
+            got, got_stats = builder.bin(prims)
+            ref, ref_stats = loop_bin(builder, prims)
+            assert list(got.lists) == list(ref.lists)
+            assert all([id(p) for p in got.lists[tile]]
+                       == [id(p) for p in lst]
+                       for tile, lst in ref.lists.items())
+            assert got_stats == ref_stats

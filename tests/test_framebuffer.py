@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.config import CACHE_LINE_BYTES
 from repro.raster.framebuffer import (PIXELS_PER_LINE, FrameBuffer,
@@ -96,3 +97,48 @@ class TestFlushLinesHelper:
 
     def test_pixels_per_line(self):
         assert PIXELS_PER_LINE == 16
+
+
+def row_loop_flush_lines(origin_x, origin_y, tile_size, width, height,
+                         base_address):
+    """``tile_flush_lines`` by its definition: each clipped row's line
+    range, collected into a set and sorted."""
+    x1 = min(origin_x + tile_size, width)
+    y1 = min(origin_y + tile_size, height)
+    if origin_x >= width or origin_y >= height:
+        return []
+    lines = set()
+    base_line = base_address // CACHE_LINE_BYTES
+    for y in range(origin_y, y1):
+        start = (y * width + origin_x) * 4
+        end = (y * width + x1) * 4
+        lines.update(range(base_line + start // CACHE_LINE_BYTES,
+                           base_line + (end - 1) // CACHE_LINE_BYTES + 1))
+    return sorted(lines)
+
+
+class TestFlushLinesProperty:
+    """The array ``tile_flush_lines`` equals the row loop: any origin,
+    tile size and width, including widths whose rows share a line (a
+    row of ``width * 4`` bytes that is not a multiple of 64) and tiles
+    the screen edge clips or misses."""
+
+    @given(tile_size=st.integers(1, 40), width=st.integers(1, 130),
+           height=st.integers(1, 70), data=st.data(),
+           base_line=st.sampled_from([0, 1, 0xC000_0000 // 64]))
+    def test_matches_row_loop(self, tile_size, width, height, data,
+                              base_line):
+        origin_x = data.draw(st.integers(0, width + tile_size))
+        origin_y = data.draw(st.integers(0, height + tile_size))
+        base = base_line * CACHE_LINE_BYTES
+        got = tile_flush_lines(origin_x, origin_y, tile_size, width, height,
+                               base)
+        assert got == row_loop_flush_lines(origin_x, origin_y, tile_size,
+                                           width, height, base)
+        assert all(type(line) is int for line in got)
+
+    def test_shared_lines_between_rows(self):
+        # 20 px rows are 80 bytes: consecutive rows share a line.
+        lines = tile_flush_lines(0, 0, 20, 20, 8, base_address=0)
+        assert lines == row_loop_flush_lines(0, 0, 20, 20, 8, 0)
+        assert len(lines) == 10

@@ -138,3 +138,17 @@ class TestFrameRendering:
         a = pipeline().render_frame(base).copy()
         b = pipeline().render_frame(layered)
         assert not np.allclose(a, b)
+
+
+
+def test_trace_mode_leaves_the_color_buffer_alone(monkeypatch):
+    # Without shading nothing writes the Color Buffer, so no tile clears
+    # it; the tiles still measure and flush.
+    frame = tiled([sprite(10, 10, 50)])
+    rp = pipeline(shade_colors=False)
+    monkeypatch.setattr(type(rp._colorbuffer), "reset",
+                        lambda *args: pytest.fail("Color Buffer cleared"))
+    results = list(rp.process_tiles(
+        (tile, frame.primitives_for(tile)) for tile in frame.default_order))
+    assert sum(r.fragments_shaded for r in results) == 50 * 50
+    assert all(len(r.framebuffer_lines) == 64 for r in results)

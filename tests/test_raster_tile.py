@@ -2,11 +2,14 @@
 
 Every per-primitive slice of the packed :class:`TileFragments`
 (``rasterize_tile``) must be bit-identical — coordinates, depth, UVs,
-ordering — to ``rasterize_in_region``, and ``process_tile`` must produce
-identical results, traces and pixels with ``batched`` on or off.
+ordering — to ``rasterize_in_region``, and ``process_tile`` and the
+chunked ``process_tiles`` must produce identical results, traces and
+pixels with ``batched`` on or off, within the one-tile pass's memory.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.geometry.primitive import Primitive, ShaderProfile
 from repro.raster.blending import BLEND_MODES
+from repro.raster import pipeline as pipeline_module
 from repro.raster.pipeline import RasterPipeline
 from repro.raster.rasterizer import rasterize_in_region, rasterize_tile
 from repro.raster.texture import TextureSet
@@ -109,6 +113,11 @@ def _random_tile(seed, count, size):
     """
     rng = np.random.default_rng(seed)
     tile = (int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+    return tile, _random_prims(rng, tile, count, size)
+
+
+def _random_prims(rng, tile, count, size):
+    """``count`` random primitives around ``tile`` (see _random_tile)."""
     x0, y0 = tile[0] * size, tile[1] * size
     prims = []
     for _ in range(count):
@@ -141,7 +150,7 @@ def _random_tile(seed, count, size):
             blend=str(rng.choice(BLEND_MODES)),
             depth_write=bool(rng.random() < 0.7),
             late_z=bool(rng.random() < 0.2)))
-    return tile, prims
+    return prims
 
 
 def _parity_textures():
@@ -199,6 +208,131 @@ class TestProcessTileParity:
             rejected += result.fragments_early_rejected
             late += sum(prim.late_z for prim in prims)
         assert rejected > 0 and late > 0
+
+
+def _random_screen(seed, size, chunk_pairs):
+    """Random ``(tile, primitives)`` items over a screen of 1-3 x 1-3
+    tiles whose right and bottom tiles the screen edge may clip.
+
+    Items come in a random order and may repeat a tile.  They include
+    an empty tile and a tile of ``min(chunk_pairs, 30)`` + 1-5
+    primitives, more than a chunk of ``chunk_pairs`` pairs holds unless
+    it holds the whole screen; the rest are _random_tile-style.
+    """
+    rng = np.random.default_rng(seed)
+    tiles_x, tiles_y = (int(n) for n in rng.integers(1, 4, 2))
+    width = tiles_x * size - int(rng.integers(0, size // 2 + 1))
+    height = tiles_y * size - int(rng.integers(0, size // 2 + 1))
+    grid = [(tx, ty) for ty in range(tiles_y) for tx in range(tiles_x)]
+    tiles = [grid[i] for i in rng.permutation(len(grid))]
+    tiles += [grid[int(i)] for i in rng.integers(0, len(grid), 2)]
+    counts = [int(rng.integers(0, 12)) for _ in tiles]
+    counts[0] = 0
+    counts[-1] = min(chunk_pairs, 30) + int(rng.integers(1, 6))
+    items = [(tile, _random_prims(rng, tile, count, size))
+             for tile, count in zip(tiles, counts)]
+    return width, height, [items[i] for i in rng.permutation(len(items))]
+
+
+class TestProcessTilesParity:
+    """Chunked ``process_tiles`` equals the scalar oracle tile by tile.
+
+    Tile sizes 8, 15 and 32 put some tile origins at odd pixels, so quad
+    cells start mid-quad; chunks hold one pair, a few pairs, or every
+    tile of the screen, so tiles share a chunk's depth slots, quad
+    bitmap and texture-line split.
+    """
+
+    @pytest.fixture(params=[1, 5, 10**6])
+    def chunk_pairs(self, request):
+        """Pairs a chunk holds: one, a few, or the whole screen."""
+        return request.param
+
+    def _compare(self, monkeypatch, seed, size, chunk_pairs, shade):
+        # The bound is read per call: patch the pairs a chunk of
+        # size x size tiles holds.
+        monkeypatch.setattr(pipeline_module, "RASTER_CHUNK",
+                            chunk_pairs * size * size)
+        width, height, items = _random_screen(seed, size, chunk_pairs)
+        textures = _parity_textures()
+        chunked = list(RasterPipeline(width, height, size, textures,
+                                      shade_colors=shade)
+                       .process_tiles(items))
+        oracle = RasterPipeline(width, height, size, textures,
+                                shade_colors=shade, batched=False)
+        assert len(chunked) == len(items)
+        for got, (tile, prims) in zip(chunked, items):
+            ref = oracle.process_tile(tile, prims)
+            for name in TRACE_FIELDS:
+                assert getattr(got, name) == getattr(ref, name), \
+                    (tile, name)
+            if shade:
+                assert np.array_equal(got.pixels, ref.pixels), tile
+        return chunked
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([8, 15, 32]))
+    def test_trace_mode_fields(self, monkeypatch, seed, size, chunk_pairs):
+        self._compare(monkeypatch, seed, size, chunk_pairs, shade=False)
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), size=st.sampled_from([8, 15]))
+    def test_shade_mode_pixels(self, monkeypatch, seed, size, chunk_pairs):
+        self._compare(monkeypatch, seed, size, chunk_pairs, shade=True)
+
+    def test_screens_exercise_the_chunk(self, monkeypatch, chunk_pairs):
+        # The generator must reject at Early-Z, put origins at odd
+        # pixels and give many tiles texture lines.
+        rejected = odd = lined = 0
+        for seed in range(6):
+            for result in self._compare(monkeypatch, seed, 15, chunk_pairs,
+                                        shade=False):
+                rejected += result.fragments_early_rejected
+                odd += result.tile[0] % 2 == 1
+                lined += bool(result.texture_lines)
+        assert rejected > 0 and odd > 0 and lined > 6
+
+
+class TestChunkMemory:
+    """The chunked pass holds no more memory than the one-tile pass.
+
+    ``tracemalloc`` peak of rendering every tile of the heaviest GrT and
+    GDL frames at 256x128 (frames 6 and 1: the most binned pairs among
+    frames 0-7), results dropped as they come.  The bounds are the
+    one-tile pass this replaced, measured the same way (5.017 and 0.841
+    MiB, each set by the frame's heaviest tile: 170 and 27 pairs),
+    rounded down.
+    """
+
+    @pytest.mark.parametrize("name, frame, bound_mib",
+                             [("GrT", 6, 5.01), ("GDL", 1, 0.84)])
+    def test_peak_at_most_one_tile_pass(self, name, frame, bound_mib):
+        from repro.geometry.pipeline import GeometryPipeline
+        from repro.raster.framebuffer import FrameBuffer
+        from repro.tiling.engine import TilingEngine
+        width, height, size = 256, 128, 32
+        scenes = SceneBuilder(get_params(name), width, height)
+        scene = scenes.frame(frame)
+        geometry = GeometryPipeline(width, height).run(
+            scene.draws, scene.view_projection)
+        lists = TilingEngine(width // size, height // size, size) \
+            .tile_frame(geometry.primitives).parameter_buffer.lists
+        pipeline = RasterPipeline(
+            width, height, size, scenes.textures, shade_colors=False,
+            framebuffer=FrameBuffer(width, height, store_pixels=False))
+        scenes.textures.mip_table()
+        tracemalloc.start()
+        try:
+            for _ in pipeline.process_tiles(lists.items()):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
 
 
 class TestPipelineBatchedParity:
