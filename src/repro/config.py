@@ -51,6 +51,10 @@ class CacheConfig:
 
     def validate(self) -> None:
         """Raise ValueError on an inconsistent configuration."""
+        if self.size_bytes <= 0 or self.ways <= 0 or self.line_bytes <= 0:
+            raise ConfigValidationError(
+                f"cache size, ways and line size must be positive, got "
+                f"{self.size_bytes}, {self.ways} and {self.line_bytes}")
         if self.size_bytes % self.line_bytes:
             raise ConfigValidationError("cache size must be a multiple of the line size")
         if self.num_lines % self.ways:

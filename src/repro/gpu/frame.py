@@ -152,12 +152,10 @@ class FrameDriver:
             if start < stop:
                 chunk = lines[start:stop]
                 if self.batched:
-                    misses: List[tuple] = []
-                    self.vertex_cache.lookup_batch(chunk,
-                                                   miss_record=misses)
-                    if misses:
+                    missed = self.vertex_cache.lookup_batch(chunk)
+                    if missed:
                         self.shared.access_batch(
-                            [line for line, _ in misses], GEOMETRY)
+                            [chunk[pos] for pos in missed], GEOMETRY)
                 else:
                     for line in chunk:
                         if not self.vertex_cache.lookup(line):
@@ -182,7 +180,6 @@ class FrameDriver:
     def _copy_stats(stats: CacheStats) -> CacheStats:
         return CacheStats(accesses=stats.accesses, hits=stats.hits,
                           misses=stats.misses, evictions=stats.evictions,
-                          writebacks=stats.writebacks,
                           repeat_hits=stats.repeat_hits)
 
     def _build_result(self, trace: FrameTrace, decision, phase:
@@ -271,13 +268,12 @@ class FrameDriver:
                 accesses=stats.accesses - prior.accesses,
                 hits=stats.hits - prior.hits,
                 misses=stats.misses - prior.misses,
-                evictions=stats.evictions - prior.evictions,
-                writebacks=stats.writebacks - prior.writebacks))
+                evictions=stats.evictions - prior.evictions))
         tex = result.texture_l1_stats
         HUB.emit(CacheDelta(
             name="l1tex", frame=frame, ts=ts,
             accesses=tex.accesses, hits=tex.hits, misses=tex.misses,
-            evictions=tex.evictions, writebacks=tex.writebacks))
+            evictions=tex.evictions))
         metrics = HUB.metrics
         dram = self.shared.dram.stats
         metrics.counter("frames").inc()

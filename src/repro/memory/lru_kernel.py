@@ -1,13 +1,12 @@
 """Array-based set-associative LRU cache kernel.
 
 :class:`ArrayCache` keeps the cache state as dense numpy arrays — a
-``(num_sets, ways)`` tag matrix, a stamp matrix encoding LRU order, and
-a dirty-bit matrix — and services an entire line stream per call:
-``np.unique``-compressed stream, one vectorized tag match for every
-distinct line, bulk statistics.  It is *observably bit-identical* to
-the dict-based :class:`~repro.memory.cache.Cache`: same hit counts,
-same eviction victims in the same order, same ``pending_writebacks``
-and ``miss_record`` contents, same ``resident_lines()`` LRU order.
+``(num_sets, ways)`` tag matrix and a stamp matrix encoding LRU order —
+and services an entire line stream per call: ``np.unique``-compressed
+stream, one vectorized tag match for every distinct line, bulk
+statistics.  Like the dict-based :class:`~repro.memory.cache.Cache` it
+is read-only, and it is *observably bit-identical* to it: same missed
+stream positions, same counters, same ``resident_lines()`` LRU order.
 
 The vectorized path is only legal when the batch satisfies two
 trace-checkable conditions (violations fall back to an exact per-line
@@ -34,7 +33,7 @@ Line addresses must be non-negative (``-1`` is the empty-slot tag).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from ..compat import require_numpy
 from ..config import CacheConfig
@@ -68,19 +67,11 @@ class ArrayCache(Cache):
         shape = (self.num_sets, self.ways)
         self._tags = np.full(shape, _EMPTY, dtype=np.int64)
         self._stamps = np.zeros(shape, dtype=np.int64)
-        self._dirty_mask = np.zeros(shape, dtype=bool)
         #: Monotonic access counter; per-set LRU order = ascending stamp.
         self._clock = 0
-        self.pending_writebacks: List[int] = []
         self.stats = CacheStats()
 
     # -- observable state ---------------------------------------------------
-    @property
-    def _dirty(self) -> set:
-        """Dirty resident lines (same view the dict cache keeps as a set)."""
-        live = self._dirty_mask & (self._tags != _EMPTY)
-        return set(self._tags[live].tolist())
-
     def contains(self, line: int) -> bool:
         """True when the line is resident."""
         return bool((self._tags[line & self._set_mask] == line).any())
@@ -98,114 +89,83 @@ class ArrayCache(Cache):
             out.extend(tags[index][order[:int(row.sum())]].tolist())
         return out
 
-    def flush(self) -> List[int]:
-        """Invalidate everything; returns dirty lines needing writeback."""
-        live = self._dirty_mask & (self._tags != _EMPTY)
-        dirty = sorted(self._tags[live].tolist())
-        self.stats.writebacks += len(dirty)
-        self._tags.fill(_EMPTY)
-        self._stamps.fill(0)
-        self._dirty_mask.fill(False)
-        return dirty
-
     def reset(self) -> None:
         """Invalidate contents and zero the statistics."""
         self._tags.fill(_EMPTY)
         self._stamps.fill(0)
-        self._dirty_mask.fill(False)
         self._clock = 0
-        self.pending_writebacks.clear()
         self.stats.reset()
 
     # -- access paths -------------------------------------------------------
-    def lookup(self, line: int, write: bool = False) -> bool:
-        """Access one line; returns True on hit."""
-        return self._scalar((line,), write, None) == 1
+    def lookup(self, line: int) -> bool:
+        """Access one line; returns True on hit (a miss allocates it)."""
+        return not self._scalar((line,))
 
-    def lookup_batch(self, lines: Iterable[int], write: bool = False,
-                     miss_record: Optional[
-                         List[Tuple[int, Optional[int]]]] = None) -> int:
-        """Access a whole line stream in one call; returns the hit count.
+    def lookup_batch(self, lines: Sequence[int]) -> List[int]:
+        """Access a line stream in order; returns the positions that missed.
 
         Streams of at least ``min_batch`` lines go through the
         vectorized kernel when its safety conditions hold (see module
         docstring); everything else runs the exact per-line loop.
         """
-        seq = (lines if isinstance(lines, (list, tuple, np.ndarray))
-               else list(lines))
-        if len(seq) >= self.min_batch:
-            hits = self._kernel(seq, write, miss_record)
-            if hits is not None:
-                return hits
-        return self._scalar(seq, write, miss_record)
+        if len(lines) >= self.min_batch:
+            missed = self._kernel(lines)
+            if missed is not None:
+                return missed
+        return self._scalar(lines)
 
-    def _scalar(self, seq: Sequence[int], write: bool,
-                record: Optional[list]) -> int:
+    def _scalar(self, seq: Sequence[int]) -> List[int]:
         """Exact per-line reference walk over the array state."""
         tags = self._tags
         stamps = self._stamps
-        dirty = self._dirty_mask
         mask = self._set_mask
-        pending = self.pending_writebacks
         clock = self._clock
-        hits = evictions = writebacks = 0
-        if isinstance(seq, np.ndarray):
-            seq = seq.tolist()  # plain ints, so miss_record stays exact
-        for line in seq:
+        missed: List[int] = []
+        evictions = 0
+        for pos, line in enumerate(seq):
             index = line & mask
             trow = tags[index]
             eq = trow == line
             if eq.any():
                 way = int(eq.argmax())
-                hits += 1
             else:
                 empty = trow == _EMPTY
-                victim = None
                 if empty.any():
                     way = int(empty.argmax())
                 else:
                     way = int(stamps[index].argmin())
                     evictions += 1
-                    if dirty[index, way]:
-                        dirty[index, way] = False
-                        writebacks += 1
-                        victim = int(trow[way])
-                        pending.append(victim)
                 tags[index, way] = line
-                if record is not None:
-                    record.append((line, victim))
+                missed.append(pos)
             stamps[index, way] = clock
             clock += 1
-            if write:
-                dirty[index, way] = True
         self._clock = clock
         n = len(seq)
         stats = self.stats
         stats.accesses += n
-        stats.hits += hits
-        stats.misses += n - hits
+        stats.hits += n - len(missed)
+        stats.misses += len(missed)
         stats.evictions += evictions
-        stats.writebacks += writebacks
-        return hits
+        return missed
 
-    def _kernel(self, seq: Sequence[int], write: bool,
-                record: Optional[list]) -> Optional[int]:
+    def _kernel(self, seq: Sequence[int]) -> Optional[List[int]]:
         """Vectorized whole-stream walk; None when a safety check fails."""
         arr = np.asarray(seq, dtype=np.int64)
         n = arr.shape[0]
         if n == 0:
-            return 0
+            return []
         if int(arr.min()) < 0:
             raise ConfigValidationError(
                 f"{self.name}: line addresses must be non-negative")
         # np.unique-compressed stream in first-occurrence order, with
-        # each line's last occurrence (final LRU rank within its set).
+        # each line's first and last occurrence (final LRU rank within
+        # its set).
         values, first = np.unique(arr, return_index=True)
         _, rlast = np.unique(arr[::-1], return_index=True)
         order = np.argsort(first, kind="stable")
         uniq = values[order]
+        first = first[order]
         last = (n - 1 - rlast)[order]
-        nuniq = uniq.shape[0]
         setid = uniq & self._set_mask
         usets, uset_inv, uset_count = np.unique(
             setid, return_inverse=True, return_counts=True)
@@ -214,7 +174,6 @@ class ArrayCache(Cache):
             return None  # set-safety violated
         tags = self._tags
         stamps = self._stamps
-        dirty = self._dirty_mask
         set_tags = tags[usets]                      # (S, ways) snapshot
         set_stamps = stamps[usets]
         # Vectorized tag match of every distinct line against its set.
@@ -223,7 +182,6 @@ class ArrayCache(Cache):
         hit_way = hit_mat.argmax(axis=1)
         miss = ~hit
         nmiss = int(miss.sum())
-        hits_total = int(hit.sum()) + (n - nuniq)   # duplicates all hit
         nsets = usets.shape[0]
         miss_per_set = np.bincount(uset_inv[miss], minlength=nsets)
         free = ways - (set_tags != _EMPTY).sum(axis=1)
@@ -243,6 +201,8 @@ class ArrayCache(Cache):
             rank = np.arange(ways)[None, :]
             if (cand_by_age & (rank < evict[:, None])).any():
                 return None  # victim-safety violated
+        way_all = hit_way
+        n_evictions = 0
         if nmiss:
             # Per-set slot order for misses: empty ways first, then the
             # victims in age order; candidate ways are never reachable
@@ -262,40 +222,19 @@ class ArrayCache(Cache):
             rank[by_set] = rank_sorted
             miss_way = slot_order[miss_sets, rank]
             real_sets = setid[miss]
-            old = tags[real_sets, miss_way].copy()
-            evicted = old != _EMPTY
-            dirty_victim = np.zeros(nmiss, dtype=bool)
-            dirty_victim[evicted] = dirty[real_sets[evicted],
-                                          miss_way[evicted]]
-            dirty[real_sets, miss_way] = False
+            n_evictions = int((tags[real_sets, miss_way] != _EMPTY).sum())
             tags[real_sets, miss_way] = uniq[miss]
-            # Misses are already in stream (first-occurrence) order, so
-            # writebacks and the miss record come out in scalar order.
-            self.pending_writebacks.extend(old[dirty_victim].tolist())
-            if record is not None:
-                rec_append = record.append
-                for line, victim, is_dirty in zip(uniq[miss].tolist(),
-                                                  old.tolist(),
-                                                  dirty_victim.tolist()):
-                    rec_append((line, victim if is_dirty else None))
-            n_evictions = int(evicted.sum())
-            n_writebacks = int(dirty_victim.sum())
-        else:
-            n_evictions = n_writebacks = 0
-        # Final stamps: every touched line ends ordered by its last
-        # occurrence, behind all untouched survivors (older clock).
-        way_all = hit_way
-        if nmiss:
             way_all = np.where(miss, 0, hit_way)
             way_all[miss] = miss_way
+        # Final stamps: every touched line ends ordered by its last
+        # occurrence, behind all untouched survivors (older clock).
         stamps[setid, way_all] = self._clock + last
-        if write:
-            dirty[setid, way_all] = True
         self._clock += n
         stats = self.stats
         stats.accesses += n
-        stats.hits += hits_total
+        stats.hits += n - nmiss                     # duplicates all hit
         stats.misses += nmiss
         stats.evictions += n_evictions
-        stats.writebacks += n_writebacks
-        return hits_total
+        # A missed line misses at its first occurrence; ``first`` is
+        # already ascending (first-occurrence order).
+        return first[miss].tolist()

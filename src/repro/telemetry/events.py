@@ -136,7 +136,6 @@ class CacheDelta(TelemetryEvent):
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
 
 
 @dataclass

@@ -4,7 +4,7 @@ The batched paths (``Cache.lookup_batch``, the planned texture walk of
 :class:`TimingRasterUnit`, the Geometry vertex stream) are written for
 speed, and the scalar implementations stay as the golden reference
 (``batched=False``).  These tests pin the contract: **bit-identical**
-LRU state, hit/miss/eviction/writeback counters, DRAM request
+LRU state, hit/miss/eviction counters, DRAM request
 interleaving and interval series, at every level.  The tiny scenes keep
 each tile's lines within the ways of every L1 set; the suite scenes of
 :class:`TestOverflowingTileParity` make tiles evict their own lines.
@@ -32,21 +32,16 @@ from repro.workloads.traces import TraceBuilder
 from faults import tiny_builder, tiny_params
 
 # Tiny geometry: 4 sets x 2 ways so random streams of a few dozen lines
-# exercise eviction and writeback constantly.
+# exercise eviction constantly.
 TINY = CacheConfig(size_bytes=8 * 32, ways=2, line_bytes=32)
 
-line_streams = st.lists(
-    st.tuples(st.integers(0, 31), st.booleans()), max_size=200)
+line_streams = st.lists(st.integers(0, 31), max_size=200)
 
 
 def _state(cache: Cache):
     s = cache.stats
-    return (
-        (s.accesses, s.hits, s.misses, s.evictions, s.writebacks),
-        cache.resident_lines(),
-        sorted(cache._dirty),
-        list(cache.pending_writebacks),
-    )
+    return ((s.accesses, s.hits, s.misses, s.evictions),
+            cache.resident_lines())
 
 
 class TestLookupBatchProperty:
@@ -54,31 +49,19 @@ class TestLookupBatchProperty:
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(stream=line_streams)
-    def test_batch_equals_scalar_sequence(self, stream):
+    @given(stream=line_streams, run=st.integers(1, 40))
+    def test_batch_equals_scalar_sequence(self, stream, run):
         scalar = Cache(TINY, name="scalar")
         batched = Cache(TINY, name="batched")
-        hits_scalar = sum(scalar.lookup(line, write=w)
-                          for line, w in stream)
-        # Group the stream into per-write-flag runs, as callers do.
-        record = []
-        hits_batched = 0
-        run, flag = [], None
-        for line, w in stream + [(None, None)]:
-            if w != flag and run:
-                hits_batched += batched.lookup_batch(
-                    run, write=flag, miss_record=record)
-                run = []
-            flag = w
-            if line is not None:
-                run.append(line)
-        assert hits_batched == hits_scalar
+        missed_scalar = [pos for pos, line in enumerate(stream)
+                         if not scalar.lookup(line)]
+        # Cut the stream into runs, as callers do.
+        missed = []
+        for start in range(0, len(stream), run):
+            missed += [start + pos for pos in
+                       batched.lookup_batch(stream[start:start + run])]
+        assert missed == missed_scalar
         assert _state(batched) == _state(scalar)
-        # The miss record replays the scalar miss/writeback interleaving:
-        # misses in stream order, victims in pending_writebacks order.
-        assert len(record) == scalar.stats.misses
-        assert [v for _, v in record if v is not None] \
-            == scalar.pending_writebacks
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -89,22 +72,22 @@ class TestLookupBatchProperty:
         batched = Cache(TINY)
         for stream in streams:
             for line in stream:
-                scalar.lookup(line, write=True)
-            batched.lookup_batch(stream, write=True)
+                scalar.lookup(line)
+            batched.lookup_batch(stream)
             assert _state(batched) == _state(scalar)
 
     def test_empty_batch_is_a_noop(self):
         cache = Cache(TINY)
-        assert cache.lookup_batch([]) == 0
+        assert cache.lookup_batch([]) == []
         assert cache.stats.accesses == 0
 
     def test_duplicate_lines_in_one_batch(self):
         scalar = Cache(TINY)
         batched = Cache(TINY)
         stream = [0, 0, 8, 16, 0, 8, 24, 0]
-        for line in stream:
-            scalar.lookup(line)
-        batched.lookup_batch(stream)
+        missed = [pos for pos, line in enumerate(stream)
+                  if not scalar.lookup(line)]
+        assert batched.lookup_batch(stream) == missed
         assert _state(batched) == _state(scalar)
 
 
@@ -116,8 +99,7 @@ def _frame_key(frame):
         frame.per_tile_instructions, frame.dram_interval_requests,
         frame.tiles_completed,
         (frame.texture_l1_stats.accesses, frame.texture_l1_stats.hits,
-         frame.texture_l1_stats.misses, frame.texture_l1_stats.evictions,
-         frame.texture_l1_stats.writebacks),
+         frame.texture_l1_stats.misses, frame.texture_l1_stats.evictions),
         (frame.energy_counts.l1_accesses, frame.energy_counts.l2_accesses,
          frame.energy_counts.dram_reads, frame.energy_counts.dram_writes,
          frame.energy_counts.dram_activations),

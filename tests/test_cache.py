@@ -1,7 +1,7 @@
 """Tests for the set-associative LRU cache simulator."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import CacheConfig
 from repro.memory.cache import Cache, CacheStats, replication
@@ -79,38 +79,6 @@ class TestLRUReplacement:
         assert c.stats.evictions == 1
 
 
-class TestWritebacks:
-    def test_dirty_eviction_queued(self):
-        c = cache(size=64 * 16, ways=2)
-        c.lookup(0, write=True)
-        c.lookup(8)
-        c.lookup(16)
-        assert c.drain_writebacks() == [0]
-        assert c.stats.writebacks == 1
-
-    def test_clean_eviction_not_queued(self):
-        c = cache(size=64 * 16, ways=2)
-        c.lookup(0)
-        c.lookup(8)
-        c.lookup(16)
-        assert c.drain_writebacks() == []
-
-    def test_flush_returns_dirty(self):
-        c = cache()
-        c.lookup(3, write=True)
-        c.lookup(4)
-        assert c.flush() == [3]
-        assert not c.contains(3)
-
-    def test_rewrite_keeps_single_writeback(self):
-        c = cache(size=64 * 16, ways=2)
-        c.lookup(0, write=True)
-        c.lookup(0, write=True)
-        c.lookup(8)
-        c.lookup(16)
-        assert c.drain_writebacks() == [0]
-
-
 class TestRepeatHits:
     def test_repeat_hits_affect_only_with_repeats_ratio(self):
         c = cache()
@@ -127,11 +95,46 @@ class TestRepeatHits:
 class TestReset:
     def test_reset_clears_everything(self):
         c = cache()
-        c.lookup(0, write=True)
+        c.lookup(0)
         c.reset()
         assert c.stats.accesses == 0
         assert not c.contains(0)
-        assert c.drain_writebacks() == []
+        assert c.resident_lines() == []
+
+
+class ListLRU:
+    """Brute-force LRU model: one list per set, least recently used first."""
+
+    def __init__(self, num_sets, ways):
+        self.num_sets = num_sets
+        self.ways = ways
+        self.sets = {}
+        self.counts = [0, 0, 0, 0]  # accesses, hits, misses, evictions
+
+    def access(self, line):
+        """Look one line up; True on hit."""
+        ways = self.sets.setdefault(line % self.num_sets, [])
+        self.counts[0] += 1
+        if line in ways:
+            ways.remove(line)
+            ways.append(line)
+            self.counts[1] += 1
+            return True
+        if len(ways) >= self.ways:
+            ways.pop(0)
+            self.counts[3] += 1
+        ways.append(line)
+        self.counts[2] += 1
+        return False
+
+    def resident_lines(self):
+        return [line for index in sorted(self.sets)
+                for line in self.sets[index]]
+
+
+def counts(c):
+    s = c.stats
+    return [s.accesses, s.hits, s.misses, s.evictions]
 
 
 class TestAgainstReferenceModel:
@@ -141,17 +144,32 @@ class TestAgainstReferenceModel:
         """Cross-check hits/misses against a brute-force LRU model."""
         config = CacheConfig(64 * 16, 2)  # 8 sets, 2 ways
         c = Cache(config)
-        reference = {}  # set -> list of lines, LRU first
+        reference = ListLRU(config.num_sets, config.ways)
         for line in lines:
-            set_index = line % 8
-            ways = reference.setdefault(set_index, [])
-            expected_hit = line in ways
-            if expected_hit:
-                ways.remove(line)
-            elif len(ways) >= 2:
-                ways.pop(0)
-            ways.append(line)
-            assert c.lookup(line) == expected_hit
+            assert c.lookup(line) == reference.access(line)
+        assert counts(c) == reference.counts
+        assert c.resident_lines() == reference.resident_lines()
+
+    @settings(max_examples=200, deadline=None)
+    @given(batches=st.lists(st.lists(st.integers(0, 63), max_size=40),
+                            max_size=8),
+           geometry=st.sampled_from([(64 * 16, 2), (64 * 8, 1),
+                                     (64 * 32, 4), (64 * 4, 4)]))
+    # Set 0 of 8 sets x 2 ways sees 0, 8 and 16.  16 evicts 8, the least
+    # recently used line, so 8 misses again at position 4.
+    @example(batches=[[0, 8, 0, 16, 8, 0]], geometry=(64 * 16, 2))
+    def test_lookup_batch_matches_reference_lru(self, batches, geometry):
+        """Random batches return the positions the brute-force model
+        misses, and leave its counters and resident lines."""
+        config = CacheConfig(*geometry)
+        c = Cache(config)
+        reference = ListLRU(config.num_sets, config.ways)
+        for batch in batches:
+            expected = [pos for pos, line in enumerate(batch)
+                        if not reference.access(line)]
+            assert c.lookup_batch(batch) == expected
+            assert counts(c) == reference.counts
+            assert c.resident_lines() == reference.resident_lines()
 
 
 class TestReplication:
@@ -172,8 +190,8 @@ class TestReplication:
 
     def test_stats_merge(self):
         a = CacheStats(accesses=2, hits=1, misses=1)
-        b = CacheStats(accesses=3, hits=0, misses=3, writebacks=1)
+        b = CacheStats(accesses=3, hits=0, misses=3, evictions=1)
         merged = a.merged_with(b)
         assert merged.accesses == 5
         assert merged.misses == 4
-        assert merged.writebacks == 1
+        assert merged.evictions == 1

@@ -7,6 +7,7 @@ import pytest
 from repro.config import (CACHE_LINE_BYTES, CacheConfig, DRAMConfig,
                           GPUConfig, RasterUnitConfig, SchedulerConfig,
                           baseline_config, libra_config, small_config)
+from repro.errors import ConfigValidationError
 
 
 class TestCacheConfig:
@@ -34,6 +35,22 @@ class TestCacheConfig:
 
     def test_valid_config_passes(self):
         CacheConfig(4 * 1024, 2).validate()
+
+    # A 0-byte cache has zero sets, which pass the power-of-two test, and
+    # with a set mask of -1 it simulates as an unbounded cache; a zero
+    # way count or line size divides by zero in the geometry checks.
+    @pytest.mark.parametrize("size,ways,line", [
+        (0, 2, 64), (-1024, 2, 64), (1024, 0, 64), (1024, -2, 64),
+        (1024, 2, 0), (1024, 2, -64)])
+    def test_rejects_non_positive_geometry(self, size, ways, line):
+        with pytest.raises(ConfigValidationError):
+            CacheConfig(size, ways, line_bytes=line).validate()
+
+    @pytest.mark.parametrize("field_name", ["size_bytes", "ways",
+                                            "line_bytes"])
+    def test_sweep_setting_of_zero_is_rejected(self, field_name):
+        with pytest.raises(ConfigValidationError):
+            GPUConfig.build("libra", settings={f"l2_cache.{field_name}": 0})
 
 
 class TestDRAMConfig:

@@ -12,10 +12,8 @@ in several places, so these sums must agree on every run:
   each row miss is one activation;
 * per run, each L2 miss is one DRAM read, tagged geometry, Parameter
   Buffer or texture;
-* per run, each DRAM write is a Color Buffer flush: every L2 access
-  is a read, so the L2 writes nothing back.  The batched texture walk
-  models no dirty L2 victim, so a write path into the L2 must fail here
-  first.
+* per run, each DRAM write is a Color Buffer flush: every cache is
+  read-only, so nothing is written back.
 """
 
 from __future__ import annotations
@@ -24,8 +22,7 @@ import pytest
 
 from repro.config import KIND_FAMILIES, GPUConfig
 from repro.gpu import GPUSimulator
-from repro.memory.traffic import (FRAMEBUFFER, GEOMETRY, PARAMETER,
-                                  TEXTURE, WRITEBACK)
+from repro.memory.traffic import FRAMEBUFFER, GEOMETRY, PARAMETER, TEXTURE
 from repro.workloads import TraceBuilder, make_scene_builder
 
 WIDTH, HEIGHT, FRAMES = 256, 128, 2
@@ -76,4 +73,3 @@ def test_accounting_is_conserved(traces_of, name, kind, batched):
     assert (l2.misses == dram.reads
             == traffic[GEOMETRY] + traffic[PARAMETER] + traffic[TEXTURE])
     assert dram.writes == traffic[FRAMEBUFFER]
-    assert l2.writebacks == traffic[WRITEBACK] == 0

@@ -122,7 +122,7 @@ class TestIdleIntervalFastPath:
 
 def _l2_state(cache):
     s = cache.stats
-    return ((s.accesses, s.hits, s.misses, s.evictions, s.writebacks),
+    return ((s.accesses, s.hits, s.misses, s.evictions),
             cache.resident_lines())
 
 

@@ -6,7 +6,7 @@ from repro.config import small_config
 from repro.memory.hierarchy import (SharedMemory, make_texture_l1,
                                     make_tile_cache, make_vertex_cache)
 from repro.memory.traffic import (FRAMEBUFFER, GEOMETRY, PARAMETER, TEXTURE,
-                                  WRITEBACK, TrafficBreakdown)
+                                  TrafficBreakdown)
 
 
 @pytest.fixture
@@ -26,16 +26,6 @@ class TestSharedMemory:
         level = shared.access(0, TEXTURE)
         assert level == "l2"
         assert shared.dram.stats.reads == 1
-
-    def test_dirty_l2_victim_written_back(self):
-        cfg = small_config()
-        cfg.l2_cache = cfg.l2_cache.__class__(64 * 16, 2, latency_cycles=1)
-        shared = SharedMemory(cfg)
-        shared.access(0, TEXTURE, write=True)
-        shared.access(8, TEXTURE)
-        shared.access(16, TEXTURE)  # evicts dirty line 0
-        assert shared.dram.stats.writes == 1
-        assert shared.traffic.counts[WRITEBACK] == 1
 
     def test_stream_to_dram_bypasses_l2(self, shared):
         shared.stream_to_dram(0, FRAMEBUFFER)

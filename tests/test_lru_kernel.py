@@ -3,10 +3,9 @@
 The contract under test is the parity-oracle contract of
 ``docs/api.md``: :class:`repro.memory.lru_kernel.ArrayCache` must be
 *observably bit-identical* to :class:`repro.memory.cache.Cache` — same
-hit counts, same eviction victims in the same order, same
-``pending_writebacks`` and ``miss_record``, same ``resident_lines()``
-LRU order — whether a batch runs through the vectorized kernel or
-falls back to the exact per-line loop.
+missed stream positions, same counters, same ``resident_lines()`` LRU
+order — whether a batch runs through the vectorized kernel or falls
+back to the exact per-line loop.
 """
 
 from __future__ import annotations
@@ -21,32 +20,24 @@ from repro.memory.cache import Cache
 from repro.memory.lru_kernel import ArrayCache
 
 # 4 sets x 2 ways of 32-byte lines: tiny enough that short random
-# streams constantly evict, write back, and violate the kernel's
-# safety conditions (exercising the fallback).
+# streams constantly evict and violate the kernel's safety conditions
+# (exercising the fallback).
 TINY = CacheConfig(size_bytes=8 * 32, ways=2, line_bytes=32)
 # 16 sets x 4 ways: roomy enough that window streams stay kernel-safe.
 ROOMY = CacheConfig(size_bytes=64 * 32, ways=4, line_bytes=32)
 
-line_streams = st.lists(
-    st.tuples(st.integers(0, 31), st.booleans()), max_size=120)
+line_streams = st.lists(st.integers(0, 31), max_size=120)
 
 
 def _state(cache):
     s = cache.stats
-    return (
-        (s.accesses, s.hits, s.misses, s.evictions, s.writebacks),
-        cache.resident_lines(),
-        sorted(cache._dirty),
-        list(cache.pending_writebacks),
-    )
+    return ((s.accesses, s.hits, s.misses, s.evictions),
+            cache.resident_lines())
 
 
-def _run_batches(cache, batches, write=False):
-    record = []
-    hits = 0
-    for batch in batches:
-        hits += cache.lookup_batch(batch, write=write, miss_record=record)
-    return hits, record
+def _run_batches(cache, batches):
+    """The missed positions of every batch, one list per batch."""
+    return [cache.lookup_batch(batch) for batch in batches]
 
 
 class TestArrayCacheProperty:
@@ -58,32 +49,18 @@ class TestArrayCacheProperty:
     def test_matches_dict_cache(self, stream, batch_len):
         ref = Cache(TINY, name="ref")
         arr = ArrayCache(TINY, name="arr", min_batch=0)
-        rec_ref, rec_arr = [], []
-        hits_ref = hits_arr = 0
-        for start in range(0, len(stream), batch_len):
-            chunk = stream[start:start + batch_len]
-            for write in (False, True):
-                lines = [line for line, w in chunk if w is write]
-                if not lines:
-                    continue
-                hits_ref += ref.lookup_batch(lines, write=write,
-                                             miss_record=rec_ref)
-                hits_arr += arr.lookup_batch(lines, write=write,
-                                             miss_record=rec_arr)
-        assert hits_arr == hits_ref
-        assert rec_arr == rec_ref
+        batches = [stream[start:start + batch_len]
+                   for start in range(0, len(stream), batch_len)]
+        assert _run_batches(arr, batches) == _run_batches(ref, batches)
         assert _state(arr) == _state(ref)
 
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(stream=st.lists(st.integers(0, 255), max_size=120),
-           write=st.booleans())
-    def test_single_batch_roomy(self, stream, write):
+    @given(stream=st.lists(st.integers(0, 255), max_size=120))
+    def test_single_batch_roomy(self, stream):
         ref = Cache(ROOMY, name="ref")
         arr = ArrayCache(ROOMY, name="arr", min_batch=0)
-        hr, rr = _run_batches(ref, [stream], write)
-        ha, ra = _run_batches(arr, [stream], write)
-        assert (ha, ra) == (hr, rr)
+        assert _run_batches(arr, [stream]) == _run_batches(ref, [stream])
         assert _state(arr) == _state(ref)
 
 
@@ -105,19 +82,18 @@ class TestVectorizedPathExplicitly:
         outcomes = []
         original = ArrayCache._kernel
 
-        def spy(self, seq, write, record):
-            result = original(self, seq, write, record)
+        def spy(self, seq):
+            result = original(self, seq)
             outcomes.append(result is not None)
             return result
 
         monkeypatch.setattr(ArrayCache, "_kernel", spy)
         batches = self._windows()
-        hr, rr = _run_batches(ref, [b.tolist() for b in batches],
-                              write=True)
-        ha, ra = _run_batches(arr, batches, write=True)
+        expected = _run_batches(ref, [b.tolist() for b in batches])
+        missed = _run_batches(arr, batches)
         assert outcomes and all(outcomes), \
             "window stream was expected to stay on the vectorized path"
-        assert (ha, ra) == (hr, rr)
+        assert missed == expected
         assert _state(arr) == _state(ref)
 
     def test_unsafe_batch_falls_back_exactly(self):
@@ -126,10 +102,8 @@ class TestVectorizedPathExplicitly:
         lines = [0, 16, 32, 48, 64, 0, 16]
         ref = Cache(ROOMY, name="ref")
         arr = ArrayCache(ROOMY, name="arr", min_batch=1)
-        assert arr._kernel(lines, False, None) is None
-        hr, rr = _run_batches(ref, [lines])
-        ha, ra = _run_batches(arr, [lines])
-        assert (ha, ra) == (hr, rr)
+        assert arr._kernel(lines) is None
+        assert _run_batches(arr, [lines]) == _run_batches(ref, [lines])
         assert _state(arr) == _state(ref)
 
     def test_victim_unsafe_batch_falls_back(self):
@@ -140,7 +114,7 @@ class TestVectorizedPathExplicitly:
         for line in (0, 16, 32, 48):
             arr.lookup(line)
         batch = [0, 64, 80, 96, 112]
-        assert arr._kernel(batch, False, None) is None
+        assert arr._kernel(batch) is None
         ref = Cache(ROOMY, name="ref")
         for line in (0, 16, 32, 48):
             ref.lookup(line)
@@ -152,31 +126,28 @@ class TestVectorizedPathExplicitly:
 class TestArrayCacheSurface:
     """The non-batch public surface matches the dict cache."""
 
-    def test_scalar_lookup_contains_flush(self):
+    def test_scalar_lookup_and_contains(self):
         ref = Cache(TINY, name="ref")
         arr = ArrayCache(TINY, name="arr")
         for line in (1, 9, 17, 1, 25, 9):
-            assert arr.lookup(line, write=True) \
-                == ref.lookup(line, write=True)
+            assert arr.lookup(line) == ref.lookup(line)
         assert arr.contains(1) == ref.contains(1)
         assert arr.contains(17) == ref.contains(17)
         assert _state(arr) == _state(ref)
-        assert arr.flush() == ref.flush()
-        assert arr.resident_lines() == ref.resident_lines() == []
 
     def test_reset_clears_everything(self):
         arr = ArrayCache(TINY)
-        arr.lookup_batch([1, 2, 3], write=True)
+        arr.lookup_batch([1, 2, 3])
         arr.reset()
-        assert _state(arr) == ((0, 0, 0, 0, 0), [], [], [])
+        assert _state(arr) == ((0, 0, 0, 0), [])
         assert arr._clock == 0
 
     def test_ndarray_input_records_plain_ints(self):
-        arr = ArrayCache(ROOMY, min_batch=1)
-        record = []
-        arr.lookup_batch(np.arange(8, dtype=np.int64) * 16,
-                         miss_record=record)
-        assert all(type(line) is int for line, _ in record)
+        for min_batch in (1, 1 << 30):  # vectorized kernel, per-line loop
+            arr = ArrayCache(ROOMY, min_batch=min_batch)
+            missed = arr.lookup_batch(np.arange(8, dtype=np.int64))
+            assert missed == list(range(8))
+            assert all(type(pos) is int for pos in missed)
 
     def test_negative_lines_rejected_by_kernel(self):
         arr = ArrayCache(ROOMY, min_batch=1)
@@ -185,5 +156,5 @@ class TestArrayCacheSurface:
 
     def test_empty_batch_is_a_noop(self):
         arr = ArrayCache(TINY, min_batch=0)
-        assert arr.lookup_batch([]) == 0
+        assert arr.lookup_batch([]) == []
         assert arr.stats.accesses == 0

@@ -520,8 +520,7 @@ def _one_of_each_event():
         event_types.DRAMSample(ts=1000, requests=17, utilization=0.425,
                                latency_cycles=66.66666666666667),
         event_types.CacheDelta(name="l2", frame=1, ts=8, accesses=10,
-                               hits=7, misses=3, evictions=1,
-                               writebacks=0),
+                               hits=7, misses=3, evictions=1),
         event_types.HarnessSpan(
             name="GDL/libra", wall_start_s=1.5, wall_dur_s=0.25,
             status="ok", attempts=2,

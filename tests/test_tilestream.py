@@ -77,7 +77,7 @@ def unit_with_l1(config: CacheConfig, warm, ideal_memory=False):
 def l1_counts(cache):
     """The cache's counters as one comparable tuple."""
     s = cache.stats
-    return s.accesses, s.hits, s.misses, s.evictions, s.writebacks
+    return s.accesses, s.hits, s.misses, s.evictions
 
 
 class TestPlanTile:
