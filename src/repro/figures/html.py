@@ -21,7 +21,7 @@ from __future__ import annotations
 import html as _html
 from typing import Any, Dict, List, Optional, Sequence
 
-from .render import format_value
+from .render import commit_label, format_value
 
 #: Sequential blue ramp (steps 100→700) for heatmap magnitude.
 HEAT_RAMP = ("#cde2fb", "#b7d3f6", "#9ec5f4", "#86b6ef", "#6da7ec",
@@ -452,7 +452,7 @@ def _tiles(report) -> str:
 
 def render_dashboard(report, perf_markdown: Optional[str] = None) -> str:
     """The complete single-file dashboard for one pipeline run."""
-    sha = (report.git_sha or "unknown")[:12]
+    sha = commit_label(report)
     cards = "".join(_figure_card(f) for f in report.figures)
     matrices = "".join(_matrix_table(name, matrix)
                        for name, matrix in

@@ -132,6 +132,13 @@ def verdict_lines(outcome) -> List[str]:
     return lines
 
 
+def commit_label(report) -> str:
+    """The commit a report ran at, ``-dirty`` when tracked files had
+    uncommitted changes (as ``git describe --dirty`` marks it)."""
+    sha = (report.git_sha or "unknown")[:12]
+    return f"{sha}-dirty" if report.git_dirty else sha
+
+
 def render_experiments_md(report) -> str:
     """EXPERIMENTS.md from a :class:`~repro.figures.runner.FiguresReport`.
 
@@ -142,7 +149,7 @@ def render_experiments_md(report) -> str:
     evidence is silently dropped.
     """
     profile = "quick profile" if report.quick else "full profile"
-    sha = (report.git_sha or "unknown")[:12]
+    sha = commit_label(report)
     out = [f"""# EXPERIMENTS — paper vs. measured
 
 Generated by `repro figures --format md` ({profile}, commit `{sha}`,

@@ -15,6 +15,7 @@ of the machine-readable ``figures_manifest.json``.
 from __future__ import annotations
 
 import logging
+import os
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -124,6 +125,9 @@ class FiguresReport:
     figures: List[FigureOutcome]
     quick: bool = False
     git_sha: Optional[str] = None
+    #: The working tree had uncommitted changes to tracked files, so
+    #: the code that ran is not ``git_sha``'s.
+    git_dirty: bool = False
     generated: str = ""
     store_root: str = ""
     #: Sweep results keyed by spec name — kept for the renderers
@@ -160,6 +164,7 @@ class FiguresReport:
             "schema": MANIFEST_SCHEMA,
             "generated": self.generated,
             "git_sha": self.git_sha,
+            "git_dirty": self.git_dirty,
             "quick": self.quick,
             "store_root": self.store_root,
             "exit_code": self.exit_code,
@@ -168,16 +173,33 @@ class FiguresReport:
         }
 
 
-def _git_sha() -> Optional[str]:
-    """Current commit, or None outside a repo / without git."""
+def _git(*args: str) -> Optional[str]:
+    """Stdout of a git command, or None when it fails or git is absent."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True,
-            text=True, timeout=10)
+        out = subprocess.run(["git", *args], capture_output=True,
+                             text=True, timeout=10)
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
+    return out.stdout if out.returncode == 0 else None
+
+
+def _git_revision() -> Tuple[Optional[str], bool]:
+    """The current commit (None outside a repo or without git) and
+    whether tracked files differ from it."""
+    sha = (_git("rev-parse", "HEAD") or "").strip()
+    if not sha:
+        return None, False
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return sha, bool(status and status.strip())
+
+
+def _display_path(path: Path) -> str:
+    """``path`` relative to the working directory when it lies under
+    it, else as given."""
+    try:
+        return str(Path(os.path.abspath(path)).relative_to(Path.cwd()))
+    except ValueError:
+        return str(path)
 
 
 def select_figures(registry: Dict[str, FigureSpec],
@@ -252,11 +274,13 @@ def run_figures(only: Optional[Sequence[str]] = None,
         outcomes.append(
             _evaluate_figure(figure, sweeps, quick,
                              figure.fid in seeded))
+    git_sha, git_dirty = _git_revision()
     return FiguresReport(
-        figures=outcomes, quick=quick, git_sha=_git_sha(),
+        figures=outcomes, quick=quick, git_sha=git_sha,
+        git_dirty=git_dirty,
         generated=datetime.now(timezone.utc)
         .strftime("%Y-%m-%d %H:%M UTC"),
-        store_root=str(root), sweeps=sweeps)
+        store_root=_display_path(root), sweeps=sweeps)
 
 
 def record_perf_analysis(quick: bool = False,
@@ -303,7 +327,7 @@ def _evaluate_figure(figure: FigureSpec,
         provenance = result.provenance()
         outcome.spec_name = figure.spec.name
         outcome.spec_fingerprint = figure.spec.fingerprint()
-        outcome.store = str(result.store_root)
+        outcome.store = _display_path(result.store_root)
         outcome.points_total = len(result.outcomes)
         outcome.points_resumed = len(result.resumed)
         outcome.points_executed = (len(result.completed)

@@ -67,7 +67,6 @@ class FrameBuffer:
         self.store_pixels = store_pixels
         self._pixels = (np.zeros((height, width, 4), dtype=np.float64)
                         if store_pixels else None)
-        self.flushes = 0
 
     def flush_tile(self, origin_x: int, origin_y: int,
                    tile: TileColorBuffer) -> List[int]:
@@ -77,7 +76,6 @@ class FrameBuffer:
         segment covers a contiguous byte range whose 64-byte lines are
         enumerated.
         """
-        self.flushes += 1
         x1 = min(origin_x + tile.tile_size, self.width)
         y1 = min(origin_y + tile.tile_size, self.height)
         if origin_x >= self.width or origin_y >= self.height:

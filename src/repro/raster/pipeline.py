@@ -55,8 +55,10 @@ class TileRenderResult:
     quads: int = 0
     instructions: int = 0
     texture_fetches: int = 0
-    #: Ordered texture cache-line footprint (per primitive, concatenated).
-    texture_lines: List[int] = field(default_factory=list)
+    #: Ordered texture cache-line footprint (per primitive, concatenated),
+    #: ``int64``.
+    texture_lines: np.ndarray = field(
+        default_factory=lambda: np.empty(0, dtype=np.int64))
     #: Frame-buffer lines written by this tile's Color Buffer flush.
     framebuffer_lines: List[int] = field(default_factory=list)
     #: Tile pixels (tile_size, tile_size, 4) when shading was enabled.
@@ -234,7 +236,6 @@ class RasterPipeline:
             ends = np.zeros(len(per_pair) + 1, dtype=np.int64)
             np.cumsum(per_pair, out=ends[1:])
             ends = ends[bounds].tolist()
-            lines = lines.tolist()
             for result, a, b in zip(results, ends, ends[1:]):
                 result.texture_lines = lines[a:b]
         return shading
@@ -274,6 +275,7 @@ class RasterPipeline:
             self._colorbuffer.reset(x0, y0)
         result = TileRenderResult(tile=tile, num_primitives=len(primitives))
         processor = FragmentProcessor(self.textures)
+        lines: List[int] = []
         for prim in primitives:
             batch = rasterize_in_region(prim, x0, y0, self.tile_size,
                                         self.tile_size)
@@ -308,14 +310,14 @@ class RasterPipeline:
             # access per quad per sampled texture).
             result.texture_fetches += quads * prim.shader.texture_fetches
             if self.collect_lines and prim.texture_id in self.textures:
-                result.texture_lines.extend(
-                    self._footprint(prim, visible))
+                lines.extend(self._footprint(prim, visible))
             if self.shade_colors:
                 self._shade(processor, prim, visible, blend_mask)
             else:
                 processor.charge(prim, visible.count)
         result.fragments_shaded = processor.fragments_shaded
         result.instructions = processor.instructions
+        result.texture_lines = np.array(lines, dtype=np.int64)
         self._flush(result, x0, y0)
         return result
 

@@ -10,12 +10,25 @@ Traces depend only on the frame content and screen geometry — never on
 the GPU configuration — so one trace is shared by the baseline, PTR and
 LIBRA runs of an experiment (and can be cached on disk, see
 :class:`TraceCache`).
+
+Tiles share nothing, so where this process may run on two CPUs a
+helper forked per frame renders the second half of the frame's tiles
+(:func:`_render_split`); the trace is byte-identical to a
+single-process build.
 """
 
 from __future__ import annotations
 
+import contextlib
+import logging
+import os
+import pickle
+import signal
+import sys
+import threading
+import warnings
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +37,11 @@ from ..config import CACHE_LINE_BYTES
 from ..geometry.pipeline import GeometryPipeline
 from ..gpu.workload import FrameTrace, TileWorkload
 from ..raster.framebuffer import FrameBuffer, tile_flush_lines
-from ..raster.pipeline import RasterPipeline
+from ..raster.pipeline import RasterPipeline, TileRenderResult
 from ..tiling.engine import TilingEngine
 from .scene import Scene, SceneBuilder
+
+log = logging.getLogger(__name__)
 
 #: Bump when the trace format or generator behaviour changes, to invalidate
 #: any on-disk caches.  v4: line streams are ``int64`` arrays.
@@ -68,27 +83,29 @@ class TraceBuilder:
                                     store_pixels=False))
         workloads: Dict[tuple, TileWorkload] = {}
         signatures: Dict[tuple, int] = {}
-        for measured in raster.process_tiles(
-                tiled.parameter_buffer.lists.items()):
-            tile = measured.tile
-            signature = _tile_signature(measured)
-            fb_lines = measured.framebuffer_lines
-            if (self.transaction_elimination
-                    and self._previous_signatures.get(tile) == signature):
-                fb_lines = []
-            signatures[tile] = signature
-            workloads[tile] = TileWorkload(
-                tile=tile,
-                instructions=measured.instructions,
-                fragments=measured.fragments_shaded,
-                texture_lines=measured.texture_lines,
-                texture_fetches=measured.texture_fetches,
-                pb_lines=tiled.parameter_buffer.fetch_addresses(tile),
-                fb_lines=fb_lines,
-                num_primitives=measured.num_primitives,
-                prim_fragments=measured.prim_fragments,
-                prim_instructions=measured.prim_instructions,
-            )
+        items = list(tiled.parameter_buffer.lists.items())
+        with contextlib.closing(_render_split(raster, items)) as rendered:
+            for measured in rendered:
+                tile = measured.tile
+                signature = _tile_signature(measured)
+                fb_lines = measured.framebuffer_lines
+                if (self.transaction_elimination
+                        and self._previous_signatures.get(tile)
+                        == signature):
+                    fb_lines = []
+                signatures[tile] = signature
+                workloads[tile] = TileWorkload(
+                    tile=tile,
+                    instructions=measured.instructions,
+                    fragments=measured.fragments_shaded,
+                    texture_lines=measured.texture_lines,
+                    texture_fetches=measured.texture_fetches,
+                    pb_lines=tiled.parameter_buffer.fetch_addresses(tile),
+                    fb_lines=fb_lines,
+                    num_primitives=measured.num_primitives,
+                    prim_fragments=measured.prim_fragments,
+                    prim_instructions=measured.prim_instructions,
+                )
         # Empty tiles flush their cleared Color Buffer once, then the
         # unchanged-tile elimination suppresses further flushes.
         empty_signature = -1
@@ -140,9 +157,133 @@ def _tile_signature(measured) -> int:
         measured.fragments_shaded,
         measured.num_primitives,
         len(measured.texture_lines),
-        tuple(measured.texture_lines[:16]),
+        tuple(measured.texture_lines[:16].tolist()),
         tuple(measured.prim_fragments[:16]),
     ))
+
+
+_Items = Sequence[Tuple[tuple, list]]
+
+
+def _split_at(items: _Items) -> Optional[int]:
+    """Where a forked helper takes over a frame's ``(tile, primitives)``
+    items, or None to render them all in this process.
+
+    A helper is forked only on Linux, with at least two CPUs in this
+    process's affinity mask, from a process running one thread (a
+    supervised worker's heartbeat thread rules it out, so ``--workers
+    N`` stays N busy processes), and for at least two tiles that hold
+    primitives.  The cut balances the (tile, primitive) pairs, which is
+    what a chunk's raster pass costs.
+    """
+    if not (sys.platform.startswith("linux")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) >= 2):
+        return None
+    pairs = np.array([len(prims) for _, prims in items], dtype=np.int64)
+    if np.count_nonzero(pairs) < 2:
+        return None
+    ends = np.cumsum(pairs)
+    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
+    return min(max(cut, 1), len(items) - 1)
+
+
+def _render_split(raster: RasterPipeline,
+                  items: _Items) -> Iterator[TileRenderResult]:
+    """Render ``items`` through ``raster.process_tiles``, yielding the
+    results in item order, with the second half rendered by a forked
+    helper where :func:`_split_at` allows one.
+
+    This process renders and yields the first half, then yields the
+    helper's half from the pipe.  If the fork fails, the helper exits
+    non-zero or its payload does not hold its half, that half is
+    rendered here after one warning.  Close the generator when done
+    with it: on every exit path, an exception included, the helper is
+    killed if it still runs and reaped.
+    """
+    cut = _split_at(items)
+    helper = None if cut is None else _fork_helper(raster, items[cut:])
+    if helper is None:
+        yield from raster.process_tiles(items)
+        return
+    pid, read_fd = helper
+    tail = items[cut:]
+    reaped = False
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            yield from raster.process_tiles(items[:cut])
+            try:
+                received = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                received = None
+        _, status = os.waitpid(pid, 0)
+        reaped = True
+        status = os.waitstatus_to_exitcode(status)
+        # A helper exits 0 only after its whole payload is written.
+        if status != 0 or ([result.tile for result in received]
+                           != [tile for tile, _ in tail]):
+            log.warning("trace helper pid %d %s; rendering its %d tiles "
+                        "in this process", pid,
+                        f"exited with status {status}" if status
+                        else "sent an incomplete payload", len(tail))
+            received = raster.process_tiles(tail)
+        yield from received
+    finally:
+        if not reaped:
+            _reap(pid)
+
+
+def _fork_helper(raster: RasterPipeline,
+                 tail: _Items) -> Optional[Tuple[int, int]]:
+    """Fork the helper that renders ``tail``: its pid and the read end
+    of its pipe, or None after one warning if it could not start."""
+    fds: Tuple[int, ...] = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 warns on any fork from a process with more
+            # than one OS thread; numpy's BLAS pool counts, and it is
+            # fork-safe.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError as exc:
+        for fd in fds:
+            os.close(fd)
+        log.warning("could not fork a trace helper (%s); rendering its "
+                    "%d tiles in this process", exc, len(tail))
+        return None
+    if pid == 0:
+        os.close(read_fd)
+        _helper(raster, tail, write_fd)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _helper(raster: RasterPipeline, tail: _Items, write_fd: int) -> None:
+    """The forked helper: render ``tail``, pickle its results into the
+    pipe, and leave through ``os._exit`` (never back into the caller's
+    frames, whatever happens).
+
+    If the parent is gone, the write fails and the helper exits.
+    """
+    status = 1
+    try:
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(list(raster.process_tiles(tail)), pipe,
+                        protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid: int) -> None:
+    """Kill the helper ``pid`` if it still runs, and reap it."""
+    try:
+        if os.waitpid(pid, os.WNOHANG)[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        pass
 
 
 class TraceCache:

@@ -10,6 +10,7 @@ one figure so the whole module stays at test scale.
 
 import json
 import os
+import subprocess
 from html.parser import HTMLParser
 
 import pytest
@@ -301,6 +302,81 @@ class TestHtmlDashboard:
                                 perf_markdown="## DRAM bandwidth over "
                                               "time\nunique-sentinel")
         assert "unique-sentinel" in html
+
+
+SHA = "0123456789abcdef0123456789abcdef01234567"
+
+
+def _fake_git(monkeypatch, status, head=SHA):
+    """Answer ``git rev-parse HEAD`` with ``head`` (failing when None)
+    and ``git status --porcelain`` with ``status``; every other command
+    runs for real."""
+    real = subprocess.run
+    calls = []
+
+    def run(args, **kwargs):
+        if args[:1] != ["git"]:
+            return real(args, **kwargs)
+        calls.append(args[1:])
+        if args[1] == "rev-parse":
+            if head is None:
+                return subprocess.CompletedProcess(args, 128, "", "fatal")
+            return subprocess.CompletedProcess(args, 0, head + "\n", "")
+        return subprocess.CompletedProcess(args, 0, status, "")
+
+    monkeypatch.setattr(subprocess, "run", run)
+    return calls
+
+
+class TestProvenance:
+    """The commit a report names, and the store path it records."""
+
+    def _report(self, store):
+        return run_figures(only=["table1"], quick=True,
+                           store_root=str(store))
+
+    def test_dirty_tree_is_marked(self, monkeypatch, tmp_path):
+        calls = _fake_git(monkeypatch, " M src/repro/cli.py\n")
+        report = self._report(tmp_path / "store")
+        assert ["status", "--porcelain", "--untracked-files=no"] in calls
+        assert report.git_sha == SHA and report.git_dirty
+        assert report.to_manifest()["git_dirty"] is True
+        assert "commit `0123456789ab-dirty`" in \
+            render_experiments_md(report)
+        assert "commit <code>0123456789ab-dirty</code>" in \
+            render_dashboard(report)
+
+    def test_clean_tree_is_not_marked(self, monkeypatch, tmp_path):
+        _fake_git(monkeypatch, "")
+        report = self._report(tmp_path / "store")
+        assert report.git_sha == SHA and not report.git_dirty
+        assert report.to_manifest()["git_dirty"] is False
+        assert "commit `0123456789ab`," in render_experiments_md(report)
+        assert "commit <code>0123456789ab</code>" in \
+            render_dashboard(report)
+
+    def test_no_repository(self, monkeypatch, tmp_path):
+        calls = _fake_git(monkeypatch, " M x\n", head=None)
+        report = self._report(tmp_path / "store")
+        assert report.git_sha is None and not report.git_dirty
+        assert calls == [["rev-parse", "HEAD"]]
+        assert "commit `unknown`" in render_experiments_md(report)
+
+    def test_store_under_working_directory_is_relative(self, monkeypatch,
+                                                       tmp_path):
+        _fake_git(monkeypatch, "")
+        monkeypatch.chdir(tmp_path)
+        report = self._report(tmp_path / "runs" / "store")
+        assert report.store_root == os.path.join("runs", "store")
+        assert "`runs/store`" in render_experiments_md(report)
+        assert report.to_manifest()["store_root"] == "runs/store"
+
+    def test_store_elsewhere_stays_as_given(self, monkeypatch, tmp_path):
+        _fake_git(monkeypatch, "")
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        store = tmp_path / "store"
+        assert self._report(store).store_root == str(store)
 
 
 class TestCliContract:

@@ -74,8 +74,11 @@ class TestTileProcessing:
         frame = tiled([sprite(0, 0, 128)])
         rp = pipeline()
         result = rp.process_tile((0, 0), frame.primitives_for((0, 0)))
-        assert result.texture_lines
-        assert len(result.texture_lines) == len(set(result.texture_lines))
+        lines = result.texture_lines
+        assert lines.dtype == np.int64
+        assert len(lines)
+        # One entry per distinct line of the one primitive.
+        assert np.array_equal(np.sort(lines), np.unique(lines))
 
     def test_multitexture_fetches_extend_footprint(self):
         one = pipeline().process_tile(
