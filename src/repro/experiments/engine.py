@@ -1,12 +1,15 @@
 """The sweep engine: expand, dedupe, execute, checkpoint, resume.
 
-:func:`run_sweep` is the one entry point.  It expands an
-:class:`~repro.experiments.spec.ExperimentSpec` into grid points, loads
-whatever a previous (possibly killed) run already completed from the
-:class:`~repro.experiments.store.ArtifactStore`, prebuilds each unique
-frame trace exactly once, and executes the remaining points through
-:func:`execute_points` — the executor the sweep service's workers use
-too, and ``repro suite`` is a sweep with no axes — so every point gets
+:func:`run_sweep` is the one entry point; :func:`run_sweeps`, which it
+calls, runs several specs as one grid, each distinct point once.  It
+expands an :class:`~repro.experiments.spec.ExperimentSpec` into grid
+points, loads whatever a previous (possibly killed) run already
+completed from the :class:`~repro.experiments.store.ArtifactStore`,
+has each unique frame trace built exactly once (up front, or by a
+forked prefetch while the points run), and executes the remaining
+points through :func:`execute_points` — the executor the sweep
+service's workers use too, and ``repro suite`` is a sweep with no
+axes — so every point gets
 the per-run wall-clock timeout, bounded retry with backoff and failure
 isolation.  :func:`execute_point` is the one function that turns a
 point into a :class:`~repro.harness.RunSummary`.  Each point's summary
@@ -33,12 +36,13 @@ plus one ``sweep.point.<id>`` span per executed point, and counts
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import chaos, harness
 from ..config import GPUConfig
@@ -294,7 +298,7 @@ def _point_runner(point: SweepPoint, store_root: str,
 
 
 def execute_points(points: Sequence[SweepPoint],
-                   store_root: Union[str, Path],
+                   store_root: Union[str, Path, Sequence[Union[str, Path]]],
                    timeout_s: Optional[float] = None,
                    max_attempts: int = 2,
                    backoff_s: float = 0.25,
@@ -304,7 +308,8 @@ def execute_points(points: Sequence[SweepPoint],
                    trace_dir: str = "",
                    correlation: Optional[Dict[str, str]] = None
                    ) -> List[PointOutcome]:
-    """Run ``points``, checkpointing each into the store at ``store_root``.
+    """Run ``points``, checkpointing each into the store at
+    ``store_root``, or at its own entry of a ``store_root`` list.
 
     With a ``supervisor`` the points run on up to ``workers`` of its
     forked workers (:meth:`Supervisor.run`); without one they run one by
@@ -316,12 +321,14 @@ def execute_points(points: Sequence[SweepPoint],
     per grid point.  Outcomes align with ``points``.  The remaining
     options reach :func:`_point_runner`.
     """
-    options = dict(store_root=str(store_root),
-                   point_telemetry=point_telemetry, driver_pid=os.getpid(),
+    if isinstance(store_root, (str, Path)):
+        store_root = [store_root] * len(points)
+    options = dict(point_telemetry=point_telemetry, driver_pid=os.getpid(),
                    trace_dir=trace_dir, correlation=correlation)
     jobs = [SupervisedJob(label=p.describe(), fn=_point_runner, args=(p,),
-                          kwargs=options, breaker_key=breaker_key(p))
-            for p in points]
+                          kwargs=dict(options, store_root=str(root)),
+                          breaker_key=breaker_key(p))
+            for p, root in zip(points, store_root)]
     if supervisor is not None:
         outcomes = supervisor.run(jobs, timeout_s=timeout_s,
                                   max_attempts=max_attempts,
@@ -397,79 +404,215 @@ def run_sweep(spec: ExperimentSpec,
     ``(benchmark, kind)`` whose state persists in the artifact store
     across resumes.  Otherwise points run in-process, which saves the
     forks and the result pipe and keeps sequential sweeps
-    monkeypatch-friendly.  ``policy`` overrides the supervision
-    tunables.
+    monkeypatch-friendly; there a forked process builds the trace sets
+    after the first while the points run (:func:`run_sweeps`).
+    ``policy`` overrides the supervision tunables.
     """
-    spec.validate()
-    workers = spec.workers if workers is None else workers
-    timeout_s = spec.timeout_s if timeout_s is None else timeout_s
-    retries = spec.retries if retries is None else retries
-    if workers < 1 or retries < 0:
-        raise ConfigValidationError("workers must be >= 1, retries >= 0")
-    chaos_plan = chaos.active()
-    if chaos_plan is not None:
-        logger.warning("sweep %s runs under %s", spec.name,
-                       chaos_plan.describe())
     root = Path(store_root) if store_root is not None \
         else Path(".repro_sweeps") / spec.name
-    store = ArtifactStore(root)
-    resuming = store.initialize(spec)
+    (result,) = run_sweeps([(spec, root)], workers=workers,
+                           timeout_s=timeout_s, retries=retries,
+                           point_telemetry=point_telemetry, policy=policy)
+    return result
 
-    points = spec.expand()
-    done = store.load_completed(points) if resuming else {}
-    pending = [p for p in points if p.point_id not in done]
+
+def run_sweeps(sweeps: Sequence[Tuple[ExperimentSpec, Union[str, Path]]],
+               workers: Optional[int] = None,
+               timeout_s: Optional[float] = None,
+               retries: Optional[int] = None,
+               point_telemetry: bool = True,
+               policy: Optional[SupervisionPolicy] = None
+               ) -> List[SweepResult]:
+    """Execute (or resume) several sweeps as one grid, each distinct
+    point once; one :class:`SweepResult` per ``(spec, store root)``.
+
+    Each spec keeps its own store, resumed as :func:`run_sweep` resumes
+    it.  A point (by ``point_id``) that some store already holds is not
+    run again; one that is pending runs once, checkpointed into the
+    store of the first sweep listing it.  The pending points run as one
+    grid through one executor, grouped by trace set in order of first
+    appearance.  Afterwards every store receives each completed
+    artifact of its grid it lacks (:meth:`ArtifactStore.share`); in its
+    result such a point is ``resumed``, so a point executed here counts
+    as executed in one sweep only.
+
+    The execution policy is :func:`run_sweep`'s; ``workers``,
+    ``timeout_s`` and ``retries`` default to the first spec's.  The
+    supervised backend builds every trace set up front and keeps one
+    circuit breaker for the grid, started from the stores' recorded
+    states (a key takes the first store's cell) and written back to
+    each store for its own keys.  In-process without ``timeout_s``, the
+    first trace set is built up front and a forked process builds the
+    rest in grid order while the points run
+    (:func:`~repro.harness.prefetch_traces`); with a per-point timeout
+    every set is built up front, so no point's budget includes a wait
+    for its traces.
+    """
+    if not sweeps:
+        return []
+    for spec, _ in sweeps:
+        spec.validate()
+    first = sweeps[0][0]
+    workers = first.workers if workers is None else workers
+    timeout_s = first.timeout_s if timeout_s is None else timeout_s
+    retries = first.retries if retries is None else retries
+    if workers < 1 or retries < 0:
+        raise ConfigValidationError("workers must be >= 1, retries >= 0")
+    names = ", ".join(spec.name for spec, _ in sweeps)
+    chaos_plan = chaos.active()
+    if chaos_plan is not None:
+        logger.warning("sweep %s runs under %s", names,
+                       chaos_plan.describe())
+
+    opened = []
+    for spec, root in sweeps:
+        store = ArtifactStore(root)
+        resuming = store.initialize(spec)
+        points = spec.expand()
+        done = store.load_completed(points) if resuming else {}
+        opened.append((spec, store, points, done))
+        if HUB.enabled:
+            HUB.metrics.counter("sweep.points.total").inc(len(points))
+            HUB.metrics.counter("sweep.points.resumed").inc(len(done))
+        logger.info("sweep %s: %d points (%d resumed) -> %s", spec.name,
+                    len(points), len(done), store.root)
+    # Where each point's artifact comes from: a store that holds it
+    # already, else the first sweep that lists it, which runs it.
+    source: Dict[str, ArtifactStore] = {}
+    summaries: Dict[str, RunSummary] = {}
+    for _, store, _, done in opened:
+        for pid, summary in done.items():
+            source.setdefault(pid, store)
+            summaries.setdefault(pid, summary)
+    pending: List[SweepPoint] = []
+    for _, store, points, _ in opened:
+        for point in points:
+            if point.point_id not in source:
+                source[point.point_id] = store
+                pending.append(point)
+    pending = _by_trace_set(pending)
     wall_start = time.time()
-    if HUB.enabled:
-        HUB.metrics.counter("sweep.points.total").inc(len(points))
-        HUB.metrics.counter("sweep.points.resumed").inc(len(done))
-    logger.info("sweep %s: %d points (%d resumed, %d to run) -> %s",
-                spec.name, len(points), len(done), len(pending), root)
-
-    # Build each distinct trace set once up front: concurrent workers
-    # would otherwise serialize on the trace-cache lock rebuilding the
-    # same benchmark, and with the fork start method the in-process
-    # memo is inherited for free.
-    for key in sorted({(p.benchmark, p.frames, p.width, p.height)
-                       for p in pending}):
-        harness.get_traces(*key)
+    logger.info("sweep %s: %d points to run", names, len(pending))
 
     supervisor: Optional[Supervisor] = None
     if workers > 1 or chaos_plan is not None:
-        supervisor = Supervisor(policy, breaker=store_breaker(store, policy))
-    executed = execute_points(
-        pending, root, timeout_s=timeout_s, max_attempts=retries + 1,
-        backoff_s=spec.backoff_s, supervisor=supervisor, workers=workers,
+        supervisor = Supervisor(policy, breaker=_grid_breaker(
+            [store for _, store, _, _ in opened], policy))
+    executed = _execute_grid(
+        pending, [source[p.point_id].root for p in pending],
+        supervisor=supervisor, workers=workers, timeout_s=timeout_s,
+        max_attempts=retries + 1, backoff_s=first.backoff_s,
         point_telemetry=point_telemetry)
-    if supervisor is not None:
-        store.record_breaker_state(supervisor.breaker.to_state())
+    outcomes = dict(zip((p.point_id for p in pending), executed))
+    summaries.update((pid, o.summary) for pid, o in outcomes.items()
+                     if o.ok)
 
-    # ``pending`` keeps the grid order, so its outcomes interleave back
-    # with the resumed points in sequence.
-    fresh = iter(executed)
-    result = SweepResult(spec=spec, store_root=root)
+    results = []
+    for spec, store, points, done in opened:
+        if supervisor is not None:
+            store.record_breaker_state(_breaker_state_for(
+                supervisor.breaker.to_state(),
+                {breaker_key(p) for p in points}))
+        result = SweepResult(spec=spec, store_root=store.root)
+        for point in points:
+            pid = point.point_id
+            summary = done.get(pid)
+            if summary is None and source[pid] is not store:
+                # Another store holds it, or another sweep ran it.
+                summary = summaries.get(pid)
+                if summary is not None:
+                    store.share(pid, source[pid], summary)
+            if summary is not None:
+                result.outcomes.append(PointOutcome(
+                    point=point, status="ok", summary=summary,
+                    resumed=True, provenance="resumed"))
+            else:
+                result.outcomes.append(outcomes[pid])
+        results.append(result)
+        if HUB.enabled:
+            _count_sweep(result, len(done), wall_start)
+    return results
+
+
+def _by_trace_set(points: List[SweepPoint]) -> List[SweepPoint]:
+    """``points`` grouped by trace set, the sets in order of first
+    appearance and each set's points in their order."""
+    groups: Dict[Tuple[str, int, int, int], List[SweepPoint]] = {}
     for point in points:
-        pid = point.point_id
-        if pid in done:
-            result.outcomes.append(PointOutcome(
-                point=point, status="ok", summary=done[pid],
-                resumed=True, provenance="resumed"))
-        else:
-            result.outcomes.append(next(fresh))
-    if HUB.enabled:
-        HUB.metrics.counter("sweep.points.failed").inc(len(result.failed))
-        if result.tripped:
-            HUB.metrics.counter("sweep.points.tripped").inc(
-                len(result.tripped))
-        HUB.emit(HarnessSpan(
-            name=f"sweep.{spec.name}", wall_start_s=wall_start,
-            wall_dur_s=time.time() - wall_start, status="done",
-            attempts=len(points),
-            args={"ok": len(result.completed),
-                  "resumed": len(result.resumed),
-                  "failed": len(result.failed),
-                  "skipped": len(result.skipped),
-                  "tripped": len(result.tripped)}))
-    return result
+        groups.setdefault(point.trace_key, []).append(point)
+    return [point for group in groups.values() for point in group]
+
+
+def _execute_grid(points: List[SweepPoint], roots: List[Path],
+                  supervisor: Optional[Supervisor], workers: int,
+                  timeout_s: Optional[float], max_attempts: int,
+                  backoff_s: float,
+                  point_telemetry: bool) -> List[PointOutcome]:
+    """Run ``points`` (grouped by trace set), each checkpointed into
+    its ``roots`` entry, with their trace sets built as
+    :func:`run_sweeps` describes."""
+    keys = list(dict.fromkeys(point.trace_key for point in points))
+    if supervisor is not None or timeout_s is not None:
+        # Workers fork after the traces are loaded, inheriting the
+        # in-process memo, and a per-point budget never pays for a
+        # build: every set is built here first.
+        for key in keys:
+            harness.get_traces(*key)
+        traces = contextlib.nullcontext()
+    else:
+        traces = harness.prefetch_traces(keys)
+    with traces:
+        return execute_points(
+            points, roots, timeout_s=timeout_s, max_attempts=max_attempts,
+            backoff_s=backoff_s, supervisor=supervisor, workers=workers,
+            point_telemetry=point_telemetry)
+
+
+def _grid_breaker(stores: List[ArtifactStore],
+                  policy: Optional[SupervisionPolicy]) -> CircuitBreaker:
+    """One circuit breaker over the states ``stores`` recorded: a key
+    takes the cell of the first store holding one."""
+    cells: Dict[str, dict] = {}
+    trips: List[dict] = []
+    for store in stores:
+        state = store_breaker(store, policy).to_state()
+        for key, cell in state["cells"].items():
+            cells.setdefault(key, cell)
+        trips += [trip for trip in state["trips"] if trip not in trips]
+    policy = policy or SupervisionPolicy()
+    return CircuitBreaker.from_state(
+        {"cells": cells, "trips": trips},
+        threshold=policy.breaker_threshold,
+        cooldown_s=policy.breaker_cooldown_s)
+
+
+def _breaker_state_for(state: dict, keys: set) -> dict:
+    """``state`` with only the cells and trips of ``keys``."""
+    return dict(state,
+                cells={k: c for k, c in state["cells"].items() if k in keys},
+                trips=[t for t in state["trips"]
+                       if isinstance(t, dict) and t.get("key") in keys])
+
+
+def _count_sweep(result: SweepResult, resumed_before: int,
+                 wall_start: float) -> None:
+    """The counters and span of one finished sweep whose store served
+    ``resumed_before`` points before it ran."""
+    HUB.metrics.counter("sweep.points.resumed").inc(
+        len(result.resumed) - resumed_before)
+    HUB.metrics.counter("sweep.points.failed").inc(len(result.failed))
+    if result.tripped:
+        HUB.metrics.counter("sweep.points.tripped").inc(
+            len(result.tripped))
+    HUB.emit(HarnessSpan(
+        name=f"sweep.{result.spec.name}", wall_start_s=wall_start,
+        wall_dur_s=time.time() - wall_start, status="done",
+        attempts=len(result.outcomes),
+        args={"ok": len(result.completed),
+              "resumed": len(result.resumed),
+              "failed": len(result.failed),
+              "skipped": len(result.skipped),
+              "tripped": len(result.tripped)}))
 
 
 def sweep_result_from_store(

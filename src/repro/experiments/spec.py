@@ -97,6 +97,12 @@ class SweepPoint:
         digest = hashlib.sha1(blob.encode()).hexdigest()[:12]
         return f"{self.benchmark}-{self.kind}-{digest}"
 
+    @property
+    def trace_key(self) -> Tuple[str, int, int, int]:
+        """The trace set this point simulates, as
+        :func:`repro.harness.get_traces` takes it."""
+        return (self.benchmark, self.frames, self.width, self.height)
+
     def resolved(self) -> Tuple[Dict[str, Any], Dict[str, Any]]:
         """(build kwargs, dotted settings) for :meth:`GPUConfig.build`."""
         return resolve_axes(self.axis_values)

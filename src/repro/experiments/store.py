@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -229,6 +230,18 @@ class ArtifactStore:
         so a reader sees one of their artifacts, never a mix.
         """
         cachefile.write_cache(summary, self.point_path(point_id))
+
+    def share(self, point_id: str, source: "ArtifactStore",
+              summary) -> None:
+        """Give this store ``source``'s artifact of one point: a hard
+        link to it, else (another filesystem, links unsupported) a
+        checksummed copy of ``summary``."""
+        try:
+            os.link(source.point_path(point_id), self.point_path(point_id))
+        except FileExistsError:
+            pass  # checkpointed here meanwhile
+        except OSError:
+            self.save(point_id, summary)
 
     def load(self, point_id: str):
         """One point's summary, or None (missing or quarantined-corrupt)."""

@@ -170,7 +170,8 @@ class FigureSpec:
     commentary: str
     #: The sweep grid this figure reads; None for config-only tables.
     #: Figures may share a spec *object* — the runner dedupes by spec
-    #: name and executes each grid once.
+    #: name, one store per spec, and runs every spec's points as one
+    #: grid in which each distinct point executes once.
     spec: Optional[ExperimentSpec]
     compute: Callable[[SummaryMap], FigureData]
     expectations: Tuple[Expectation, ...] = ()
@@ -422,8 +423,12 @@ def figure_registry(quick: bool = False) -> Dict[str, FigureSpec]:
     Three shared sweep grids back the eleven figures: the full-suite
     baseline run (Figs. 1–2), the memory-intensive headline comparison
     (Figs. 7, 11–15) and the compute-intensive comparison (Fig. 17);
-    Tables I–II are config-only.  The runner executes each grid once
-    and every figure reads the same checkpointed artifacts.
+    Tables I–II are config-only.  The baseline grid's points recur in
+    the other two (their ``baseline`` kind): the quick profile's 30
+    points are 24 distinct ones, the full profile's 128 are 96.  The
+    runner runs the three as one grid in which each distinct point
+    executes once, and every figure reads its spec's checkpointed
+    artifacts.
     """
     if quick:
         width, height, frames = QUICK_WIDTH, QUICK_HEIGHT, QUICK_FRAMES

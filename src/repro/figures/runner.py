@@ -1,10 +1,12 @@
 """Execute the figure registry through the checkpointed sweep engine.
 
 The runner is deliberately thin glue: it dedupes the registry's shared
-:class:`~repro.experiments.spec.ExperimentSpec` grids, executes each
-one **once** through :func:`~repro.experiments.run_sweep` (so SIGKILL
-resume, supervision and ``--chaos`` come for free and a re-run against
-the same store serves every completed point from its checkpoint),
+:class:`~repro.experiments.spec.ExperimentSpec` grids and runs them
+through :func:`~repro.experiments.engine.run_sweeps` as one grid in
+which each distinct point executes once, however many specs list it
+(so SIGKILL resume, supervision and ``--chaos`` come for free, each
+spec keeps its own store, and a re-run against the same stores serves
+every completed point from its checkpoint),
 pivots the checkpointed summaries for the figures' compute functions,
 evaluates every shape claim, and packs the verdicts into a
 :class:`FiguresReport` with full provenance — the object both the HTML
@@ -23,8 +25,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigValidationError
-from ..experiments import SpeedupMatrix, SweepResult, run_sweep, \
-    speedup_matrix
+from ..experiments import SpeedupMatrix, SweepResult, speedup_matrix
+# Importable from here for bench/bootstrap.py, which wraps it.
+from ..experiments import run_sweep  # noqa: F401
+from ..experiments.engine import run_sweeps
 from .registry import (Expectation, FigureSpec, describe_check,
                        evaluate_check, figure_registry)
 
@@ -256,18 +260,17 @@ def run_figures(only: Optional[Sequence[str]] = None,
     seeded = set(seed_regression or ())
     root = Path(store_root or DEFAULT_STORE_ROOT)
 
-    # One sweep per unique spec, shared by every figure that reads it.
+    # One store per unique spec, shared by every figure that reads it;
+    # one grid over them all, each distinct point executed once.
     specs = {}
     for figure in figures:
         if figure.spec is not None and figure.spec.name not in specs:
             specs[figure.spec.name] = figure.spec
-    sweeps: Dict[str, SweepResult] = {}
-    for name, spec in specs.items():
-        log.info("figures: sweeping %s (%d points)", name,
-                 spec.num_points)
-        sweeps[name] = run_sweep(
-            spec, store_root=root / name, workers=workers,
-            timeout_s=timeout_s, retries=retries)
+    results = run_sweeps([(spec, root / name)
+                          for name, spec in specs.items()],
+                         workers=workers, timeout_s=timeout_s,
+                         retries=retries)
+    sweeps: Dict[str, SweepResult] = dict(zip(specs, results))
 
     outcomes = []
     for figure in figures:

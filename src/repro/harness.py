@@ -34,17 +34,25 @@ warning, never silently deleted or served.
 
 from __future__ import annotations
 
+import contextlib
+import logging
 import os
+import signal
+import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from .errors import ConfigValidationError
 from .gpu import FrameTrace, RunResult
 from .workloads import TraceBuilder, TraceCache, make_scene_builder
+from .workloads.traces import may_fork, quiet_fork, works_beside_parent
 
 if TYPE_CHECKING:
     from .experiments import SweepResult
+
+log = logging.getLogger(__name__)
 
 #: Screen geometry of all experiments (see DESIGN.md for why not FHD).
 WIDTH = 960
@@ -79,14 +87,24 @@ def cache_dir() -> Path:
 
 # -- traces ----------------------------------------------------------------
 
+#: ``(benchmark, frames, width, height)``: what names one trace set.
+TraceKey = Tuple[str, int, int, int]
+
 #: In-process memo of recently loaded trace lists.  A figure sweep runs
 #: the same benchmark under many configurations back to back; without
 #: this every ``execute_point`` call re-unpickles a multi-megabyte
 #: trace file.  Kept tiny (a sweep touches one benchmark at a time) and
 #: keyed like the disk entry.  Callers must treat the traces as
 #: read-only, which the simulator does.
-_TRACE_MEMO: Dict[Tuple[str, int, int, int], List[FrameTrace]] = {}
+_TRACE_MEMO: Dict[TraceKey, List[FrameTrace]] = {}
 _TRACE_MEMO_SLOTS = 4
+
+#: The forked process of the running :func:`prefetch_traces` block.
+_PREFETCH: Optional["_Prefetch"] = None
+
+#: Seconds a stopped prefetch gets to remove its temporary file and
+#: exit after ``SIGTERM`` before it is killed.
+_PREFETCH_GRACE_S = 10.0
 
 
 def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
@@ -103,24 +121,168 @@ def get_traces(benchmark: str, frames: int = FRAMES, width: int = WIDTH,
     exactly once.  A small in-process memo short-circuits repeat loads
     within one sweep; the returned list is shared, so treat it as
     read-only.
+
+    Inside a :func:`prefetch_traces` block, a set the prefetch process
+    is building holds the entry's lock, so this call waits for it and
+    reads it; a prefetch that has exited non-zero is reported first.
     """
     memo_key = (benchmark, frames, width, height)
     memoized = _TRACE_MEMO.get(memo_key)
     if memoized is not None:
         return list(memoized)
-    key = f"trace-g{TRACE_GENERATION}-{benchmark}-{width}x{height}-f{frames}"
+    if _PREFETCH is not None:
+        _PREFETCH.poll()
     builder = TraceBuilder(make_scene_builder(benchmark, width, height),
                            width, height, TILE)
-    traces = TraceCache(cache_dir()).get_or_build(key, builder, frames)
+    traces = TraceCache(cache_dir()).get_or_build(_cache_key(memo_key),
+                                                  builder, frames)
     _memoize_traces(memo_key, traces)
     return traces
 
 
-def _memoize_traces(key: Tuple[str, int, int, int],
-                    traces: List[FrameTrace]) -> None:
+def _cache_key(key: TraceKey) -> str:
+    benchmark, frames, width, height = key
+    return f"trace-g{TRACE_GENERATION}-{benchmark}-{width}x{height}-f{frames}"
+
+
+def _memoize_traces(key: TraceKey, traces: List[FrameTrace]) -> None:
     while len(_TRACE_MEMO) >= _TRACE_MEMO_SLOTS:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
     _TRACE_MEMO[key] = list(traces)
+
+
+@contextlib.contextmanager
+def prefetch_traces(keys: Sequence[TraceKey]) -> Iterator[None]:
+    """Have the trace sets ``keys`` built for the block that follows.
+
+    The first set is built (or loaded) here before the block starts.
+    Where :func:`~repro.workloads.traces.may_fork` allows, one forked
+    process builds the rest the cache lacks, in order, through
+    :func:`get_traces`, while the block runs; a :func:`get_traces`
+    call of the block then waits on the entry's lock for a set in
+    progress and reads it, never builds it twice.  Elsewhere every set
+    is built here, up front.  A prefetch that exits non-zero costs one
+    warning, and the block builds the sets it lacks itself.  On every
+    way out of the block a prefetch still running is stopped with
+    ``SIGTERM``, which removes the temporary file of an entry it was
+    writing, and reaped.
+    """
+    global _PREFETCH
+    keys = list(keys)
+    prefetch = None
+    try:
+        if keys:
+            get_traces(*keys[0])
+        cache = TraceCache(cache_dir())
+        missing = [key for key in keys[1:]
+                   if _cache_key(key) not in cache]
+        if missing and may_fork():
+            prefetch = _Prefetch.start(missing)
+        if prefetch is None:
+            for key in keys[1:]:
+                get_traces(*key)
+        _PREFETCH = prefetch
+        yield
+    finally:
+        _PREFETCH = None
+        if prefetch is not None:
+            prefetch.stop()
+
+
+class _Prefetch:
+    """The parent's handle of the process :func:`prefetch_traces`
+    forked."""
+
+    def __init__(self, pid: int):
+        self.pid = pid
+        self.exited = False
+
+    @classmethod
+    def start(cls, keys: List[TraceKey]) -> Optional["_Prefetch"]:
+        """Fork the prefetch of ``keys``; None after one warning if it
+        could not start."""
+        try:
+            pid = quiet_fork()
+        except OSError as exc:
+            log.warning("could not fork a trace prefetch (%s); building "
+                        "its %d trace sets in this process", exc,
+                        len(keys))
+            return None
+        if pid == 0:
+            _prefetch_main(keys)
+        return cls(pid)
+
+    def poll(self) -> None:
+        """Reap the process if it has exited, with one warning if it
+        failed."""
+        if not self.exited and self._wait(os.WNOHANG):
+            self.exited = True
+
+    def stop(self) -> None:
+        """Stop the process if it still runs (``SIGTERM``, ``SIGKILL``
+        after :data:`_PREFETCH_GRACE_S`), and reap it."""
+        self.poll()
+        if self.exited:
+            return
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGTERM)
+        deadline = time.monotonic() + _PREFETCH_GRACE_S
+        while not self._wait(os.WNOHANG, report=False):
+            if time.monotonic() > deadline:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGKILL)
+                self._wait(0, report=False)
+                break
+            time.sleep(0.01)
+        self.exited = True
+
+    def _wait(self, options: int, report: bool = True) -> bool:
+        """``waitpid`` on the process: True once it is reaped."""
+        try:
+            pid, status = os.waitpid(self.pid, options)
+        except ChildProcessError:
+            return True  # reaped elsewhere
+        if not pid:
+            return False
+        code = os.waitstatus_to_exitcode(status)
+        if code and report:
+            log.warning("trace prefetch pid %d exited with status %d; "
+                        "building the trace sets it lacked in this "
+                        "process", self.pid, code)
+        return True
+
+
+def _prefetch_main(keys: List[TraceKey]) -> None:
+    """The forked prefetch: build ``keys`` through :func:`get_traces`
+    and leave through ``os._exit`` (never back into the caller's
+    frames, whatever happens).
+
+    ``SIGTERM`` raises ``SystemExit``, so an entry being written loses
+    its temporary file on the way out.  ``SIGINT`` is ignored: a Ctrl-C
+    is the parent's to handle, and the parent stops this process.  It
+    also stops by itself once the parent is gone.  The parent keeps a
+    CPU busy simulating, so a build here forks a render helper only
+    where a third CPU is free.
+    """
+    status = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.signal(signal.SIGTERM, _exit_on_signal)
+        works_beside_parent()
+        parent = os.getppid()
+        _TRACE_MEMO.clear()
+        for key in keys:
+            if os.getppid() != parent:
+                break
+            get_traces(*key)
+            _TRACE_MEMO.clear()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _exit_on_signal(signum, frame) -> None:
+    raise SystemExit(128 + signum)
 
 
 # -- run summaries -------------------------------------------------------------

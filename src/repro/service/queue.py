@@ -7,7 +7,9 @@ then keeps the lease's *mtime* fresh from a renewal thread — literally
 a :class:`repro.supervision.HeartbeatWriter` pointed at the lease file,
 with a payload that rewrites the lease body (owner, pid, host, claim
 time) on every beat.  Liveness and ownership ride on the same
-mechanics the in-process supervisor already trusts.
+mechanics the in-process supervisor already trusts.  The claim writes
+the first body the way every renewal rewrites it
+(:func:`repro.supervision.replace_text`: whole, without ``fsync``).
 
 Crash-safety falls out of the mtime rule: a SIGKILLed worker stops
 renewing, its lease goes stale after ``lease_ttl_s``, and the next
@@ -36,7 +38,7 @@ from typing import Optional, Sequence, Set
 from .. import cachefile
 from ..experiments import ExperimentSpec
 from ..experiments.spec import SweepPoint
-from ..supervision import HeartbeatWriter
+from ..supervision import HeartbeatWriter, replace_text
 from .jobs import JobStore
 
 logger = logging.getLogger(__name__)
@@ -144,8 +146,7 @@ def claim_point(store: JobStore, job_id: str, spec: ExperimentSpec,
                                lease_path=lease_path,
                                worker_id=worker_id,
                                adopted_from=adopted_from)
-            cachefile.atomic_write_bytes(lease_path,
-                                         claim.lease_body().encode())
+            replace_text(lease_path, claim.lease_body())
             if adopted_from:
                 logger.info("worker %s adopted point %s from stale "
                             "lease of %s", worker_id, pid, adopted_from)

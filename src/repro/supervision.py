@@ -111,6 +111,28 @@ def backoff_delay(backoff_s: float, attempt: int,
 _ACTIVE_HEARTBEAT: Optional["HeartbeatWriter"] = None
 
 
+def replace_text(path: os.PathLike, text: str) -> None:
+    """Replace ``path`` whole with ``text``: a temporary file beside it,
+    then ``os.replace``, so a reader (or a SIGKILL mid-write) sees the
+    old body or the new, never a torn one.
+
+    No ``fsync``: a file written this way (a lease, a heartbeat) means
+    its mtime while its writer lives, and a crash that loses it loses
+    nothing a live writer would not rewrite.  The temporary name is
+    unique per thread, so a process's claim and its renewer never
+    share one.
+    """
+    tmp = f"{path}.{os.getpid()}.{threading.get_ident()}.tmp"
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 class HeartbeatWriter(threading.Thread):
     """Daemon thread touching ``path`` every ``interval_s`` seconds.
 
@@ -149,10 +171,7 @@ class HeartbeatWriter(threading.Thread):
             if not self._paused.is_set() and not self.degraded:
                 try:
                     if self.payload is not None:
-                        tmp = f"{self.path}.{os.getpid()}.tmp"
-                        with open(tmp, "w") as handle:
-                            handle.write(self.payload())
-                        os.replace(tmp, self.path)
+                        replace_text(self.path, self.payload())
                     else:
                         with open(self.path, "w") as handle:
                             handle.write(

@@ -165,20 +165,49 @@ def _tile_signature(measured) -> int:
 _Items = Sequence[Tuple[tuple, list]]
 
 
+#: CPUs of this process's affinity mask its own work keeps busy: its
+#: own, plus its parent's in a process forked to work beside it.
+_busy_cpus = 1
+
+
+def may_fork() -> bool:
+    """Whether this process may fork a helper to share its work: on
+    Linux, from a process running one thread (a supervised worker's
+    heartbeat thread rules it out, so ``--workers N`` stays N busy
+    processes), with a CPU in its affinity mask that its work does not
+    keep busy already (two CPUs, or three in a process that
+    :func:`works_beside_parent`)."""
+    return (sys.platform.startswith("linux")
+            and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) > _busy_cpus)
+
+
+def works_beside_parent() -> None:
+    """Note that this forked process works while its parent keeps a CPU
+    busy (a trace prefetch beside a simulating sweep), so that
+    :func:`may_fork` counts that CPU as taken."""
+    global _busy_cpus
+    _busy_cpus += 1
+
+
+def quiet_fork() -> int:
+    """``os.fork()``, without the warning Python 3.12 gives on any fork
+    from a process with more than one OS thread: numpy's BLAS pool
+    counts, and it is fork-safe."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return os.fork()
+
+
 def _split_at(items: _Items) -> Optional[int]:
     """Where a forked helper takes over a frame's ``(tile, primitives)``
     items, or None to render them all in this process.
 
-    A helper is forked only on Linux, with at least two CPUs in this
-    process's affinity mask, from a process running one thread (a
-    supervised worker's heartbeat thread rules it out, so ``--workers
-    N`` stays N busy processes), and for at least two tiles that hold
-    primitives.  The cut balances the (tile, primitive) pairs, which is
-    what a chunk's raster pass costs.
+    A helper is forked only where :func:`may_fork` allows, and for at
+    least two tiles that hold primitives.  The cut balances the (tile,
+    primitive) pairs, which is what a chunk's raster pass costs.
     """
-    if not (sys.platform.startswith("linux")
-            and threading.active_count() == 1
-            and len(os.sched_getaffinity(0)) >= 2):
+    if not may_fork():
         return None
     pairs = np.array([len(prims) for _, prims in items], dtype=np.int64)
     if np.count_nonzero(pairs) < 2:
@@ -240,12 +269,7 @@ def _fork_helper(raster: RasterPipeline,
     fds: Tuple[int, ...] = ()
     try:
         fds = read_fd, write_fd = os.pipe()
-        with warnings.catch_warnings():
-            # Python 3.12 warns on any fork from a process with more
-            # than one OS thread; numpy's BLAS pool counts, and it is
-            # fork-safe.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
+        pid = quiet_fork()
     except OSError as exc:
         for fd in fds:
             os.close(fd)
@@ -307,6 +331,10 @@ class TraceCache:
 
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.v{TRACE_FORMAT_VERSION}.pkl"
+
+    def __contains__(self, key: str) -> bool:
+        """Whether an entry exists for the key (its content unchecked)."""
+        return self._path(key).exists()
 
     def get(self, key: str) -> Optional[List[FrameTrace]]:
         """Cached traces for a key, or None (corrupt entries quarantined)."""

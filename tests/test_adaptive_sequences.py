@@ -52,6 +52,21 @@ class TestOrderSelectorScenarios:
         fsm.observe(obs(600_000, 0.96))
         assert fsm.decide() == Z_ORDER
 
+    def test_slower_temperature_frame_with_hit_gain_keeps_temperature(self):
+        # GrT at 1920x1080 (ROADMAP item 3): the first temperature
+        # frame ran 4.3% slower than the Z-order frame before it while
+        # its hit ratio rose 0.005.  What the FSM does today: a slowdown
+        # counts as degradation only with a hit-ratio drop, so the 4.3%
+        # re-applies the hit-ratio test, which still prefers
+        # temperature below 80%.  A change to the FSM shows here.
+        fsm = self.make()
+        fsm.observe(obs(1_000_000, 0.72))  # Z-order, no history
+        assert fsm.decide() == TEMPERATURE
+        fsm.observe(obs(1_043_000, 0.725))
+        assert fsm.decide() == TEMPERATURE
+        fsm.observe(obs(1_043_000, 0.725))
+        assert fsm.decide() == TEMPERATURE
+
     def test_noise_does_not_flap(self):
         fsm = self.make()
         fsm.observe(obs(1_000_000, 0.55))

@@ -16,7 +16,7 @@ from repro.experiments import (AXIS_ALIASES, ArtifactStore, ExperimentSpec,
                                PointOutcome, SweepPoint, SweepResult,
                                parse_axis_option, parse_axis_value,
                                resolve_axes, run_sweep, speedup_matrix)
-from repro.experiments.engine import store_breaker
+from repro.experiments.engine import run_sweeps, store_breaker
 from repro.supervision import CircuitBreaker
 
 from faults import bit_flip, truncate_file
@@ -317,6 +317,123 @@ class TestEngine:
         assert set(result.provenance().values()) == {"completed",
                                                      "degraded"}
         assert "†" in speedup_matrix(result).to_markdown()
+
+
+class TestRunSweeps:
+    """Several specs as one grid: each distinct point executes once."""
+
+    def _specs(self):
+        # Two grids sharing tri_overlap/baseline at both unit counts.
+        return (tiny_spec(name="left", kinds=["baseline", "ptr"]),
+                tiny_spec(name="right", kinds=["baseline", "libra"]))
+
+    def _tracking(self, monkeypatch):
+        import repro.experiments.engine as engine
+        original = engine.execute_point
+        executed = []
+
+        def tracking(point):
+            executed.append(point.point_id)
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", tracking)
+        return executed
+
+    def test_shared_points_execute_once(self, shared_cache_dir, tmp_path,
+                                        monkeypatch):
+        left, right = self._specs()
+        executed = self._tracking(monkeypatch)
+        a, b = run_sweeps([(left, tmp_path / "l"), (right, tmp_path / "r")])
+        distinct = {p.point_id for s in (left, right) for p in s.expand()}
+        assert len(distinct) == 6
+        assert sorted(executed) == sorted(distinct)
+        # The first sweep listing a point runs it; the other is served.
+        assert [o.provenance for o in a.outcomes] == ["completed"] * 4
+        assert [o.provenance for o in b.outcomes] == [
+            "resumed", "completed"] * 2
+        assert [o.point for o in b.outcomes] == right.expand()
+        for o in b.resumed:
+            shared = ArtifactStore(tmp_path / "l").point_path(
+                o.point.point_id)
+            linked = ArtifactStore(tmp_path / "r").point_path(
+                o.point.point_id)
+            assert os.path.samefile(shared, linked)
+        # Each store alone resumes its whole grid.
+        executed.clear()
+        again = run_sweep(right, store_root=tmp_path / "r")
+        assert executed == [] and len(again.resumed) == 4
+        assert ([o.summary.total_cycles for o in again.outcomes]
+                == [o.summary.total_cycles for o in b.outcomes])
+
+    def test_point_stored_elsewhere_is_shared_not_run(
+            self, shared_cache_dir, tmp_path, monkeypatch):
+        left, right = self._specs()
+        run_sweep(right, store_root=tmp_path / "r")
+        executed = self._tracking(monkeypatch)
+        a, b = run_sweeps([(left, tmp_path / "l"), (right, tmp_path / "r")])
+        assert sorted(executed) == sorted(
+            p.point_id for p in left.expand() if p.kind == "ptr")
+        assert [o.provenance for o in a.outcomes] == [
+            "resumed", "completed"] * 2
+        assert len(b.resumed) == 4
+
+    def test_copy_when_links_fail(self, shared_cache_dir, tmp_path,
+                                  monkeypatch):
+        def no_link(src, dst):
+            raise OSError(18, "Invalid cross-device link")
+
+        monkeypatch.setattr(os, "link", no_link)
+        left, right = self._specs()
+        a, b = run_sweeps([(left, tmp_path / "l"), (right, tmp_path / "r")])
+        store = ArtifactStore(tmp_path / "r")
+        done = store.load_completed(right.expand())
+        assert len(done) == 4
+        for o in b.resumed:
+            assert os.stat(store.point_path(o.point.point_id)).st_nlink == 1
+            assert (done[o.point.point_id].total_cycles
+                    == o.summary.total_cycles)
+
+    def test_failed_shared_point_fails_in_both(self, shared_cache_dir,
+                                               tmp_path, monkeypatch):
+        from repro.errors import SimulationError
+        import repro.experiments.engine as engine
+        left, right = self._specs()
+        doomed = left.expand()[0].point_id  # baseline, in both grids
+        original = engine.execute_point
+
+        def sometimes(point):
+            if point.point_id == doomed:
+                raise SimulationError("injected")
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", sometimes)
+        a, b = run_sweeps([(left, tmp_path / "l"), (right, tmp_path / "r")],
+                          retries=0)
+        for result in (a, b):
+            (failed,) = result.failed
+            assert failed.point.point_id == doomed
+        assert not ArtifactStore(tmp_path / "r").point_path(doomed).exists()
+
+    def test_supervised_grid_records_each_stores_keys(
+            self, shared_cache_dir, tmp_path):
+        left, right = self._specs()
+        for name, key in (("l", "tri_overlap|ptr"),
+                          ("r", "tri_overlap|libra")):
+            breaker = CircuitBreaker()
+            breaker.record_failure(key)
+            ArtifactStore(tmp_path / name).record_breaker_state(
+                breaker.to_state())
+        run_sweeps([(left, tmp_path / "l"), (right, tmp_path / "r")],
+                   workers=2)
+        for name, spec in (("l", left), ("r", right)):
+            cells = ArtifactStore(tmp_path / name).load_breaker_state()[
+                "cells"]
+            assert set(cells) <= {f"tri_overlap|{k}" for k in spec.kinds}
+        assert ArtifactStore(tmp_path / "l").load_breaker_state()[
+            "cells"]["tri_overlap|ptr"]["failures"] == 0
+
+    def test_no_sweeps(self):
+        assert run_sweeps([]) == []
 
 
 class TestSweepTelemetry:

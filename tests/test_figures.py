@@ -212,6 +212,118 @@ class TestSweepBackedRun:
         assert len(matrix.rows) == 4
 
 
+@pytest.fixture(scope="module")
+def grid_run(shared_cache_dir, tmp_path_factory):
+    """The whole quick registry in one run: the report, its store root
+    and the point ids ``execute_point`` ran, in order."""
+    import repro.experiments.engine as engine
+    store = tmp_path_factory.mktemp("grid_store")
+    original = engine.execute_point
+    executed = []
+
+    def counting(point):
+        executed.append(point.point_id)
+        return original(point)
+
+    engine.execute_point = counting
+    try:
+        report = run_figures(quick=True, store_root=str(store))
+    finally:
+        engine.execute_point = original
+    return report, store, executed
+
+
+def _quick_specs():
+    specs = {}
+    for figure in figure_registry(quick=True).values():
+        if figure.spec is not None:
+            specs.setdefault(figure.spec.name, figure.spec)
+    return specs
+
+
+class TestOneGrid:
+    """The registry runs as one grid: each distinct point once."""
+
+    def test_each_distinct_point_executes_once(self, grid_run):
+        report, _, executed = grid_run
+        specs = _quick_specs()
+        assert sum(spec.num_points for spec in specs.values()) == 30
+        distinct = {p.point_id for spec in specs.values()
+                    for p in spec.expand()}
+        assert len(distinct) == 24
+        assert len(executed) == 24
+        assert set(executed) == distinct
+        assert report.exit_code == 0
+        # A shared point counts as executed in one sweep only.
+        assert sum(len(r.completed) - len(r.resumed)
+                   for r in report.sweeps.values()) == 24
+        assert sum(len(r.resumed) for r in report.sweeps.values()) == 6
+
+    def test_points_run_grouped_by_trace_set(self, grid_run):
+        _, _, executed = grid_run
+        benchmarks = [pid.split("-")[0] for pid in executed]
+        runs = [b for i, b in enumerate(benchmarks)
+                if i == 0 or benchmarks[i - 1] != b]
+        assert len(runs) == len(set(benchmarks)) == 8
+
+    def test_every_store_is_complete(self, grid_run):
+        from repro.experiments import ArtifactStore
+        report, store, _ = grid_run
+        assert set(report.sweeps) == set(_quick_specs())
+        for name, result in report.sweeps.items():
+            points = result.spec.expand()
+            done = ArtifactStore(store / name).load_completed(points)
+            assert len(done) == len(points), name
+            assert not result.partial
+
+    def test_figures_match_their_runs_alone(self, grid_run, tmp_path):
+        report, _, _ = grid_run
+        for outcome in report.figures:
+            (alone,) = run_figures(only=[outcome.fid], quick=True,
+                                   store_root=str(tmp_path)).figures
+            assert alone.status == outcome.status == "pass"
+            assert alone.metrics == outcome.metrics, outcome.fid
+
+    def test_only_fig17_executes_its_points(self, shared_cache_dir,
+                                            tmp_path, monkeypatch):
+        import repro.experiments.engine as engine
+        original = engine.execute_point
+        executed = []
+
+        def counting(point):
+            executed.append(point.benchmark)
+            return original(point)
+
+        monkeypatch.setattr(engine, "execute_point", counting)
+        report = run_figures(only=["fig17"], quick=True,
+                             store_root=str(tmp_path))
+        assert len(executed) == 12
+        assert set(executed) == {"GDL", "Jet", "PzQ", "CrS"}
+        assert list(report.sweeps) == ["figures-headline-compute-quick"]
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "figures-headline-compute-quick"]
+
+    def test_one_sweep_per_spec_stores_resume(self, grid_run, tmp_path,
+                                              monkeypatch):
+        # The layout the runner wrote before the one grid: each spec
+        # swept into its own store on its own.
+        from repro.experiments import run_sweep
+        import repro.experiments.engine as engine
+        report, _, _ = grid_run
+        for name, spec in _quick_specs().items():
+            run_sweep(spec, store_root=tmp_path / name)
+
+        def forbidden(point):
+            raise AssertionError(f"re-executed {point.point_id}")
+
+        monkeypatch.setattr(engine, "execute_point", forbidden)
+        again = run_figures(quick=True, store_root=str(tmp_path))
+        assert again.exit_code == 0
+        assert all(f.points_executed == 0 for f in again.figures)
+        assert ([f.metrics for f in again.figures]
+                == [f.metrics for f in report.figures])
+
+
 class TestMarkdownRenderer:
     def test_registry_figures_render_with_verdicts(self, tables_report):
         text = render_experiments_md(tables_report)

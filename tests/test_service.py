@@ -356,6 +356,39 @@ class TestLeaseQueue:
         adoptions = [e for e in events if e["event"] == "lease_adopted"]
         assert adoptions and adoptions[0]["previous_owner"] == "doomed"
 
+    def test_claimed_lease_reads_back_and_is_adopted_once_stale(
+            self, tmp_path, monkeypatch):
+        # The claim writes its lease as every renewal rewrites it:
+        # whole, through a temporary file, with no fsync.
+        spec = tiny_spec()
+        store = JobStore(tmp_path)
+        record = store.submit(spec)
+        fsyncs = []
+        fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        claim = claim_point(store, record.job_id, spec, "w1")
+        assert fsyncs == []
+        body = read_lease(claim.lease_path)
+        assert body["owner"] == "w1" and body["pid"] == os.getpid()
+        assert body["point_id"] == claim.point.point_id
+        assert not list(claim.lease_path.parent.glob("*.tmp"))
+        # Live, it is passed by; stale, it is adopted.
+        other = claim_point(store, record.job_id, spec, "w2")
+        assert other.point.point_id != claim.point.point_id
+        other.release()
+        old = time.time() - 10.0
+        os.utime(claim.lease_path, (old, old))
+        adopted = claim_point(store, record.job_id, spec, "w2",
+                              lease_ttl_s=1.0)
+        assert adopted.point.point_id == claim.point.point_id
+        assert adopted.adopted_from == "w1"
+        assert read_lease(adopted.lease_path)["owner"] == "w2"
+
     def test_fresh_lease_is_respected(self, tmp_path):
         spec = tiny_spec()
         store = JobStore(tmp_path)
