@@ -4,9 +4,12 @@ Times the batched hot path against the scalar golden path on one
 benchmark and prints a cProfile breakdown of where the batched run
 spends its time — the tool used to find (and keep finding) the next
 bottleneck.  See ``docs/performance.md`` for the methodology.  Both
-paths run :func:`repro.perf.run_kernel`.  This is a profiler, not the
-benchmark: the repository's wall-clock numbers come from ``python3
-bench/run.py`` (see ``bench/README.md``).
+paths build the configuration and simulator that
+:func:`repro.experiments.simulate_point` builds for a point with no
+axes, over traces loaded before the clock starts; the scalar one
+passes ``batched=False``.  This is a profiler, not the benchmark: the
+repository's wall-clock numbers come from ``python3 bench/run.py``
+(see ``bench/README.md``).
 
 ``--telemetry-overhead`` switches to a different measurement: the same
 run with the telemetry hub enabled vs disabled, plus an estimate of what
@@ -35,15 +38,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 import common  # noqa: F401,E402  (sets REPRO_CACHE_DIR)
 
-from repro import harness  # noqa: E402
-from repro.perf import run_kernel  # noqa: E402
+from repro import GPUConfig, GPUSimulator, harness  # noqa: E402
 
 
 def _run(kind: str, traces, batched: bool):
-    # The same kernel the CLI simulates through and the BENCH drift
-    # test recomputes, so the profile covers exactly that work.
-    return run_kernel(kind, traces, harness.WIDTH, harness.HEIGHT,
-                      batched=batched)
+    config, scheduler = GPUConfig.build(kind, screen_width=harness.WIDTH,
+                                        screen_height=harness.HEIGHT)
+    return GPUSimulator(config, scheduler=scheduler, name=kind,
+                        batched=batched).run(traces)
 
 
 def _measure_telemetry_overhead(args) -> int:

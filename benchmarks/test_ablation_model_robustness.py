@@ -10,25 +10,17 @@ re-runs a representative benchmark pair under perturbed model parameters:
 and checks the ordering survives every variant.
 """
 
-from common import banner, pedantic, result
+from common import banner, pedantic, result, run
 
-from repro import GPUConfig, GPUSimulator, harness
 from repro.stats import format_table
 
 BENCH = "GrT"
 INTERVALS = (500, 1000, 2000)
 
 
-def _speedups(interval=1000, fb_ratio=None):
-    traces = harness.get_traces(BENCH)
-    cycles = {}
-    for kind in ("baseline", "ptr", "libra"):
-        config, scheduler = GPUConfig.build(
-            kind, screen_width=harness.WIDTH, screen_height=harness.HEIGHT)
-        config.interval_cycles = interval
-        config.fb_compression_ratio = fb_ratio
-        simulator = GPUSimulator(config, scheduler=scheduler, name=kind)
-        cycles[kind] = simulator.run(traces).total_cycles
+def _speedups(**settings):
+    cycles = {kind: run(BENCH, kind, **settings).total_cycles
+              for kind in ("baseline", "ptr", "libra")}
     return (cycles["baseline"] / cycles["ptr"],
             cycles["baseline"] / cycles["libra"])
 
@@ -36,8 +28,8 @@ def _speedups(interval=1000, fb_ratio=None):
 def collect():
     rows = {}
     for interval in INTERVALS:
-        rows[f"interval {interval}"] = _speedups(interval=interval)
-    rows["fb compression 0.5"] = _speedups(fb_ratio=0.5)
+        rows[f"interval {interval}"] = _speedups(interval_cycles=interval)
+    rows["fb compression 0.5"] = _speedups(fb_compression_ratio=0.5)
     return rows
 
 

@@ -12,7 +12,6 @@ of time on memory are classified memory-intensive (16 of the 32).
 
 from common import FULL_SUITE, banner, pedantic, result, run
 
-from repro import GPUConfig, GPUSimulator, harness
 from repro.stats import format_table
 from repro.workloads import get_params
 
@@ -21,14 +20,11 @@ def memory_time_fraction(benchmark: str, kind: str = "ptr") -> float:
     """Fraction of execution time spent on memory (Figure 6a method).
 
     Simulates with the real memory system and again with an ideal one
-    (every access hits the L1); the difference is memory time.
+    (the ``ideal_memory`` setting: every access hits the L1); the
+    difference is memory time.
     """
     real = run(benchmark, kind)
-    config, scheduler = GPUConfig.build(
-        kind, screen_width=harness.WIDTH, screen_height=harness.HEIGHT)
-    ideal = GPUSimulator(config, scheduler=scheduler, ideal_memory=True,
-                         name=kind).run(harness.get_traces(benchmark,
-                                                           harness.FRAMES))
+    ideal = run(benchmark, kind, ideal_memory=True)
     if real.total_cycles == 0:
         return 0.0
     return max(1.0 - ideal.total_cycles / real.total_cycles, 0.0)

@@ -51,7 +51,7 @@ from .api import (ComparisonReport, ExperimentSpec, JobRecord, RunSummary,
                   build_traces, compare, load_spec, run_suite, run_worker,
                   serve, simulate, speedup_matrix, sweep)
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "__version__",

@@ -47,11 +47,13 @@ Subcommands:
   DIR`` merges a job's correlated per-point telemetry into one
   cross-worker Chrome/Perfetto timeline.
 
-``run``, ``trace``, ``report`` and ``heatmap`` take their frame traces
-from the harness trace cache (:func:`repro.harness.get_traces`, the one
-``compare`` and ``sweep`` use) and simulate through
-:func:`repro.perf.run_kernel`.  Wall-clock benchmarking is not a
-subcommand: it is ``python3 bench/run.py`` (see ``bench/README.md``).
+``run``, ``trace``, ``report`` and ``heatmap`` simulate a sweep point
+with no axes through :func:`repro.experiments.simulate_point`, the one
+builder of a configured simulator that ``compare``, ``suite`` and
+``sweep`` use too, on the harness trace cache; with telemetry on they
+record it through :func:`repro.perf.record_point`.  Wall-clock
+benchmarking is not a subcommand: it is ``python3 bench/run.py`` (see
+``bench/README.md``).
 
 Flag conventions, shared across subcommands: single-target commands
 take ``--benchmark``, sweep-style commands take ``--benchmarks`` (comma
@@ -87,8 +89,9 @@ from typing import List, Optional
 from . import harness
 from .config import parse_kind
 from .errors import ConfigValidationError, ReproError
+from .experiments import SweepPoint, simulate_point
 from .gpu import RunResult
-from .perf import build_report, run_kernel
+from .perf import build_report, record_point
 from .stats import format_table, render_ascii, tile_matrix
 from .workloads import benchmark_names, micro_benchmark_names, table2_rows
 
@@ -251,18 +254,11 @@ def _export_telemetry(path: str, events, metrics) -> int:
     return len(events)
 
 
-def _run_with_telemetry(kind: str, traces, width: int, height: int):
-    """Run ``kind`` over ``traces`` with the telemetry hub on.
-
-    Returns ``(result, events, snapshot)``: the run, its recorded event
-    stream and the metrics snapshot taken before the session closes.
-    """
-    from .telemetry import HUB, RecordingSink, telemetry_session
-    sink = RecordingSink()
-    with telemetry_session(sink):
-        result = run_kernel(kind, traces, width, height)
-        snapshot = HUB.metrics.snapshot()
-    return result, sink.events, snapshot
+def _point(args, benchmark: str, kind: str) -> SweepPoint:
+    """The no-axes sweep point a single-run command simulates."""
+    return SweepPoint(benchmark=benchmark, kind=kind, axes=(),
+                      frames=args.frames, width=args.width,
+                      height=args.height)
 
 
 def _format_metrics(snapshot: dict) -> str:
@@ -273,18 +269,16 @@ def _format_metrics(snapshot: dict) -> str:
 
 def cmd_run(args) -> int:
     """Handle ``repro run``."""
-    traces = harness.get_traces(args.benchmark, args.frames, args.width,
-                                args.height)
+    point = _point(args, args.benchmark, args.config)
     snapshot = None
     if args.telemetry or args.telemetry_out:
-        result, events, snapshot = _run_with_telemetry(
-            args.config, traces, args.width, args.height)
+        result, events, snapshot = record_point(point)
         if args.telemetry_out:
             count = _export_telemetry(args.telemetry_out, events, snapshot)
             print(f"wrote {count} telemetry records to "
                   f"{args.telemetry_out}")
     else:
-        result = run_kernel(args.config, traces, args.width, args.height)
+        result = simulate_point(point)
     print(format_table(_SUMMARY_HEADERS, [_summarize(result)],
                        title=f"{args.benchmark} on {args.config}"))
     rows = [[f.frame_index, f.geometry_cycles, f.raster_cycles, f.order,
@@ -371,18 +365,18 @@ def cmd_trace(args) -> int:
     fmt = args.format
     if fmt == "auto":
         fmt = "chrome" if args.out.endswith(".json") else "frames"
-    traces = harness.get_traces(benchmark, args.frames, args.width,
-                                args.height)
     if fmt == "frames":
         from .workloads import save_traces
+        traces = harness.get_traces(benchmark, args.frames, args.width,
+                                    args.height)
         save_traces(traces, args.out)
         total_lines = sum(t.total_texture_lines() for t in traces)
         print(f"wrote {len(traces)} frame traces of {benchmark} to "
               f"{args.out} ({total_lines:,} texture lines total)")
         return 0
     from .telemetry import write_chrome_trace
-    result, events, snapshot = _run_with_telemetry(
-        args.config, traces, args.width, args.height)
+    result, events, snapshot = record_point(
+        _point(args, benchmark, args.config))
     count = write_chrome_trace(args.out, events, metrics=snapshot)
     print(f"wrote {count} Chrome trace events for {benchmark} on "
           f"{args.config} ({result.num_frames} frames, "
@@ -809,10 +803,8 @@ def cmd_report(args) -> int:
                 "report needs a benchmark (positional or --benchmark) "
                 "or --events PATH")
             return 2
-        traces = harness.get_traces(benchmark, args.frames, args.width,
-                                    args.height)
-        _, events, metrics = _run_with_telemetry(
-            args.config, traces, args.width, args.height)
+        _, events, metrics = record_point(
+            _point(args, benchmark, args.config))
         title = (f"{benchmark} on {args.config} "
                  f"({args.frames} frames, {args.width}x{args.height})")
     markdown = build_report(events, metrics=metrics, title=title)
@@ -899,12 +891,11 @@ def cmd_figures(args) -> int:
 
 def cmd_heatmap(args) -> int:
     """Handle ``repro heatmap``."""
-    traces = harness.get_traces(args.benchmark, args.frames, args.width,
-                                args.height)
-    result = run_kernel("baseline", traces, args.width, args.height)
+    result = simulate_point(_point(args, args.benchmark, "baseline"))
     frame = result.frames[-1]
-    matrix = tile_matrix(frame.per_tile_dram, traces[0].tiles_x,
-                         traces[0].tiles_y)
+    matrix = tile_matrix(frame.per_tile_dram,
+                         -(-args.width // harness.TILE),
+                         -(-args.height // harness.TILE))
     print(f"Per-tile DRAM accesses, {args.benchmark} frame "
           f"{frame.frame_index} (darkest = hottest):")
     print(render_ascii(matrix))

@@ -182,6 +182,10 @@ class GPUConfig:
     #: (0, 1] is the fraction of flush lines actually written (extension
     #: feature, off by default to match the paper's machine).
     fb_compression_ratio: Optional[float] = None
+    #: Every texture access hits the L1 and nothing reaches the Vertex
+    #: or Tile cache, L2 or DRAM: the ideal memory system Fig. 6
+    #: differences against to measure the fraction of time on memory.
+    ideal_memory: bool = False
 
     @property
     def tiles_x(self) -> int:
@@ -247,6 +251,9 @@ class GPUConfig:
         if self.fb_compression_ratio is not None and not (
                 0.0 < self.fb_compression_ratio <= 1.0):
             raise ConfigValidationError("fb compression ratio must be in (0, 1]")
+        if not isinstance(self.ideal_memory, bool):
+            raise ConfigValidationError(
+                f"ideal_memory must be a bool, got {self.ideal_memory!r}")
         self._validate_scheduler()
 
     def _validate_scheduler(self) -> None:

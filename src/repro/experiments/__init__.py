@@ -7,7 +7,9 @@ bandwidth sensitivity.  This package makes those first-class:
 * :class:`ExperimentSpec` — a declarative grid (benchmarks x kinds x
   axes), loadable from YAML/JSON.
 * :func:`run_sweep` / :class:`SweepResult` — the one way simulations
-  run: each point through :func:`execute_point`, with per-point
+  run: each point through :func:`execute_point` (which summarizes
+  :func:`simulate_point`, the one builder of a configured simulator,
+  which the CLI's single-run commands call too), with per-point
   retry/timeout, forked-worker parallelism, and crash-safe per-point
   checkpoints in an :class:`ArtifactStore` so an interrupted sweep
   *resumes* instead of restarting.  ``repro suite``
@@ -30,7 +32,7 @@ and a worked Figure 18/19 reproduction.
 
 from .aggregate import MatrixRow, SpeedupMatrix, speedup_matrix
 from .engine import (PointOutcome, SweepResult, execute_point, run_sweep,
-                     sweep_result_from_store)
+                     simulate_point, sweep_result_from_store)
 from .spec import (AXIS_ALIASES, BUILD_AXES, ExperimentSpec, SweepPoint,
                    parse_axis_option, parse_axis_value, resolve_axes)
 from .store import ArtifactStore
@@ -47,6 +49,7 @@ __all__ = [
     "run_sweep",
     "sweep_result_from_store",
     "execute_point",
+    "simulate_point",
     "SweepResult",
     "PointOutcome",
     "MatrixRow",

@@ -11,8 +11,10 @@ points through :func:`execute_points` — the executor the sweep
 service's workers use too, and ``repro suite`` is a sweep with no
 axes — so every point gets
 the per-run wall-clock timeout, bounded retry with backoff and failure
-isolation.  :func:`execute_point` is the one function that turns a
-point into a :class:`~repro.harness.RunSummary`.  Each point's summary
+isolation.  :func:`simulate_point` is the one function that builds a
+configured simulator and runs a point, and :func:`execute_point`, which
+summarizes its run, the one that turns a point into a
+:class:`~repro.harness.RunSummary`.  Each point's summary
 is checkpointed to the store *from inside the runner*, i.e. in the
 worker process, the moment it finishes — killing the driver mid-grid
 loses at most the points that were in flight.
@@ -47,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from .. import chaos, harness
 from ..config import GPUConfig
 from ..errors import ConfigValidationError
-from ..gpu import GPUSimulator
+from ..gpu import GPUSimulator, RunResult
 from ..harness import RunSummary
 from ..supervision import (CircuitBreaker, SupervisedJob, SupervisionPolicy,
                            Supervisor, run_in_process)
@@ -182,26 +184,31 @@ class SweepResult:
         return "\n".join(lines)
 
 
-def execute_point(point: SweepPoint) -> RunSummary:
-    """Simulate one grid point (no caching, no store) and summarize it.
+def simulate_point(point: SweepPoint) -> RunResult:
+    """Simulate one grid point on its cached traces (no store).
 
-    The single source of truth for how axis values become a simulator:
+    The single source of truth for how a point becomes a simulator:
     organization axes go to :meth:`GPUConfig.build`, everything else is
     applied as dotted settings *before* validation and scheduler
     construction, so threshold and supertile axes genuinely steer the
-    LIBRA decision logic.  ``repro compare`` and the sweep engine both
-    resolve configs through :meth:`GPUConfig.build`, which is what makes
-    their numbers comparable point for point.
+    LIBRA decision logic, and ``ideal_memory`` runs the ideal memory
+    system.  The sweep engine, ``repro compare`` and the CLI's ``run``,
+    ``trace``, ``report`` and ``heatmap`` all simulate through here,
+    which is what makes their numbers comparable point for point.
     """
-    traces = harness.get_traces(point.benchmark, point.frames,
-                                point.width, point.height)
+    traces = harness.get_traces(*point.trace_key)
     build_kwargs, settings = point.resolved()
     config, scheduler = GPUConfig.build(
         point.kind, screen_width=point.width, screen_height=point.height,
         settings=settings, **build_kwargs)
-    simulator = GPUSimulator(config, scheduler=scheduler, name=point.kind)
-    result = simulator.run(traces)
-    return harness.summarize(point.benchmark, point.kind, result)
+    return GPUSimulator(config, scheduler=scheduler,
+                        name=point.kind).run(traces)
+
+
+def execute_point(point: SweepPoint) -> RunSummary:
+    """Simulate one grid point (no caching, no store) and summarize it."""
+    return harness.summarize(point.benchmark, point.kind,
+                             simulate_point(point))
 
 
 def _point_runner(point: SweepPoint, store_root: str,
@@ -276,6 +283,8 @@ def _point_runner(point: SweepPoint, store_root: str,
     try:
         summary = execute_point(point)
         if HUB.enabled:
+            # Counted before the copy, so the artifact counts itself.
+            HUB.metrics.counter("sweep.points.executed").inc()
             summary.telemetry = HUB.metrics.snapshot()
             summary.telemetry_state = HUB.metrics.dump()
             HUB.emit(HarnessSpan(
@@ -284,7 +293,6 @@ def _point_runner(point: SweepPoint, store_root: str,
                 attempts=1,
                 args={"benchmark": point.benchmark, "kind": point.kind,
                       **point.axis_values}))
-            HUB.metrics.counter("sweep.points.executed").inc()
     finally:
         if own_session:
             HUB.disable()

@@ -25,7 +25,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigValidationError
-from ..experiments import SpeedupMatrix, SweepResult, speedup_matrix
+from ..experiments import (SpeedupMatrix, SweepPoint, SweepResult,
+                           speedup_matrix)
 # Importable from here for bench/bootstrap.py, which wraps it.
 from ..experiments import run_sweep  # noqa: F401
 from ..experiments.engine import run_sweeps
@@ -297,22 +298,18 @@ def record_perf_analysis(quick: bool = False,
     the Fig. 7 benchmark at the active profile's geometry, on the
     traces the figure sweeps already cached.
     """
-    from .. import harness
-    from ..perf import build_report, run_kernel
-    from ..telemetry import HUB, RecordingSink, telemetry_session
+    from ..perf import build_report, record_point
     from .registry import (FULL_FRAMES, FULL_HEIGHT, FULL_WIDTH,
                            QUICK_FRAMES, QUICK_HEIGHT, QUICK_WIDTH)
     if quick:
         width, height, frames = QUICK_WIDTH, QUICK_HEIGHT, QUICK_FRAMES
     else:
         width, height, frames = FULL_WIDTH, FULL_HEIGHT, FULL_FRAMES
-    traces = harness.get_traces(benchmark, frames, width, height)
-    sink = RecordingSink()
-    with telemetry_session(sink):
-        run_kernel(kind, traces, width, height)
-        metrics = HUB.metrics.snapshot()
+    _, events, metrics = record_point(SweepPoint(
+        benchmark=benchmark, kind=kind, axes=(), frames=frames,
+        width=width, height=height))
     return build_report(
-        sink.events, metrics=metrics,
+        events, metrics=metrics,
         title=f"{benchmark} on {kind} ({frames} frames, "
               f"{width}x{height})")
 

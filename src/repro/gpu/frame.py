@@ -60,13 +60,11 @@ class FrameDriver:
     """Persistent simulation state plus the per-frame execution recipe."""
 
     def __init__(self, config: GPUConfig, scheduler: TileScheduler,
-                 ideal_memory: bool = False,
                  energy_model: EnergyModel = None,
                  batched: bool = True):
         config.validate()
         self.config = config
         self.scheduler = scheduler
-        self.ideal_memory = ideal_memory
         self.batched = batched
         self.energy_model = energy_model or EnergyModel()
         self.shared = SharedMemory(config)
@@ -78,8 +76,7 @@ class FrameDriver:
         self.clock = SimClock()
         self.raster_units = [
             TimingRasterUnit(i, config, self.shared, self.tile_cache,
-                             ideal_memory=ideal_memory, batched=batched,
-                             clock=self.clock)
+                             batched=batched, clock=self.clock)
             for i in range(config.num_raster_units)]
         self.timing = TimingSimulator(config, self.shared,
                                       self.raster_units, self.tile_cache,
@@ -140,7 +137,7 @@ class FrameDriver:
         the count from a chunk size, so the interval series stays
         deterministic even when the chunking does not divide evenly.
         """
-        if self.ideal_memory:
+        if self.config.ideal_memory:
             return
         lines = line_list(trace.vertex_lines)
         interval = self.config.interval_cycles

@@ -71,13 +71,13 @@ class TimingRasterUnit:
     """
 
     def __init__(self, index: int, config: GPUConfig, shared: SharedMemory,
-                 tile_cache: Cache, ideal_memory: bool = False,
-                 batched: bool = True, clock: Optional[SimClock] = None):
+                 tile_cache: Cache, batched: bool = True,
+                 clock: Optional[SimClock] = None):
         self.index = index
         self.config = config
         self.shared = shared
         self.tile_cache = tile_cache
-        self.ideal_memory = ideal_memory
+        self.ideal_memory = config.ideal_memory
         self.batched = batched
         #: Simulated-cycle clock, shared with the frame driver; only read
         #: on telemetry-guarded paths (tile dispatch/retire timestamps).

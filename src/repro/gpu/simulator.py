@@ -103,7 +103,6 @@ class GPUSimulator:
 
     def __init__(self, config: GPUConfig,
                  scheduler: Optional[TileScheduler] = None,
-                 ideal_memory: bool = False,
                  energy_model: Optional[EnergyModel] = None,
                  name: str = "",
                  batched: bool = True):
@@ -111,7 +110,6 @@ class GPUSimulator:
         self.scheduler = scheduler or ZOrderScheduler()
         self.name = name or type(self.scheduler).__name__
         self.driver = FrameDriver(config, self.scheduler,
-                                  ideal_memory=ideal_memory,
                                   energy_model=energy_model,
                                   batched=batched)
 

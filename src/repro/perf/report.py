@@ -26,7 +26,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..experiments import SweepPoint, simulate_point
+from ..gpu import RunResult
 from ..stats import arithmetic_mean, coefficient_of_variation
+from ..telemetry import HUB, RecordingSink, telemetry_session
 from ..telemetry.events import (CacheDelta, DRAMSample, FSMState,
                                 FSMTransition, SchedulerDecision,
                                 TelemetryEvent, TileRetire)
@@ -198,6 +201,22 @@ def _metrics_section(metrics: Dict[str, float]) -> List[str]:
         lines.append(f"| `{name}` | {cell} |")
     lines.append("")
     return lines
+
+
+def record_point(point: SweepPoint) -> Tuple[RunResult,
+                                             List[TelemetryEvent],
+                                             Dict[str, float]]:
+    """Simulate ``point`` with the telemetry hub on.
+
+    Returns ``(result, events, metrics)``: the run, its recorded event
+    stream and the metrics snapshot taken before the session closes,
+    which :func:`build_report` and the Chrome trace export read.
+    """
+    sink = RecordingSink()
+    with telemetry_session(sink):
+        result = simulate_point(point)
+        metrics = HUB.metrics.snapshot()
+    return result, sink.events, metrics
 
 
 def build_report(events: Iterable[TelemetryEvent],

@@ -260,8 +260,7 @@ def read_fleet(root: Union[str, Path],
 
 
 def job_progress(counts: Dict[str, int], events: List[dict],
-                 now: Optional[float] = None,
-                 window_s: float = RATE_WINDOW_S) -> dict:
+                 now: Optional[float] = None) -> dict:
     """Progress percentage plus a throughput-windowed ETA for one job.
 
     ``counts`` is :meth:`repro.service.jobs.JobStore.counts` output;
@@ -280,7 +279,7 @@ def job_progress(counts: Dict[str, int], events: List[dict],
         e["ts"] for e in events
         if e.get("event") in ("point_done", "point_failed")
         and isinstance(e.get("ts"), (int, float)))
-    recent = [t for t in done_ts if now - t <= window_s] or done_ts
+    recent = [t for t in done_ts if now - t <= RATE_WINDOW_S] or done_ts
     rate = None
     if recent:
         span = now - recent[0]
@@ -291,7 +290,7 @@ def job_progress(counts: Dict[str, int], events: List[dict],
     return {"percent": round(100.0 * finished / total, 2) if total else 0.0,
             "points_per_s": round(rate, 4) if rate else 0.0,
             "eta_s": eta_s,
-            "window_s": window_s}
+            "window_s": RATE_WINDOW_S}
 
 
 __all__ = ["DEFAULT_FLEET_INTERVAL_S", "DEFAULT_STALE_AFTER_S",

@@ -91,17 +91,16 @@ logger = logging.getLogger(__name__)
 _JITTER = random.Random()
 
 
-def backoff_delay(backoff_s: float, attempt: int,
-                  jitter_frac: float = 0.5) -> float:
+def backoff_delay(backoff_s: float, attempt: int) -> float:
     """Exponential backoff with jitter for retry ``attempt`` (1-based).
 
     The base delay doubles per attempt; a uniform random fraction of up
-    to ``jitter_frac`` of the base is added so parallel workers
+    to half the base is added so parallel workers
     retrying the same transient fault (a quarantined shared cache
     entry, say) fan out instead of thundering back in lockstep.
     """
     base = backoff_s * (2 ** (attempt - 1))
-    return base * (1.0 + _JITTER.uniform(0.0, jitter_frac))
+    return base * (1.0 + _JITTER.uniform(0.0, 0.5))
 
 
 # -- heartbeats --------------------------------------------------------------

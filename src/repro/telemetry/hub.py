@@ -165,9 +165,10 @@ class TelemetryHub:
 HUB = TelemetryHub()
 
 
-def telemetry_session(*sinks: Any,
-                      reset_metrics: bool = True) -> "_TelemetrySession":
+def telemetry_session(*sinks: Any) -> "_TelemetrySession":
     """Context manager: enable ``HUB`` for a block, restore state after.
+
+    The metrics registry is reset on entry.
 
     ::
 
@@ -176,21 +177,19 @@ def telemetry_session(*sinks: Any,
             simulator.run(traces)
         trace = chrome_trace(sink.events)
     """
-    return _TelemetrySession(sinks, reset_metrics)
+    return _TelemetrySession(sinks)
 
 
 class _TelemetrySession:
-    def __init__(self, sinks, reset_metrics: bool):
+    def __init__(self, sinks):
         self._sinks = sinks
-        self._reset_metrics = reset_metrics
         self._was_enabled: Optional[bool] = None
         self._previous_sinks: Optional[List[Any]] = None
 
     def __enter__(self) -> TelemetryHub:
         self._was_enabled = HUB.enabled
         self._previous_sinks = HUB.sinks
-        if self._reset_metrics:
-            HUB.metrics.reset()
+        HUB.metrics.reset()
         HUB.enable(*self._sinks)
         return HUB
 

@@ -47,13 +47,12 @@ class TilingEngine:
     """Runs the tiling process for each frame."""
 
     def __init__(self, tiles_x: int, tiles_y: int, tile_size: int,
-                 order: str = "morton", exact_binning: bool = True):
+                 order: str = "morton"):
         self.tiles_x = tiles_x
         self.tiles_y = tiles_y
         self.tile_size = tile_size
         self.order = order
-        self._builder = PolygonListBuilder(tiles_x, tiles_y, tile_size,
-                                           exact=exact_binning)
+        self._builder = PolygonListBuilder(tiles_x, tiles_y, tile_size)
         self._default_order = traversal_order(order, tiles_x, tiles_y)
 
     def tile_frame(self, primitives: Sequence[Primitive]) -> TiledFrame:

@@ -23,7 +23,6 @@ from repro.gpu import GPUSimulator
 from repro.gpu.frame import FrameDriver
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import make_texture_l1
-from repro.perf.kernels import run_kernel
 from repro.telemetry import HUB, RecordingSink
 from repro.workloads import make_scene_builder
 from repro.workloads.scene import SceneBuilder
@@ -114,10 +113,18 @@ def _parity_config():
 
 def _run(scheduler_factory, batched, traces, ideal_memory=False):
     config = _parity_config()
+    config.ideal_memory = ideal_memory
     sim = GPUSimulator(config, scheduler=scheduler_factory(config),
-                       ideal_memory=ideal_memory, batched=batched,
-                       name="parity")
+                       batched=batched, name="parity")
     return sim.run(traces)
+
+
+def _run_kind(kind, traces, width, height, batched=True, settings=None):
+    """A fresh simulator of ``kind`` over prebuilt ``traces``."""
+    config, scheduler = GPUConfig.build(
+        kind, screen_width=width, screen_height=height, settings=settings)
+    return GPUSimulator(config, scheduler=scheduler, name=kind,
+                        batched=batched).run(traces)
 
 
 SCHEDULERS = {
@@ -185,8 +192,8 @@ class TestRandomizedSceneKindParity:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_kind_parity_on_random_scene(self, scene_traces, seed, kind):
         traces = scene_traces[seed]
-        fast = run_kernel(kind, traces, 128, 64, batched=True)
-        golden = run_kernel(kind, traces, 128, 64, batched=False)
+        fast = _run_kind(kind, traces, 128, 64, batched=True)
+        golden = _run_kind(kind, traces, 128, 64, batched=False)
         assert fast.total_cycles == golden.total_cycles
         assert fast.raster_dram_accesses == golden.raster_dram_accesses
         assert fast.mean_texture_hit_ratio \
@@ -202,8 +209,8 @@ class TestRandomizedSceneKindParity:
             sink = RecordingSink()
             HUB.enable(sink)
             try:
-                results.append(run_kernel(kind, traces, 128, 64,
-                                          batched=batched))
+                results.append(_run_kind(kind, traces, 128, 64,
+                                         batched=batched))
             finally:
                 HUB.disable()
         fast, golden = results
@@ -214,10 +221,10 @@ class TestRandomizedSceneKindParity:
 
     def test_telemetry_does_not_perturb_metrics(self, scene_traces):
         traces = scene_traces[11]
-        quiet = run_kernel("libra", traces, 128, 64)
+        quiet = _run_kind("libra", traces, 128, 64)
         HUB.enable(RecordingSink())
         try:
-            loud = run_kernel("libra", traces, 128, 64)
+            loud = _run_kind("libra", traces, 128, 64)
         finally:
             HUB.disable()
         assert (quiet.total_cycles, quiet.raster_dram_accesses) \
@@ -259,9 +266,9 @@ class TestOverflowingTileParity:
 
     def _run(self, kind, traces, batched, ideal_memory):
         config, scheduler = GPUConfig.build(
-            kind, screen_width=self.WIDTH, screen_height=self.HEIGHT)
-        sim = GPUSimulator(config, scheduler=scheduler,
-                           ideal_memory=ideal_memory, batched=batched)
+            kind, screen_width=self.WIDTH, screen_height=self.HEIGHT,
+            settings={"ideal_memory": ideal_memory})
+        sim = GPUSimulator(config, scheduler=scheduler, batched=batched)
         return config, sim.run(traces)
 
     @pytest.mark.parametrize("ideal_memory", [False, True],
@@ -324,10 +331,10 @@ class TestFlushSettingsParity:
                                     setting):
         traces = suite_traces[name]
         settings = self.SETTINGS[setting]
-        fast, golden = (run_kernel(kind, traces, self.WIDTH, self.HEIGHT,
-                                   batched=batched, settings=settings)
+        fast, golden = (_run_kind(kind, traces, self.WIDTH, self.HEIGHT,
+                                  batched=batched, settings=settings)
                         for batched in (True, False))
-        default = run_kernel(kind, traces, self.WIDTH, self.HEIGHT)
+        default = _run_kind(kind, traces, self.WIDTH, self.HEIGHT)
         if setting == "compressed":
             assert _dram_writes(golden) < _dram_writes(default)
         else:

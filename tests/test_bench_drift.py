@@ -10,8 +10,8 @@ fails tier-1 unless it records a new baseline and says why.
 
 A case id names its inputs:
 
-* ``kernel.<benchmark>.<kind>`` — :func:`repro.perf.run_kernel` over
-  2-frame 256x128 traces;
+* ``kernel.<benchmark>.<kind>`` — :func:`repro.experiments.simulate_point`
+  for a point with no axes at 2 frames, 256x128;
 * ``suite.<benchmark>`` — :func:`repro.experiments.execute_point` for
   ``baseline`` and ``libra`` at 1 frame, 128x64, with cycles and DRAM
   accesses summed and the hit ratio averaged over the two runs.
@@ -26,9 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import harness
-from repro.experiments import SweepPoint, execute_point
-from repro.perf import run_kernel
+from repro.experiments import SweepPoint, execute_point, simulate_point
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_FILES = ("BENCH_1.json", "BENCH_2.json")
@@ -69,8 +67,9 @@ def _recompute(case_id: str) -> dict:
     style, *names = case_id.split(".")
     if style == "kernel" and len(names) == 2:
         benchmark, kind = names
-        traces = harness.get_traces(benchmark, 2, 256, 128)
-        result = run_kernel(kind, traces, 256, 128)
+        result = simulate_point(SweepPoint(benchmark=benchmark, kind=kind,
+                                           axes=(), frames=2, width=256,
+                                           height=128))
         return _metrics(result.total_cycles, result.raster_dram_accesses,
                         result.mean_texture_hit_ratio)
     if style == "suite" and len(names) == 1:

@@ -66,6 +66,31 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Per-tile DRAM accesses" in out
 
+    def test_run_prints_the_cycles_of_simulate_point(self, capsys):
+        from repro.experiments import SweepPoint, simulate_point
+        code = main(["--width", "256", "--height", "128",
+                     "run", "--benchmark", "GDL", "--config", "libra",
+                     "--frames", "2"])
+        assert code == 0
+        expected = simulate_point(SweepPoint("GDL", "libra", (), frames=2,
+                                             width=256, height=128))
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()
+                if line.startswith("libra ")]
+        assert rows[0][2] == str(expected.total_cycles)
+
+    def test_heatmap_maps_the_points_last_frame(self, capsys):
+        from repro.experiments import SweepPoint, simulate_point
+        from repro.stats import render_ascii, tile_matrix
+        code = main(["--width", "256", "--height", "128",
+                     "heatmap", "--benchmark", "CCS", "--frames", "2"])
+        assert code == 0
+        expected = simulate_point(SweepPoint("CCS", "baseline", (),
+                                             frames=2, width=256,
+                                             height=128))
+        matrix = tile_matrix(expected.frames[-1].per_tile_dram, 8, 4)
+        assert capsys.readouterr().out.endswith(render_ascii(matrix) + "\n")
+
     def test_heatmap_maps_the_last_requested_frame(self, capsys):
         code = main(["--width", "128", "--height", "64",
                      "heatmap", "--benchmark", "GDL", "--frames", "3"])

@@ -124,6 +124,18 @@ class TestGPUConfig:
         with pytest.raises(ValueError):
             cfg.validate()
 
+    def test_ideal_memory_is_a_setting(self):
+        config, _ = GPUConfig.build("ptr", settings={"ideal_memory": True})
+        assert config.ideal_memory is True
+        assert GPUConfig().ideal_memory is False
+
+    # ``--axis ideal_memory=false`` arrives as the string "false", which
+    # is truthy: only a bool may reach the simulator.
+    @pytest.mark.parametrize("value", ["true", 1])
+    def test_ideal_memory_setting_must_be_a_bool(self, value):
+        with pytest.raises(ConfigValidationError, match="must be a bool"):
+            GPUConfig.build("ptr", settings={"ideal_memory": value})
+
     def test_replace_returns_modified_copy(self):
         cfg = baseline_config()
         other = cfg.replace(tile_size=16)

@@ -319,6 +319,24 @@ class TestEngine:
         assert "†" in speedup_matrix(result).to_markdown()
 
 
+class TestIdealMemoryAxis:
+    def test_axis_runs_the_real_and_the_ideal_memory_system(
+            self, shared_cache_dir, tmp_path):
+        # Fig. 6's method as a spec: the same point with the real and
+        # with the ideal memory system.  The counts are the simulator's
+        # own when ideal memory was a constructor keyword, so moving it
+        # into GPUConfig changed no number.
+        spec = ExperimentSpec.from_dict(json.loads("""{
+            "name": "memory-time", "benchmarks": ["CCS"],
+            "kinds": ["ptr"], "baseline_kind": "ptr",
+            "axes": {"ideal_memory": [false, true]},
+            "frames": 1, "width": 256, "height": 128}"""))
+        result = run_sweep(spec, store_root=tmp_path / "store")
+        cycles = {o.point.axis_values["ideal_memory"]: o.summary.total_cycles
+                  for o in result.completed}
+        assert cycles == {False: 289_464, True: 219_464}
+
+
 class TestRunSweeps:
     """Several specs as one grid: each distinct point executes once."""
 
@@ -512,6 +530,21 @@ class TestSweepTelemetry:
         assert len(again.resumed) == 4
         assert again.outcomes[0].summary.telemetry_state is None
         assert again.merged_metrics().snapshot()["frames"] == 3
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_artifact_counts_its_own_execution(
+            self, shared_cache_dir, tmp_path, workers):
+        # The counter is incremented before the registry is copied into
+        # the point's summary, so the merge counts every executed point.
+        spec = tiny_spec(axes={})
+        first = run_sweep(spec, store_root=tmp_path / "store",
+                          workers=workers)
+        again = run_sweep(spec, store_root=tmp_path / "store",
+                          workers=workers)
+        assert len(first.completed) == 2 and len(again.resumed) == 2
+        for result in (first, again):
+            merged = result.merged_metrics().snapshot()
+            assert merged["sweep.points.executed"] == 2
 
 
 def fake_result(spec, cycles_by_point):

@@ -49,8 +49,8 @@ class RecordingScheduler(TileScheduler):
 
 def make_driver(scheduler=None, num_rus=2, **kwargs):
     cfg = small_config(num_raster_units=num_rus,
-                       raster_unit=RasterUnitConfig(num_cores=4))
-    return FrameDriver(cfg, scheduler or ZOrderScheduler(), **kwargs)
+                       raster_unit=RasterUnitConfig(num_cores=4), **kwargs)
+    return FrameDriver(cfg, scheduler or ZOrderScheduler())
 
 
 class TestFrameResult:

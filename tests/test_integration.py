@@ -38,8 +38,8 @@ def suite_traces():
     return TraceBuilder(builder, WIDTH, HEIGHT, 32).build_many(4)
 
 
-def run(traces, config, scheduler=None, **kwargs):
-    return GPUSimulator(config, scheduler=scheduler, **kwargs).run(traces)
+def run(traces, config, scheduler=None):
+    return GPUSimulator(config, scheduler=scheduler).run(traces)
 
 
 class TestParallelTileRendering:
@@ -62,7 +62,7 @@ class TestParallelTileRendering:
     def test_ideal_memory_upper_bounds_real(self, hot_traces):
         cfg = libra_config(screen_width=WIDTH, screen_height=HEIGHT)
         real = run(hot_traces, cfg)
-        ideal = run(hot_traces, cfg, ideal_memory=True)
+        ideal = run(hot_traces, cfg.replace(ideal_memory=True))
         assert ideal.total_cycles <= real.total_cycles
 
 
@@ -97,7 +97,7 @@ class TestComputeWorkloads:
     def test_compute_app_low_memory_fraction(self, suite_traces):
         cfg = libra_config(screen_width=WIDTH, screen_height=HEIGHT)
         real = run(suite_traces, cfg)
-        ideal = run(suite_traces, cfg, ideal_memory=True)
+        ideal = run(suite_traces, cfg.replace(ideal_memory=True))
         fraction = 1 - ideal.total_cycles / real.total_cycles
         assert fraction < 0.25
 

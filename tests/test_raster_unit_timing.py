@@ -9,10 +9,9 @@ from repro.memory.hierarchy import SharedMemory, make_tile_cache
 
 
 def make_unit(config=None, ideal=False):
-    cfg = config or small_config()
+    cfg = config or small_config(ideal_memory=ideal)
     shared = SharedMemory(cfg)
-    unit = TimingRasterUnit(0, cfg, shared, make_tile_cache(cfg),
-                            ideal_memory=ideal)
+    unit = TimingRasterUnit(0, cfg, shared, make_tile_cache(cfg))
     unit.begin_frame()
     return unit, shared, cfg
 

@@ -19,13 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from repro.config import KIND_FAMILIES, CacheConfig, small_config
-from repro.gpu import tilestream
+from repro.config import KIND_FAMILIES, CacheConfig, GPUConfig, small_config
+from repro.gpu import GPUSimulator, tilestream
 from repro.gpu.raster_unit import TimingRasterUnit
 from repro.gpu.workload import TileWorkload
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import SharedMemory, make_tile_cache
-from repro.perf.kernels import run_kernel
 from repro.workloads import TraceBuilder, make_scene_builder
 
 _EPS = 1e-9
@@ -64,9 +63,9 @@ def lru_order(cache):
 def unit_with_l1(config: CacheConfig, warm, ideal_memory=False):
     """A batched Raster Unit whose texture L1 is ``config``, warmed by
     looking up ``warm`` and then cleared of statistics."""
-    gpu = small_config(screen_width=128, screen_height=64, tile_size=32)
-    unit = TimingRasterUnit(0, gpu, SharedMemory(gpu), make_tile_cache(gpu),
-                            ideal_memory=ideal_memory)
+    gpu = small_config(screen_width=128, screen_height=64, tile_size=32,
+                       ideal_memory=ideal_memory)
+    unit = TimingRasterUnit(0, gpu, SharedMemory(gpu), make_tile_cache(gpu))
     unit.l1 = Cache(config)
     for line in warm:
         unit.l1.lookup(line)
@@ -233,7 +232,9 @@ class TestHeldPlans:
         traces = TraceBuilder(make_scene_builder("CCS", 256, 128),
                               256, 128, 32).build_many(2)
         for kind in KIND_FAMILIES:
-            run_kernel(kind, traces, 256, 128)
+            config, scheduler = GPUConfig.build(kind, screen_width=256,
+                                                screen_height=128)
+            GPUSimulator(config, scheduler=scheduler).run(traces)
         cadences = 0
         for trace in traces:
             for w in trace.workloads.values():
